@@ -95,8 +95,8 @@ def comparison_check(sys: HamiltonianSystem, z0: np.ndarray, horizon: float,
                      step: float = DEFAULT_STEP) -> ComparisonReport:
     dense = DenseFlow(sys, z0, horizon, step)
     jc = jacobi_curve(sys, z0, horizon, step, dense=dense)
-    inside = (dense.times >= -1e-12) & (dense.times <= horizon + 1e-12)
-    eig_hi, tr_lo, _ = _orbit_curvature(sys, dense.states[inside],
+    eig_hi, tr_lo, _ = _orbit_curvature(sys,
+                                        dense.window(endpoint=False).states,
                                         CURVATURE_SAMPLES)
     pts = maslov.conjugate_points(jc, core.vertical_frame(jc.space))
     times = [p.t for p in pts]
@@ -170,7 +170,9 @@ def _find_equilibria(sys: HamiltonianSystem, traj: Trajectory):
 
 def certify_negative_curvature(sys: HamiltonianSystem, z0: np.ndarray,
                                horizon: float, step: float = DEFAULT_STEP,
-                               reduced: bool = False) -> HyperbolicityCertificate:
+                               reduced: bool = False,
+                               dense: Optional[DenseFlow] = None
+                               ) -> HyperbolicityCertificate:
     """Negative-curvature certificate along one orbit.
 
     With reduced=True the eigenvalues come from the energy-level
@@ -178,16 +180,19 @@ def certify_negative_curvature(sys: HamiltonianSystem, z0: np.ndarray,
     conjugate to the reduced operator at the transported point; without
     it the full operator is sampled pointwise and any equilibria the
     orbit reaches must have linearization spectra clear of the
-    imaginary axis.
+    imaginary axis. A prebuilt dense flow shares the integration; without
+    one the full mode integrates the state alone, which stays under the
+    norm cap where the fundamental matrix may not.
     """
     diagnostics = []
     equilibria: Tuple[EquilibriumInfo, ...] = ()
     alpha = math.nan
     if reduced:
-        dense = DenseFlow(sys, z0, horizon, step)
+        if dense is None:
+            dense = DenseFlow(sys, z0, horizon, step)
         rc = reduced_jacobi_curve(sys, z0, horizon, step, dense=dense)
-        inside = (dense.times >= -1e-12) & (dense.times <= horizon + 1e-12)
-        _, _, hess_hi = _orbit_curvature(sys, dense.states[inside], 33)
+        _, _, hess_hi = _orbit_curvature(
+            sys, dense.window(endpoint=False).states, 33)
         max_eig = -math.inf
         for t in np.linspace(0.0, horizon, REDUCED_SAMPLES):
             eigs = np.linalg.eigvals(curvature(rc, t).matrix).real
@@ -198,7 +203,8 @@ def certify_negative_curvature(sys: HamiltonianSystem, z0: np.ndarray,
             f"peaks at {max_eig:.6g}")
         eq_ok = True
     else:
-        traj = flow(sys, z0, horizon, step)
+        traj = flow(sys, z0, horizon, step) if dense is None \
+            else dense.window()
         max_eig, _, hess_hi = _orbit_curvature(sys, traj.states,
                                                CURVATURE_SAMPLES)
         kind = "equilibrium_set"
@@ -264,11 +270,11 @@ def morse_pipeline(sys: HamiltonianSystem, z0: np.ndarray, horizon: float,
     and no conjugate-point machinery. Disagreement raises instead of
     picking a side.
     """
-    traj = flow(sys, z0, horizon, step)
-    legendre = monotonicity_test(sys, traj)
+    dense = DenseFlow(sys, z0, horizon, step)
+    legendre = monotonicity_test(sys, dense.window())
     if not legendre.uniform_definite:
         raise NotMonotone("the fiber Hessian changes type along the orbit")
-    jc = jacobi_curve(sys, z0, horizon, step)
+    jc = jacobi_curve(sys, z0, horizon, step, dense=dense)
     train = core.vertical_frame(jc.space)
     if core.intersection_dim(jc.eval(horizon), train) > 0:
         raise DegenerateEndpoint(

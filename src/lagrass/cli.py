@@ -35,6 +35,7 @@ from .errors import GeometryError
 from .hamflow import (
     DenseFlow,
     HamiltonianSystem,
+    _poly_eval,
     curvature_operator_field,
     flow,
     jacobi_curve,
@@ -229,6 +230,13 @@ def validate(config: dict, command: Optional[str] = None) -> List[str]:
     opts = config.get("options", {})
     if not isinstance(opts, dict):
         out.append("options must be a table")
+    else:
+        if "reduced" in opts and not isinstance(opts["reduced"], bool):
+            out.append("options.reduced must be true or false")
+        samples = opts.get("samples", 1)
+        if not isinstance(samples, int) or isinstance(samples, bool) \
+                or samples < 1:
+            out.append("options.samples must be an integer >= 1")
     if command == "reduce" and isinstance(config.get("system"), dict):
         if config["system"].get("n") == 1:
             out.append("reduce is trivial for n=1: the quotient by the "
@@ -275,13 +283,6 @@ def build_system(config: dict) -> HamiltonianSystem:
     return polynomial_system(n, terms)
 
 
-def _poly_val(terms, w: np.ndarray) -> float:
-    total = 0.0
-    for coeff, exps in terms:
-        total += float(coeff) * float(np.prod(w ** np.asarray(exps)))
-    return total
-
-
 def build_problem(config: dict):
     prob = config["problem"]
     dim_w, m = int(prob["dim_w"]), int(prob["m"])
@@ -290,9 +291,9 @@ def build_problem(config: dict):
                  for con in prob["constraints"]]
     problem = lderiv.FiniteProblem(
         dim_w=dim_w, m=m,
-        j_value=lambda w: _poly_val(obj_terms, np.asarray(w, dtype=float)),
+        j_value=lambda w: _poly_eval(obj_terms, np.asarray(w, dtype=float)),
         phi_value=lambda w: np.array(
-            [_poly_val(ct, np.asarray(w, dtype=float)) for ct in con_terms]))
+            [_poly_eval(ct, np.asarray(w, dtype=float)) for ct in con_terms]))
     point = lderiv.LagrangianPoint(
         w=np.asarray(config["point"]["w"], dtype=float),
         zeta=np.asarray(config["point"]["zeta"], dtype=float))
@@ -317,8 +318,7 @@ def _subsample(count: int, want: int) -> np.ndarray:
                                  min(count, want)).astype(int))
 
 
-def _run_flow(sysn, config, opts, seed):
-    z0 = np.asarray(config["initial"], dtype=float)
+def _run_flow(sysn, z0, config, opts, seed):
     traj = flow(sysn, z0, config["horizon"], config["step"])
     idx = _subsample(len(traj.times), int(opts.get("samples", 201)))
     rows = np.column_stack([traj.times[idx], traj.states[idx],
@@ -329,8 +329,7 @@ def _run_flow(sysn, config, opts, seed):
     return scalars, Series(tuple(cols), rows), []
 
 
-def _run_jacobi(sysn, config, opts, seed):
-    z0 = np.asarray(config["initial"], dtype=float)
+def _run_jacobi(sysn, z0, config, opts, seed):
     horizon = float(config["horizon"])
     jc = jacobi_curve(sysn, z0, horizon, config["step"])
     ts = np.linspace(0.0, horizon, int(opts.get("samples", 101)))
@@ -341,19 +340,21 @@ def _run_jacobi(sysn, config, opts, seed):
     return {"n": sysn.n, "horizon": horizon}, Series(tuple(cols), rows), []
 
 
-def _run_curvature(sysn, config, opts, seed):
-    z0 = np.asarray(config["initial"], dtype=float)
+def _field_curvatures(sysn, dense, ts) -> List[np.ndarray]:
+    """Curvature operator of the field at the orbit point of each time."""
+    n = sysn.n
+    return [curvature_operator_field(sysn, (z[:n], z[n:]))
+            for z in map(dense.state, ts)]
+
+
+def _run_curvature(sysn, z0, config, opts, seed):
     horizon = float(config["horizon"])
     dense = DenseFlow(sysn, z0, horizon, config["step"])
     ts = np.linspace(0.0, horizon, int(opts.get("samples", 101)))
     n = sysn.n
-    rows = []
-    for t in ts:
-        z = dense.state(t)
-        r = curvature_operator_field(sysn, (z[:n], z[n:]))
-        rows.append(np.concatenate([[t], r.ravel()]))
-    r0 = np.asarray(rows[0][1:]).reshape(n, n)
-    eigs = np.sort(np.linalg.eigvals(r0).real)
+    mats = _field_curvatures(sysn, dense, ts)
+    rows = [np.concatenate([[t], r.ravel()]) for t, r in zip(ts, mats)]
+    eigs = np.sort(np.linalg.eigvals(mats[0]).real)
     cols = ["t"] + _mat_headers("r", (n, n))
     scalars = {"eig_min_t0": float(eigs[0]), "eig_max_t0": float(eigs[-1])}
     return scalars, Series(tuple(cols), np.array(rows)), []
@@ -365,8 +366,7 @@ def _conjugate_series(pts) -> Series:
     return Series(("t", "multiplicity"), rows)
 
 
-def _run_conjugate(sysn, config, opts, seed):
-    z0 = np.asarray(config["initial"], dtype=float)
+def _run_conjugate(sysn, z0, config, opts, seed):
     jc = jacobi_curve(sysn, z0, config["horizon"], config["step"])
     pts = maslov.conjugate_points(jc, core.vertical_frame(jc.space),
                                   seed=seed)
@@ -375,8 +375,7 @@ def _run_conjugate(sysn, config, opts, seed):
     return scalars, _conjugate_series(pts), []
 
 
-def _run_morse(sysn, config, opts, seed):
-    z0 = np.asarray(config["initial"], dtype=float)
+def _run_morse(sysn, z0, config, opts, seed):
     out = analysis.morse_pipeline(sysn, z0, config["horizon"],
                                   config["step"], trim=opts.get("trim"))
     scalars = {"index": out.index, "trimmed_maslov": out.trimmed_maslov,
@@ -384,8 +383,7 @@ def _run_morse(sysn, config, opts, seed):
     return scalars, _conjugate_series(out.conjugate_points), []
 
 
-def _run_maslov(sysn, config, opts, seed):
-    z0 = np.asarray(config["initial"], dtype=float)
+def _run_maslov(sysn, z0, config, opts, seed):
     horizon = float(config["horizon"])
     jc = jacobi_curve(sysn, z0, horizon, config["step"])
     t0 = float(opts.get("t0", 0.01 * horizon))
@@ -399,8 +397,7 @@ def _run_maslov(sysn, config, opts, seed):
     return scalars, Series(("t",), rows), []
 
 
-def _run_reduce(sysn, config, opts, seed):
-    z0 = np.asarray(config["initial"], dtype=float)
+def _run_reduce(sysn, z0, config, opts, seed):
     rep = analysis.reduction_comparison(sysn, z0, config["horizon"],
                                         config["step"],
                                         trim=opts.get("trim"))
@@ -412,8 +409,7 @@ def _run_reduce(sysn, config, opts, seed):
     return scalars, Series(("t",), rows), []
 
 
-def _run_compare(sysn, config, opts, seed):
-    z0 = np.asarray(config["initial"], dtype=float)
+def _run_compare(sysn, z0, config, opts, seed):
     rep = analysis.comparison_check(sysn, z0, config["horizon"],
                                     config["step"])
     rows = np.column_stack([rep.conjugate_times,
@@ -427,26 +423,21 @@ def _run_compare(sysn, config, opts, seed):
     return scalars, Series(("t", "multiplicity"), rows), []
 
 
-def _run_hyperbolic(sysn, config, opts, seed):
-    z0 = np.asarray(config["initial"], dtype=float)
+def _run_hyperbolic(sysn, z0, config, opts, seed):
     horizon = float(config["horizon"])
-    reduced = bool(opts.get("reduced", False))
+    reduced = opts.get("reduced", False)
+    dense = DenseFlow(sysn, z0, horizon, config["step"])
     cert = analysis.certify_negative_curvature(sysn, z0, horizon,
                                                config["step"],
-                                               reduced=reduced)
-    n = sysn.n
+                                               reduced=reduced, dense=dense)
     ts = np.linspace(0.0, horizon, int(opts.get("samples", 33)))
     if reduced:
-        rc = reduced_jacobi_curve(sysn, z0, horizon, config["step"])
-        tops = [float(np.linalg.eigvals(
-            curve_curvature(rc, t).matrix).real.max()) for t in ts]
+        rc = reduced_jacobi_curve(sysn, z0, horizon, config["step"],
+                                  dense=dense)
+        mats = [curve_curvature(rc, t).matrix for t in ts]
     else:
-        dense = DenseFlow(sysn, z0, horizon, config["step"])
-        tops = []
-        for t in ts:
-            z = dense.state(t)
-            r = curvature_operator_field(sysn, (z[:n], z[n:]))
-            tops.append(float(np.linalg.eigvals(r).real.max()))
+        mats = _field_curvatures(sysn, dense, ts)
+    tops = [float(np.linalg.eigvals(r).real.max()) for r in mats]
     rows = np.column_stack([ts, tops])
     scalars = {"kind": cert.kind, "max_eig": cert.max_eig,
                "alpha_estimate": cert.alpha_estimate,
@@ -550,14 +541,11 @@ def write_error(out_dir, command: str, exit_code: int, kind: str,
 # ---------------------------------------------------------------- dispatch
 
 
-def run(config: dict, command: str, seed: Optional[int] = None,
-        parallel: bool = False) -> RunResult:
+def run(config: dict, command: str, seed: Optional[int] = None) -> RunResult:
     """Validate, dispatch and collect one command's results.
 
     The seed argument overrides config["seed"] before hashing, so the
-    provenance hash always reflects what actually ran. parallel is
-    accepted for config compatibility and recorded; v1 has no sweep
-    commands, so orchestration stays single-threaded.
+    provenance hash always reflects what actually ran.
     """
     diagnostics = validate(config, command)
     if diagnostics:
@@ -574,9 +562,8 @@ def run(config: dict, command: str, seed: Optional[int] = None,
     else:
         sysn = build_system(config)
         scalars, series, notes = _RUNNERS[command](
-            sysn, config, config.get("options", {}), eff_seed)
-    if parallel:
-        notes = list(notes) + ["parallel requested; single-threaded run"]
+            sysn, np.asarray(config["initial"], dtype=float), config,
+            config.get("options", {}), eff_seed)
     provenance = {"command": command, "config_sha256": config_hash(config),
                   "version": __version__,
                   "wall_time_s": time.perf_counter() - start}
@@ -592,7 +579,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--config", required=True, type=Path)
     parser.add_argument("--out", type=Path, default=Path("out"))
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--parallel", action="store_true")
     args = parser.parse_args(argv)
 
     try:
@@ -603,8 +589,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     try:
-        result = run(config, args.command, seed=args.seed,
-                     parallel=args.parallel)
+        result = run(config, args.command, seed=args.seed)
     except ValidationFailure as exc:
         write_error(args.out, args.command, 2, "ValidationFailure",
                     exc.diagnostics)

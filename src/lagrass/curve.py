@@ -133,6 +133,18 @@ def _sym(m):
     return 0.5 * (m + m.T)
 
 
+def _rk4(rhs, t: float, state, dt: float) -> list:
+    """Classical RK4 step of state' = rhs(t, state), a sequence of arrays;
+    every integrator of the package steps through here."""
+    half = 0.5 * dt
+    k1 = rhs(t, state)
+    k2 = rhs(t + half, [s + half * k for s, k in zip(state, k1)])
+    k3 = rhs(t + half, [s + half * k for s, k in zip(state, k2)])
+    k4 = rhs(t + dt, [s + dt * k for s, k in zip(state, k3)])
+    return [s + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+
+
 # stencil offsets in units of the step; the outer pair serves only the
 # third derivative, whose single 5-point stencil is O(h^2): combining
 # the h and 2h stencils restores O(h^4)
@@ -170,6 +182,21 @@ def _require_regular(sdot: np.ndarray):
     if sv[-1] * REGULARITY_CAP <= 1.0:
         raise NotRegular("velocity is numerically singular "
                          f"(smallest singular value {sv[-1]:.3e})")
+
+
+def _stencil_geometry(curve: GrassmannCurve, t: float,
+                      fd_step: Optional[float] = None):
+    """(chart, Sdot, A, R) at t for a regular velocity: the derivative
+    curve spans e A + f in the chart basis (e, f), R is the Schwarzian."""
+    chart, mats, h = _chart_and_stencil(curve, t, fd_step)
+    sdot = _d1(_inner(mats), h)
+    _require_regular(sdot)
+    sdot_inv = np.linalg.inv(sdot)
+    sdd = _d2(_inner(mats), h)
+    quad = sdot_inv @ sdd
+    a = _sym(-0.5 * sdot_inv @ sdd @ sdot_inv)
+    r = 0.5 * sdot_inv @ _jerk(mats, h) - 0.75 * quad @ quad
+    return chart, sdot, a, r
 
 
 def velocity_form(curve: GrassmannCurve, t: float,
@@ -249,11 +276,7 @@ def pair_ratio(curve: GrassmannCurve, tau: float, t: float,
 def derivative_curve(curve: GrassmannCurve, t: float,
                      fd_step: Optional[float] = None) -> core.LagrangianFrame:
     """The complement point spanned by canonically normalized velocities."""
-    chart, mats, h = _chart_and_stencil(curve, t, fd_step)
-    sdot = _d1(_inner(mats), h)
-    _require_regular(sdot)
-    sdot_inv = np.linalg.inv(sdot)
-    a = _sym(-0.5 * sdot_inv @ _d2(_inner(mats), h) @ sdot_inv)
+    chart, _, a, _ = _stencil_geometry(curve, t, fd_step)
     n = chart.n
     e, f = chart.basis[:, :n], chart.basis[:, n:]
     return core.make_frame(curve.space, e @ a + f)
@@ -273,15 +296,9 @@ def derivative_family(curve: GrassmannCurve,
 
 def curvature(curve: GrassmannCurve, t: float,
               fd_step: Optional[float] = None) -> CurveOperator:
-    chart, mats, h = _chart_and_stencil(curve, t, fd_step)
-    sdot = _d1(_inner(mats), h)
-    _require_regular(sdot)
-    sdot_inv = np.linalg.inv(sdot)
-    lead = 0.5 * sdot_inv @ _jerk(mats, h)
-    quad = sdot_inv @ _d2(_inner(mats), h)
-    n = chart.n
-    return CurveOperator(matrix=lead - 0.75 * quad @ quad,
-                         basis=chart.basis[:, :n], kind="curvature", at=t)
+    chart, _, _, r = _stencil_geometry(curve, t, fd_step)
+    return CurveOperator(matrix=r, basis=chart.basis[:, :chart.n],
+                         kind="curvature", at=t)
 
 
 def curvature_via_cross_ratio(curve: GrassmannCurve, t: float,
@@ -315,13 +332,8 @@ def curvature_form(curve: GrassmannCurve, t: float,
     the curvature form in the velocity inner product, for a decreasing
     curve its negative.
     """
-    chart, mats, h = _chart_and_stencil(curve, t, fd_step)
-    sdot = _d1(_inner(mats), h)
-    _require_regular(sdot)
+    chart, sdot, _, r = _stencil_geometry(curve, t, fd_step)
     sign = _monotone_sign(_sym(sdot), chart.n)
-    sdot_inv = np.linalg.inv(sdot)
-    quad = sdot_inv @ _d2(_inner(mats), h)
-    r = 0.5 * sdot_inv @ _jerk(mats, h) - 0.75 * quad @ quad
     form = _sym(sdot @ r)
     n = chart.n
     return CurvatureForm(at=t, form=form, basis=chart.basis[:, :n], sign=sign)
@@ -335,15 +347,10 @@ def transport_generator(curve: GrassmannCurve, t: float,
     the curvature operator of a monotone curve is symmetric up to the
     finite-difference noise floor.
     """
-    chart, mats, h = _chart_and_stencil(curve, t, fd_step)
-    sdot = _d1(_inner(mats), h)
-    _require_regular(sdot)
+    chart, sdot, _, r = _stencil_geometry(curve, t, fd_step)
     sym_sdot = _sym(sdot)
     sign = _monotone_sign(sym_sdot, chart.n)
     x = core.sym_inv_sqrt(sign * sym_sdot)
-    sdot_inv = np.linalg.inv(sdot)
-    quad = sdot_inv @ _d2(_inner(mats), h)
-    r = 0.5 * sdot_inv @ _jerk(mats, h) - 0.75 * quad @ quad
     matrix = np.linalg.solve(x, r @ x)
     n = chart.n
     return CurveOperator(matrix=matrix, basis=chart.basis[:, :n] @ x,
@@ -386,20 +393,13 @@ def transport(curve: GrassmannCurve, t0: float, t1: float,
     def geometry(tau):
         key = int(round((tau - t0) / (0.5 * dt)))
         if key not in cache:
-            chart, mats, h = _chart_and_stencil(curve, tau, fd_step)
-            sdot = _d1(_inner(mats), h)
-            _require_regular(sdot)
-            sdot_inv = np.linalg.inv(sdot)
-            sdd = _d2(_inner(mats), h)
-            quad = sdot_inv @ sdd
-            r = 0.5 * sdot_inv @ _jerk(mats, h) - 0.75 * quad @ quad
-            cache[key] = (chart, _sym(sdot), sdot, sdot_inv, sdd, r)
+            cache[key] = _stencil_geometry(curve, tau, fd_step)
         return cache[key]
 
-    chart0, sym_sdot0, sdot0, sdot_inv0, sdd0, r0 = geometry(t0)
+    chart0, sdot0, a0, _ = geometry(t0)
+    sym_sdot0 = _sym(sdot0)
     sign = _monotone_sign(sym_sdot0, n)
     x0 = core.sym_inv_sqrt(sign * sym_sdot0)
-    a0 = _sym(-0.5 * sdot_inv0 @ sdd0 @ sdot_inv0)
     e0, f0 = chart0.basis[:, :n], chart0.basis[:, n:]
     z = e0 @ x0
     w = (e0 @ a0 + f0) @ (sdot0 @ x0)
@@ -407,34 +407,26 @@ def transport(curve: GrassmannCurve, t0: float, t1: float,
     frame0 = z.copy()
     generators: List[Tuple[float, np.ndarray]] = []
 
+    def coefficients(tau, z_s):
+        """Curvature R, frame coordinates x and generator A at tau."""
+        chart, _, _, r = geometry(tau)
+        x = (chart.basis_inv @ z_s)[:n]
+        return chart, r, x, _sym(np.linalg.solve(x, r @ x))
+
     def rhs(tau, state):
         z_s, w_s, g_s = state
-        chart, _, _, _, _, r = geometry(tau)
-        x = (chart.basis_inv @ z_s)[:n]
-        amat = _sym(np.linalg.solve(x, r @ x))
-        e = chart.basis[:, :n]
+        chart, r, x, amat = coefficients(tau, z_s)
         k = np.block([[np.zeros((n, n)), -np.eye(n)],
                       [amat, np.zeros((n, n))]])
-        return (w_s, -e @ (r @ x), k @ g_s), amat
+        return w_s, -chart.basis[:, :n] @ (r @ x), k @ g_s
 
     t = t0
     for _ in range(nsteps):
-        state = (z, w, gamma)
-        k1, a_node = rhs(t, state)
-        generators.append((t, a_node))
-        k2, _ = rhs(t + 0.5 * dt,
-                    tuple(s + 0.5 * dt * k for s, k in zip(state, k1)))
-        k3, _ = rhs(t + 0.5 * dt,
-                    tuple(s + 0.5 * dt * k for s, k in zip(state, k2)))
-        k4, _ = rhs(t + dt,
-                    tuple(s + dt * k for s, k in zip(state, k3)))
-        z, w, gamma = tuple(
-            s + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4))
+        generators.append((t, coefficients(t, z)[3]))
+        z, w, gamma = _rk4(rhs, t, (z, w, gamma), dt)
         t += dt
 
-    _, a_end = rhs(t1, (z, w, gamma))
-    generators.append((t1, a_end))
+    generators.append((t1, coefficients(t1, z)[3]))
     end_frame = core.make_frame(curve.space, z)
     drift = core.subspace_gap(end_frame, curve.eval(t1))
     return TransportResult(t0=t0, t1=t1, matrix=gamma, frame0=frame0,
@@ -449,21 +441,18 @@ def fundamental_matrix(a_func, t0: float, t1: float,
     nsteps = max(1, int(np.ceil((t1 - t0) / step)))
     dt = (t1 - t0) / nsteps
 
-    def k_of(tau):
+    def rhs(tau, state):
         a = np.atleast_2d(np.asarray(a_func(tau), dtype=float))
-        return np.block([[np.zeros((n, n)), -np.eye(n)],
-                         [a, np.zeros((n, n))]])
+        k = np.block([[np.zeros((n, n)), -np.eye(n)],
+                      [a, np.zeros((n, n))]])
+        return (k @ state[0],)
 
-    gamma = np.eye(2 * n)
+    gamma = (np.eye(2 * n),)
     t = t0
     for _ in range(nsteps):
-        k1 = k_of(t) @ gamma
-        k2 = k_of(t + 0.5 * dt) @ (gamma + 0.5 * dt * k1)
-        k3 = k_of(t + 0.5 * dt) @ (gamma + 0.5 * dt * k2)
-        k4 = k_of(t + dt) @ (gamma + dt * k3)
-        gamma = gamma + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        gamma = _rk4(rhs, t, gamma, dt)
         t += dt
-    return gamma
+    return gamma[0]
 
 
 def reparametrize(curve: GrassmannCurve, phi, new_domain,

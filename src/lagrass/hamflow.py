@@ -4,23 +4,28 @@ Phase points are z = (x, y) with x the fiber block, and the flow is
 x' = -dH/dy, y' = dH/dx.  The variational flow transports tangent frames
 backwards along a trajectory, so pushing the fiber through it traces the
 Jacobi curve of the initial point as a curve in the Lagrange
-Grassmannian.  The module also carries the canonical-connection
-machinery: connection coefficients from the Hessian blocks, curvature
-operators of the field both by the exact natural-system shortcut and by
-a generic double-bracket evaluation, level-set reduction to a quotient
-symplectic space, and the Legendre-type monotonicity scan.
+Grassmannian.  Every integration marches the package's one RK4 stepper
+through one cap-checked loop; a DenseFlow is the single trajectory
+object of an orbit, and its in-window view is the trajectory flow()
+would return, so an analysis integrates each orbit once.  The module
+also carries the canonical-connection machinery: connection
+coefficients from the Hessian blocks, curvature operators of the field
+both by the exact natural-system shortcut and by a generic
+double-bracket evaluation, level-set reduction to a quotient symplectic
+space, and the Legendre-type monotonicity scan.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import core
-from .curve import GrassmannCurve
+from .curve import GrassmannCurve, _rk4
 from .errors import (BlowUp, DimensionDefect, NotRegular, ReductionRefused,
                      TangentFiber)
 
@@ -28,6 +33,14 @@ BLOWUP_CAP = 1e8
 DEFAULT_STEP = 1e-3
 THIRD_FD_STEP = 1e-4
 EQUILIBRIUM_TOL = 1e-8
+
+
+def _symmetric(mat) -> np.ndarray:
+    mat = np.asarray(mat, dtype=float)
+    defect = np.linalg.norm(mat - mat.T)
+    if defect > 1e-6 * (1.0 + np.linalg.norm(mat)):
+        raise ValueError(f"Hessian callback asymmetric, defect {defect:.3e}")
+    return 0.5 * (mat + mat.T)
 
 
 @dataclass
@@ -47,33 +60,38 @@ class HamiltonianSystem:
     family: str = "custom"
     hxx_rate: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
-    def _split(self, z: np.ndarray):
+    def _eval(self, z: np.ndarray):
         z = np.asarray(z, dtype=float)
-        return z[:self.n], z[self.n:]
+        return self.eval(z[:self.n], z[self.n:])
+
+    def _field_of(self, grad) -> np.ndarray:
+        g = np.asarray(grad, dtype=float)
+        return np.concatenate([-g[self.n:], g[:self.n]])
+
+    def _minus_j(self, h2: np.ndarray) -> np.ndarray:
+        return np.concatenate([-h2[self.n:], h2[:self.n]])
 
     def value(self, z: np.ndarray) -> float:
-        return float(self.eval(*self._split(z))[0])
+        return float(self._eval(z)[0])
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(self.eval(*self._split(z))[1], dtype=float)
+        return np.asarray(self._eval(z)[1], dtype=float)
 
     def hessian(self, z: np.ndarray) -> np.ndarray:
-        mat = np.asarray(self.eval(*self._split(z))[2], dtype=float)
-        defect = np.linalg.norm(mat - mat.T)
-        if defect > 1e-6 * (1.0 + np.linalg.norm(mat)):
-            raise ValueError(f"Hessian callback asymmetric, defect {defect:.3e}")
-        return 0.5 * (mat + mat.T)
+        return _symmetric(self._eval(z)[2])
 
     def field(self, z: np.ndarray) -> np.ndarray:
-        g = self.gradient(z)
-        return np.concatenate([-g[self.n:], g[:self.n]])
+        return self._field_of(self._eval(z)[1])
 
     def linearization(self, z: np.ndarray) -> np.ndarray:
         """Jacobian of the Hamiltonian field, equal to -J Hess."""
-        h2 = self.hessian(z)
-        n = self.n
-        return np.block([[-h2[n:, :n], -h2[n:, n:]],
-                         [h2[:n, :n], h2[:n, n:]]])
+        return self._minus_j(self.hessian(z))
+
+    def _pair_rhs(self, t: float, state: Sequence) -> tuple:
+        """(z, Phi)' = (field, -J Hess Phi) from one callback call."""
+        _, grad, hess = self._eval(state[0])
+        return (self._field_of(grad),
+                self._minus_j(_symmetric(hess)) @ state[1])
 
 
 # ------------------------------------------------------------------ builders
@@ -233,9 +251,15 @@ def polynomial_system(n: int, terms: Sequence, family: str = "custom") -> Hamilt
 
 @dataclass
 class Trajectory:
+    """Orbit samples; the energies are evaluated on first use."""
+
     times: np.ndarray
     states: np.ndarray
-    energies: np.ndarray
+    sys: HamiltonianSystem = field(repr=False)
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        return np.array([self.sys.value(z) for z in self.states])
 
     @property
     def energy_drift(self) -> float:
@@ -272,26 +296,16 @@ def _check_cap(z: np.ndarray, t: float):
         raise BlowUp(f"state left the norm cap near t={t:g}")
 
 
-def _rk4_state(sys: HamiltonianSystem, z: np.ndarray, dt: float) -> np.ndarray:
-    k1 = sys.field(z)
-    k2 = sys.field(z + 0.5 * dt * k1)
-    k3 = sys.field(z + 0.5 * dt * k2)
-    k4 = sys.field(z + dt * k3)
-    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _rk4_pair(sys: HamiltonianSystem, z: np.ndarray, phi: np.ndarray,
-              dt: float):
-    def rhs(zc, pc):
-        return sys.field(zc), sys.linearization(zc) @ pc
-
-    a1, b1 = rhs(z, phi)
-    a2, b2 = rhs(z + 0.5 * dt * a1, phi + 0.5 * dt * b1)
-    a3, b3 = rhs(z + 0.5 * dt * a2, phi + 0.5 * dt * b2)
-    a4, b4 = rhs(z + dt * a3, phi + dt * b3)
-    z_new = z + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    phi_new = phi + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-    return z_new, phi_new
+def _march(rhs, state: Sequence, times: np.ndarray, sign: float = 1.0) -> list:
+    """Cap-checked RK4 states on a time grid, run backwards if sign < 0."""
+    out = [state]
+    for k in range(len(times) - 1):
+        state = _rk4(rhs, sign * times[k], state,
+                     sign * (times[k + 1] - times[k]))
+        for part in state:
+            _check_cap(part, sign * times[k + 1])
+        out.append(state)
+    return out
 
 
 def flow(sys: HamiltonianSystem, z0: np.ndarray, horizon: float,
@@ -301,14 +315,9 @@ def flow(sys: HamiltonianSystem, z0: np.ndarray, horizon: float,
     z = np.asarray(z0, dtype=float).copy()
     if z.shape != (2 * sys.n,):
         raise ValueError(f"initial state must have shape ({2 * sys.n},)")
-    states = np.empty((len(times), 2 * sys.n))
-    energies = np.empty(len(times))
-    states[0], energies[0] = z, sys.value(z)
-    for k in range(len(times) - 1):
-        z = _rk4_state(sys, z, times[k + 1] - times[k])
-        _check_cap(z, times[k + 1])
-        states[k + 1], energies[k + 1] = z, sys.value(z)
-    return Trajectory(times=times, states=states, energies=energies)
+    steps = _march(lambda t, s: (sys.field(s[0]),), (z,), times)
+    states = np.array([s[0] for s in steps])
+    return Trajectory(times=times, states=states, sys=sys)
 
 
 def variational_flow(sys: HamiltonianSystem,
@@ -323,26 +332,20 @@ def variational_flow(sys: HamiltonianSystem,
     """
     n2 = 2 * sys.n
     j = core.standard_space(sys.n).form
-    z = traj.states[0].copy()
-    phi = np.eye(n2)
-    mats = np.empty((len(traj.times), n2, n2))
-    mats[0] = np.eye(n2)
-    for k in range(len(traj.times) - 1):
-        z, phi = _rk4_pair(sys, z, phi, traj.times[k + 1] - traj.times[k])
-        _check_cap(z, traj.times[k + 1])
-        _check_cap(phi.ravel(), traj.times[k + 1])
-        mats[k + 1] = -j @ phi.T @ j
+    steps = _march(sys._pair_rhs, (traj.states[0].copy(), np.eye(n2)),
+                   traj.times)
+    mats = np.array([np.eye(n2)] + [-j @ phi.T @ j for _, phi in steps[1:]])
     return VariationalFlow(times=traj.times.copy(), matrices=mats)
 
 
 class DenseFlow:
-    """Checkpointed flow with single-step dense evaluation.
+    """Checkpointed orbit and fundamental matrix, one RK4 step between.
 
     Integrates over [-margin, horizon + margin] so curves declared on
     [0, horizon] can be probed by stencils that stick out slightly past
     the endpoints; the default margin gives the widest default stencil
-    twice its reach. A single instance can back both a Jacobi curve and
-    orbit sampling, saving the repeated integration.
+    twice its reach. One instance backs the Jacobi curve, state reads
+    and, through window(), the trajectory on [0, horizon].
     """
 
     def __init__(self, sys: HamiltonianSystem, z0: np.ndarray,
@@ -350,32 +353,29 @@ class DenseFlow:
                  margin: Optional[float] = None):
         self.sys = sys
         self.horizon = float(horizon)
+        self.step = step
         if margin is None:
             # default stencils reach 4 fd steps past either endpoint
             margin = max(8.0e-3 * self.horizon, 4.0 * step)
         self.t_lo, self.t_hi = -float(margin), self.horizon + float(margin)
-        n2 = 2 * sys.n
-        z0 = np.asarray(z0, dtype=float).copy()
+        start = (np.asarray(z0, dtype=float).copy(), np.eye(2 * sys.n))
 
         def march(span, sign):
             grid = _grid(span, step) if span > 0 else np.array([0.0])
-            states = [z0]
-            phis = [np.eye(n2)]
-            for k in range(len(grid) - 1):
-                z, phi = _rk4_pair(sys, states[-1], phis[-1],
-                                   sign * (grid[k + 1] - grid[k]))
-                _check_cap(z, sign * grid[k + 1])
-                _check_cap(phi.ravel(), sign * grid[k + 1])
-                states.append(z)
-                phis.append(phi)
-            return grid, states, phis
+            return grid, _march(sys._pair_rhs, start, grid, sign)
 
-        fwd_t, fwd_z, fwd_p = march(self.t_hi, 1.0)
-        bwd_t, bwd_z, bwd_p = march(-self.t_lo, -1.0)
+        fwd_t, fwd = march(self.t_hi, 1.0)
+        bwd_t, bwd = march(-self.t_lo, -1.0)
+        self._origin = len(bwd_t) - 1
         self.times = np.concatenate([-bwd_t[::-1][:-1], fwd_t])
-        self.states = np.array(bwd_z[::-1][:-1] + fwd_z)
-        self.phis = np.array(bwd_p[::-1][:-1] + fwd_p)
+        steps = bwd[::-1][:-1] + fwd
+        self.states = np.array([z for z, _ in steps])
+        self.phis = np.array([phi for _, phi in steps])
         self._j = core.standard_space(sys.n).form
+
+    def _step_from(self, k: int, dt: float):
+        return _rk4(self.sys._pair_rhs, self.times[k],
+                    (self.states[k], self.phis[k]), dt)
 
     def _at(self, t: float):
         t = float(t)
@@ -389,7 +389,7 @@ class DenseFlow:
         dt = t - self.times[k]
         if dt <= 1e-14 * (1.0 + span):
             return self.states[k], self.phis[k]
-        return _rk4_pair(self.sys, self.states[k], self.phis[k], dt)
+        return self._step_from(k, dt)
 
     def state(self, t: float) -> np.ndarray:
         return self._at(t)[0]
@@ -397,6 +397,24 @@ class DenseFlow:
     def gamma(self, t: float) -> np.ndarray:
         phi = self._at(t)[1]
         return -self._j @ phi.T @ self._j
+
+    def window(self, endpoint: bool = True) -> Trajectory:
+        """The orbit on [0, horizon], equal to flow()'s bit for bit.
+
+        An off-grid horizon is reached by the same single step from the
+        checkpoint below that flow() takes; endpoint=False leaves it out.
+        """
+        if not endpoint:
+            pad = 1e-12
+            inside = (self.times >= -pad) & (self.times <= self.horizon + pad)
+            return Trajectory(self.times[inside], self.states[inside],
+                              self.sys)
+        times = _grid(self.horizon, self.step)
+        last = self._origin + len(times) - 1
+        states = self.states[self._origin:last + 1].copy()
+        if self.times[last] != self.horizon:
+            states[-1] = self._step_from(last - 1, times[-1] - times[-2])[0]
+        return Trajectory(times, states, self.sys)
 
 
 def jacobi_curve(sys: HamiltonianSystem, z0: np.ndarray, horizon: float,

@@ -201,6 +201,28 @@ def test_morse_pipeline_oscillator_ladder():
     assert out.trim == pytest.approx(0.025 * np.pi)
 
 
+def test_morse_pipeline_integrates_the_orbit_once(monkeypatch):
+    built, flows = [], []
+    init = hamflow.DenseFlow.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_flow(*args, **kwargs):
+        flows.append(args)
+        return flow(*args, **kwargs)
+
+    flow = hamflow.flow
+    monkeypatch.setattr(hamflow.DenseFlow, "__init__", counted_init)
+    for mod in (hamflow, analysis):
+        monkeypatch.setattr(mod, "flow", counted_flow)
+    out = analysis.morse_pipeline(oscillator(), np.array([0.8, -0.3]),
+                                  horizon=4.0, step=1e-2)
+    assert out.index == 1
+    assert len(built) == 1 and flows == []
+
+
 def test_morse_pipeline_degenerate_horizon():
     with pytest.raises(DegenerateEndpoint):
         analysis.morse_pipeline(oscillator(), np.array([0.8, -0.3]),

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lagrass import cli
+from lagrass import analysis, cli, hamflow
 
 
 def base_config(**overrides):
@@ -167,15 +167,6 @@ def test_seed_override_keeps_value_changes_hash(tmp_path):
     assert prov_a["config_sha256"] != prov_b["config_sha256"]
 
 
-def test_parallel_flag_is_recorded_noop(tmp_path):
-    cfg = write_config(tmp_path, base_config(horizon=1.0))
-    out = tmp_path / "out"
-    assert cli.main(["flow", "--config", str(cfg), "--out", str(out),
-                     "--parallel"]) == 0
-    payload = read_json(out / "flow.json")
-    assert any("parallel" in d for d in payload["diagnostics"])
-
-
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, base_config(horizon=1.0))
     out = tmp_path / "out"
@@ -208,6 +199,44 @@ def test_exit_two_on_unreadable_config(tmp_path):
     assert read_json(out / "error.json")["error"]["type"] == "ConfigUnreadable"
 
 
+def well_config(**overrides):
+    cfg = base_config(**overrides)
+    cfg["system"] = {"family": "natural", "n": 2,
+                     "potential": {"k": [[1.0, 0.0], [0.0, 2.0]]}}
+    cfg["initial"] = [0.3, -0.2, 0.5, 0.4]
+    return cfg
+
+
+def assert_refused_config(tmp_path, command, cfg):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    record = read_json(out / "error.json")
+    assert record["error"]["type"] == "ValidationFailure"
+    assert not (out / f"{command}.csv").exists()
+
+
+def test_exit_two_on_string_reduced_flag(tmp_path):
+    # bool("false") is true: a string flag would run the reduced certificate
+    assert_refused_config(tmp_path, "hyperbolic",
+                          well_config(options={"reduced": "false"}))
+
+
+def test_exit_two_on_negative_samples(tmp_path):
+    assert_refused_config(tmp_path, "jacobi",
+                          base_config(options={"samples": -5}))
+
+
+def test_exit_two_on_string_samples(tmp_path):
+    assert_refused_config(tmp_path, "jacobi",
+                          base_config(options={"samples": "abc"}))
+
+
+def test_exit_two_on_zero_samples(tmp_path):
+    assert_refused_config(tmp_path, "curvature",
+                          base_config(options={"samples": 0}))
+
+
 def test_exit_three_on_numerical_failure(tmp_path):
     cfg = write_config(tmp_path, base_config(horizon=float(np.pi)))
     out = tmp_path / "out"
@@ -226,6 +255,34 @@ def test_success_clears_stale_error_record(tmp_path):
     assert (out / "error.json").exists()
     assert cli.main(["flow", "--config", str(good), "--out", str(out)]) == 0
     assert not (out / "error.json").exists()
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_hyperbolic_integrates_the_orbit_once(tmp_path, monkeypatch, reduced):
+    built, flows = [], []
+    init = hamflow.DenseFlow.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_flow(*args, **kwargs):
+        flows.append(args)
+        return flow(*args, **kwargs)
+
+    flow = hamflow.flow
+    monkeypatch.setattr(hamflow.DenseFlow, "__init__", counted_init)
+    for mod in (hamflow, analysis, cli):
+        monkeypatch.setattr(mod, "flow", counted_flow)
+    cfg = well_config(horizon=1.0, step=1e-2,
+                      options={"reduced": reduced, "samples": 5})
+    out = tmp_path / "out"
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["hyperbolic", "--config", str(path),
+                     "--out", str(out)]) == 0
+    kind = read_json(out / "hyperbolic.json")["scalars"]["kind"]
+    assert kind == ("reduced_flow" if reduced else "equilibrium_set")
+    assert len(built) == 1 and flows == []
 
 
 # -------------------------------------------------------------- determinism

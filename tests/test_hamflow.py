@@ -406,3 +406,34 @@ def test_monotonicity_reports():
                         horizon=1.0, step=1e-2)
     rep = hamflow.monotonicity_test(lorentz, traj)
     assert not rep.uniform_definite and rep.sign == 0
+
+
+def quartic_well():
+    return hamflow.polynomial_system(
+        1, [(0.5, (2, 0)), (3.0, (0, 2)), (0.1, (0, 4))], family="natural")
+
+
+def test_dense_flow_makes_four_callback_calls_per_step():
+    sysn = quartic_well()
+    calls = []
+    inner = sysn.eval
+
+    def counted(x, y):
+        calls.append(1)
+        return inner(x, y)
+
+    sysn.eval = counted
+    dense = hamflow.DenseFlow(sysn, np.array([0.6, -0.4]), 0.5, step=1e-2)
+    assert len(calls) == 4 * (len(dense.times) - 1)
+
+
+@pytest.mark.parametrize("horizon,on_grid", [(2.0, True), (1.6537, False)])
+def test_dense_window_equals_flow_bit_for_bit(horizon, on_grid):
+    sysn, z0, step = quartic_well(), np.array([0.6, -0.4]), 1e-2
+    dense = hamflow.DenseFlow(sysn, z0, horizon, step)
+    assert bool((dense.times == horizon).any()) == on_grid
+    view = dense.window()
+    traj = hamflow.flow(sysn, z0, horizon, step)
+    assert np.array_equal(view.times, traj.times)
+    assert np.array_equal(view.states, traj.states)
+    assert np.array_equal(view.energies, traj.energies)
