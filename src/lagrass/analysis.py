@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -171,7 +171,8 @@ def _find_equilibria(sys: HamiltonianSystem, traj: Trajectory):
 def certify_negative_curvature(sys: HamiltonianSystem, z0: np.ndarray,
                                horizon: float, step: float = DEFAULT_STEP,
                                reduced: bool = False,
-                               dense: Optional[DenseFlow] = None
+                               orbit: Union[DenseFlow, Trajectory,
+                                            None] = None
                                ) -> HyperbolicityCertificate:
     """Negative-curvature certificate along one orbit.
 
@@ -180,16 +181,17 @@ def certify_negative_curvature(sys: HamiltonianSystem, z0: np.ndarray,
     conjugate to the reduced operator at the transported point; without
     it the full operator is sampled pointwise and any equilibria the
     orbit reaches must have linearization spectra clear of the
-    imaginary axis. A prebuilt dense flow shares the integration; without
-    one the full mode integrates the state alone, which stays under the
-    norm cap where the fundamental matrix may not.
+    imaginary axis. A prebuilt orbit shares the integration: a dense
+    flow in reduced mode, the trajectory of flow() in full mode, which
+    integrates the state alone because the state stays under the norm
+    cap where the fundamental matrix may not.
     """
     diagnostics = []
     equilibria: Tuple[EquilibriumInfo, ...] = ()
     alpha = math.nan
     if reduced:
-        if dense is None:
-            dense = DenseFlow(sys, z0, horizon, step)
+        dense = orbit if orbit is not None \
+            else DenseFlow(sys, z0, horizon, step)
         rc = reduced_jacobi_curve(sys, z0, horizon, step, dense=dense)
         _, _, hess_hi = _orbit_curvature(
             sys, dense.window(endpoint=False).states, 33)
@@ -203,8 +205,7 @@ def certify_negative_curvature(sys: HamiltonianSystem, z0: np.ndarray,
             f"peaks at {max_eig:.6g}")
         eq_ok = True
     else:
-        traj = flow(sys, z0, horizon, step) if dense is None \
-            else dense.window()
+        traj = orbit if orbit is not None else flow(sys, z0, horizon, step)
         max_eig, _, hess_hi = _orbit_curvature(sys, traj.states,
                                                CURVATURE_SAMPLES)
         kind = "equilibrium_set"

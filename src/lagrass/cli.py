@@ -35,7 +35,7 @@ from .errors import GeometryError
 from .hamflow import (
     DenseFlow,
     HamiltonianSystem,
-    _poly_eval,
+    PolynomialTable,
     curvature_operator_field,
     flow,
     jacobi_curve,
@@ -49,6 +49,10 @@ COMMANDS = ("flow", "jacobi", "curvature", "conjugate", "morse", "maslov",
             "reduce", "compare", "hyperbolic", "lderiv")
 
 FLOAT_FMT = "%.17g"
+
+# run budgets: a config asking for more is refused before anything runs
+MAX_RK_STEPS = 200_000     # ceil(horizon / step), the RK4 steps of an orbit
+MAX_SAMPLES = 100_000      # options.samples, the sampled rows of a series
 
 
 class ValidationFailure(Exception):
@@ -165,9 +169,13 @@ def _validate_system(config: dict, out: List[str]):
         val = config.get(key)
         if not _is_num(val) or val <= 0:
             out.append(f"{key} must be positive")
-    if _is_num(config.get("horizon")) and _is_num(config.get("step")) \
-            and config["step"] > config["horizon"]:
-        out.append("step must not exceed horizon")
+    horizon, step = config.get("horizon"), config.get("step")
+    if _is_num(horizon) and _is_num(step):
+        if step > horizon:
+            out.append("step must not exceed horizon")
+        elif step > 0 and horizon / step > MAX_RK_STEPS:
+            out.append(f"horizon / step asks for {horizon / step:.6g} RK "
+                       f"steps, over the budget of {MAX_RK_STEPS}")
 
 
 def _validate_problem(config: dict, out: List[str]):
@@ -237,6 +245,9 @@ def validate(config: dict, command: Optional[str] = None) -> List[str]:
         if not isinstance(samples, int) or isinstance(samples, bool) \
                 or samples < 1:
             out.append("options.samples must be an integer >= 1")
+        elif samples > MAX_SAMPLES:
+            out.append(f"options.samples = {samples} is over the budget "
+                       f"of {MAX_SAMPLES}")
     if command == "reduce" and isinstance(config.get("system"), dict):
         if config["system"].get("n") == 1:
             out.append("reduce is trivial for n=1: the quotient by the "
@@ -286,14 +297,12 @@ def build_system(config: dict) -> HamiltonianSystem:
 def build_problem(config: dict):
     prob = config["problem"]
     dim_w, m = int(prob["dim_w"]), int(prob["m"])
-    obj_terms = [tuple(t) for t in prob["objective"]["terms"]]
-    con_terms = [[tuple(t) for t in con["terms"]]
-                 for con in prob["constraints"]]
+    objective = PolynomialTable([prob["objective"]["terms"]], dim_w)
+    constraints = PolynomialTable(
+        [con["terms"] for con in prob["constraints"]], dim_w)
     problem = lderiv.FiniteProblem(
-        dim_w=dim_w, m=m,
-        j_value=lambda w: _poly_eval(obj_terms, np.asarray(w, dtype=float)),
-        phi_value=lambda w: np.array(
-            [_poly_eval(ct, np.asarray(w, dtype=float)) for ct in con_terms]))
+        dim_w=dim_w, m=m, j_value=lambda w: float(objective(w)[0]),
+        phi_value=constraints)
     point = lderiv.LagrangianPoint(
         w=np.asarray(config["point"]["w"], dtype=float),
         zeta=np.asarray(config["point"]["zeta"], dtype=float))
@@ -340,11 +349,11 @@ def _run_jacobi(sysn, z0, config, opts, seed):
     return {"n": sysn.n, "horizon": horizon}, Series(tuple(cols), rows), []
 
 
-def _field_curvatures(sysn, dense, ts) -> List[np.ndarray]:
+def _field_curvatures(sysn, orbit, ts) -> List[np.ndarray]:
     """Curvature operator of the field at the orbit point of each time."""
     n = sysn.n
     return [curvature_operator_field(sysn, (z[:n], z[n:]))
-            for z in map(dense.state, ts)]
+            for z in map(orbit.state, ts)]
 
 
 def _run_curvature(sysn, z0, config, opts, seed):
@@ -426,17 +435,19 @@ def _run_compare(sysn, z0, config, opts, seed):
 def _run_hyperbolic(sysn, z0, config, opts, seed):
     horizon = float(config["horizon"])
     reduced = opts.get("reduced", False)
-    dense = DenseFlow(sysn, z0, horizon, config["step"])
+    # the full mode reads states only, so it integrates the state alone
+    orbit = DenseFlow(sysn, z0, horizon, config["step"]) if reduced \
+        else flow(sysn, z0, horizon, config["step"])
     cert = analysis.certify_negative_curvature(sysn, z0, horizon,
                                                config["step"],
-                                               reduced=reduced, dense=dense)
+                                               reduced=reduced, orbit=orbit)
     ts = np.linspace(0.0, horizon, int(opts.get("samples", 33)))
     if reduced:
         rc = reduced_jacobi_curve(sysn, z0, horizon, config["step"],
-                                  dense=dense)
+                                  dense=orbit)
         mats = [curve_curvature(rc, t).matrix for t in ts]
     else:
-        mats = _field_curvatures(sysn, dense, ts)
+        mats = _field_curvatures(sysn, orbit, ts)
     tops = [float(np.linalg.eigvals(r).real.max()) for r in mats]
     rows = np.column_stack([ts, tops])
     scalars = {"kind": cert.kind, "max_eig": cert.max_eig,
@@ -601,6 +612,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         write_error(args.out, args.command, 3, type(exc).__name__, str(exc))
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=_sys.stderr)
+        return 3
+    except Exception as exc:
+        # any other failure keeps the exit contract; the printed
+        # traceback shows where it came from, and only a failing run
+        # pays for importing the module that prints it
+        import traceback
+        write_error(args.out, args.command, 3, type(exc).__name__, str(exc))
+        traceback.print_exc()
         return 3
 
     write_outputs(result, args.out)

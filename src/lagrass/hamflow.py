@@ -7,7 +7,9 @@ Jacobi curve of the initial point as a curve in the Lagrange
 Grassmannian.  Every integration marches the package's one RK4 stepper
 through one cap-checked loop; a DenseFlow is the single trajectory
 object of an orbit, and its in-window view is the trajectory flow()
-would return, so an analysis integrates each orbit once.  The module
+would return, so an analysis integrates each orbit once.  A polynomial
+Hamiltonian is compiled once into term tables, and each callback call
+evaluates all of its monomials in one vectorized pass.  The module
 also carries the canonical-connection machinery: connection
 coefficients from the Hessian blocks, curvature operators of the field
 both by the exact natural-system shortcut and by a generic
@@ -86,6 +88,10 @@ class HamiltonianSystem:
     def linearization(self, z: np.ndarray) -> np.ndarray:
         """Jacobian of the Hamiltonian field, equal to -J Hess."""
         return self._minus_j(self.hessian(z))
+
+    def _state_rhs(self, t: float, state: Sequence) -> tuple:
+        """z' = field, the state alone."""
+        return (self.field(state[0]),)
 
     def _pair_rhs(self, t: float, state: Sequence) -> tuple:
         """(z, Phi)' = (field, -J Hess Phi) from one callback call."""
@@ -200,18 +206,58 @@ def _poly_diff(terms, k):
     return out
 
 
-def _poly_eval(terms, z):
-    total = 0.0
-    for coeff, exps in terms:
-        total += coeff * float(np.prod(z ** np.asarray(exps)))
+def _left_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis from 0.0, one term after the other.
+
+    This is the left-to-right order of a Python loop, bit for bit;
+    np.sum, add.reduceat and BLAS dots reassociate and move last bits.
+    """
+    total = np.zeros(terms.shape[:-1])
+    for k in range(terms.shape[-1]):
+        total = total + terms[..., k]
     return total
+
+
+class PolynomialTable:
+    """Polynomials in one variable vector, compiled once to term tables.
+
+    Polynomial p is row p of a coefficient table (polynomials x terms)
+    and an exponent table (polynomials x terms x variables), padded
+    with zero terms that add an exact 0.0.  A call evaluates every
+    polynomial in one vectorized pass: the monomials are prod(z ** E)
+    over the last axis, with the powers read from one table of z ** e
+    for e up to the top exponent, and the scaled terms of each
+    polynomial are summed in term order, so every value equals the
+    term-by-term sum of its coefficient-times-monomial products.
+    """
+
+    def __init__(self, polys: Sequence[Sequence], nvars: int):
+        width = max([len(terms) for terms in polys] + [1])
+        self.coeffs = np.zeros((len(polys), width))
+        self.exps = np.zeros((len(polys), width, nvars), dtype=int)
+        for p, terms in enumerate(polys):
+            for q, (coeff, exps) in enumerate(terms):
+                self.coeffs[p, q] = coeff
+                self.exps[p, q] = exps
+        if (self.exps < 0).any():
+            raise ValueError("exponents must be nonnegative")
+        npow = int(self.exps.max(initial=0)) + 1
+        self._var = np.repeat(np.arange(nvars), npow)
+        self._pow = np.tile(np.arange(npow, dtype=float), nvars)
+        self._index = np.arange(nvars) * npow + self.exps
+
+    def __call__(self, z) -> np.ndarray:
+        powers = np.asarray(z, dtype=float)[self._var] ** self._pow
+        return _left_sum(self.coeffs * powers[self._index].prod(axis=-1))
 
 
 def polynomial_system(n: int, terms: Sequence, family: str = "custom") -> HamiltonianSystem:
     """Hamiltonian given by monomial terms (coeff, exponents over (x, y)).
 
     All derivatives, including the third-order rate the connection
-    needs, come from exact term-by-term differentiation.
+    needs, come from exact term-by-term differentiation, compiled once
+    into one table for the value, gradient and Hessian and one for the
+    rate.
     """
     base = [(float(c), tuple(int(e) for e in exps)) for c, exps in terms]
     dim = 2 * n
@@ -219,29 +265,22 @@ def polynomial_system(n: int, terms: Sequence, family: str = "custom") -> Hamilt
         if len(exps) != dim:
             raise ValueError(f"exponent tuple must have length {dim}")
     grads = [_poly_diff(base, k) for k in range(dim)]
-    hesses = [[_poly_diff(grads[k], l) for l in range(dim)] for k in range(dim)]
+    hesses = [_poly_diff(grads[k], l) for k in range(dim) for l in range(dim)]
     # gradient tables of every xx-Hessian entry, for the exact flow rate
-    third = [[[_poly_diff(hesses[i][j], k) for k in range(dim)]
-              for j in range(n)] for i in range(n)]
+    third = [_poly_diff(hesses[i * dim + j], k)
+             for i in range(n) for j in range(n) for k in range(dim)]
+    main = PolynomialTable([base] + grads + hesses, dim)
+    rates = PolynomialTable(grads + third, dim)
 
     def ev(x, y):
-        z = np.concatenate([x, y])
-        h = _poly_eval(base, z)
-        grad = np.array([_poly_eval(grads[k], z) for k in range(dim)])
-        hess = np.array([[_poly_eval(hesses[k][l], z) for l in range(dim)]
-                         for k in range(dim)])
-        return h, grad, hess
+        vals = main(np.concatenate([x, y]))
+        return (float(vals[0]), vals[1:dim + 1],
+                vals[dim + 1:].reshape(dim, dim))
 
     def rate(x, y):
-        z = np.concatenate([x, y])
-        grad = np.array([_poly_eval(grads[k], z) for k in range(dim)])
-        zdot = np.concatenate([-grad[n:], grad[:n]])
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = sum(_poly_eval(third[i][j][k], z) * zdot[k]
-                                for k in range(dim))
-        return out
+        vals = rates(np.concatenate([x, y]))
+        zdot = np.concatenate([-vals[n:dim], vals[:n]])
+        return _left_sum(vals[dim:].reshape(n, n, dim) * zdot)
 
     return HamiltonianSystem(n=n, eval=ev, family=family, hxx_rate=rate)
 
@@ -264,6 +303,14 @@ class Trajectory:
     @property
     def energy_drift(self) -> float:
         return float(np.abs(self.energies - self.energies[0]).max())
+
+    def state(self, t: float) -> np.ndarray:
+        """Orbit point at t, read as DenseFlow.state reads its checkpoints."""
+        k, dt = _checkpoint(self.times, t)
+        if dt == 0.0:
+            return self.states[k]
+        return _rk4(self.sys._state_rhs, self.times[k], (self.states[k],),
+                    dt)[0]
 
 
 @dataclass
@@ -291,6 +338,24 @@ def _grid(horizon: float, step: float) -> np.ndarray:
     return times
 
 
+def _checkpoint(times: np.ndarray, t: float) -> Tuple[int, float]:
+    """Index of the checkpoint at or below t and the step left from it.
+
+    A time just outside the grid is clamped onto its end; a step under
+    the round-off floor comes back as 0.0, the checkpoint itself.
+    """
+    t, lo, hi = float(t), float(times[0]), float(times[-1])
+    span = hi - lo
+    pad = 1e-9 * (1.0 + span)
+    if t < lo - pad or t > hi + pad:
+        raise ValueError(f"time {t:g} outside the integrated window")
+    t = min(max(t, lo), hi)
+    k = int(np.searchsorted(times, t, side="right")) - 1
+    k = max(0, min(k, len(times) - 1))
+    dt = t - times[k]
+    return k, (0.0 if dt <= 1e-14 * (1.0 + span) else dt)
+
+
 def _check_cap(z: np.ndarray, t: float):
     if not np.all(np.isfinite(z)) or np.abs(z).max() > BLOWUP_CAP:
         raise BlowUp(f"state left the norm cap near t={t:g}")
@@ -315,7 +380,7 @@ def flow(sys: HamiltonianSystem, z0: np.ndarray, horizon: float,
     z = np.asarray(z0, dtype=float).copy()
     if z.shape != (2 * sys.n,):
         raise ValueError(f"initial state must have shape ({2 * sys.n},)")
-    steps = _march(lambda t, s: (sys.field(s[0]),), (z,), times)
+    steps = _march(sys._state_rhs, (z,), times)
     states = np.array([s[0] for s in steps])
     return Trajectory(times=times, states=states, sys=sys)
 
@@ -378,16 +443,8 @@ class DenseFlow:
                     (self.states[k], self.phis[k]), dt)
 
     def _at(self, t: float):
-        t = float(t)
-        span = self.t_hi - self.t_lo
-        pad = 1e-9 * (1.0 + span)
-        if t < self.t_lo - pad or t > self.t_hi + pad:
-            raise ValueError(f"time {t:g} outside the integrated window")
-        t = min(max(t, self.t_lo), self.t_hi)
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        k = max(0, min(k, len(self.times) - 1))
-        dt = t - self.times[k]
-        if dt <= 1e-14 * (1.0 + span):
+        k, dt = _checkpoint(self.times, t)
+        if dt == 0.0:
             return self.states[k], self.phis[k]
         return self._step_from(k, dt)
 

@@ -282,7 +282,59 @@ def test_hyperbolic_integrates_the_orbit_once(tmp_path, monkeypatch, reduced):
                      "--out", str(out)]) == 0
     kind = read_json(out / "hyperbolic.json")["scalars"]["kind"]
     assert kind == ("reduced_flow" if reduced else "equilibrium_set")
-    assert len(built) == 1 and flows == []
+    # the reduced curve needs the fundamental matrix, the full mode
+    # reads states only: one integration either way
+    if reduced:
+        assert len(built) == 1 and flows == []
+    else:
+        assert built == [] and len(flows) == 1
+
+
+def test_hyperbolic_certifies_an_orbit_whose_fundamental_matrix_blows_up(
+        tmp_path):
+    # the orbit tends to the saddle at the origin while its fundamental
+    # matrix grows like e^t, past the norm cap long before t = 25
+    cfg = base_config(horizon=25.0, step=1e-3)
+    cfg["system"] = {"family": "natural", "n": 2,
+                     "potential": {"k": [[-1.0, 0.0], [0.0, -1.0]]}}
+    cfg["initial"] = [-0.8, 0.6, 0.8, -0.6]
+    out = tmp_path / "out"
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["hyperbolic", "--config", str(path),
+                     "--out", str(out)]) == 0
+    cert = analysis.certify_negative_curvature(
+        cli.build_system(cfg), np.array(cfg["initial"]), 25.0, 1e-3)
+    scalars = read_json(out / "hyperbolic.json")["scalars"]
+    assert cert.verdict
+    assert scalars["verdict"] == cert.verdict
+    assert scalars["max_eig"] == cert.max_eig
+    assert scalars["equilibrium_count"] == len(cert.equilibria) == 1
+
+
+def test_exit_three_on_unexpected_exception(tmp_path, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("runner bug")
+
+    monkeypatch.setitem(cli._RUNNERS, "flow", broken)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config())
+    assert cli.main(["flow", "--config", str(path), "--out", str(out)]) == 3
+    record = read_json(out / "error.json")
+    assert record["exit_code"] == 3
+    assert record["error"] == {"type": "RuntimeError", "detail": "runner bug"}
+    assert not (out / "flow.csv").exists()
+
+
+def test_validate_refuses_runs_over_budget():
+    # validated only: neither config may ever be run
+    steps = cli.validate(base_config(horizon=1e6, step=1e-6), "flow")
+    assert len(steps) == 1 and "budget" in steps[0]
+    samples = cli.validate(base_config(options={"samples": 1_500_000_000}),
+                           "jacobi")
+    assert len(samples) == 1 and "budget" in samples[0]
+    assert cli.validate(base_config(horizon=cli.MAX_RK_STEPS * 1e-3,
+                                    options={"samples": cli.MAX_SAMPLES}),
+                        "flow") == []
 
 
 # -------------------------------------------------------------- determinism

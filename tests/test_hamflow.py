@@ -14,6 +14,8 @@ Closed forms frozen before implementation:
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from lagrass import core, curve, hamflow, maslov
 from lagrass.errors import BlowUp, ReductionRefused, TangentFiber
@@ -437,3 +439,75 @@ def test_dense_window_equals_flow_bit_for_bit(horizon, on_grid):
     assert np.array_equal(view.times, traj.times)
     assert np.array_equal(view.states, traj.states)
     assert np.array_equal(view.energies, traj.energies)
+
+
+def test_flow_states_read_as_dense_states():
+    # same checkpoints, one step from the one below: equal bit for bit
+    sysn, z0, horizon = quartic_well(), np.array([0.6, -0.4]), 1.6537
+    step = 1e-2
+    dense = hamflow.DenseFlow(sysn, z0, horizon, step)
+    traj = hamflow.flow(sysn, z0, horizon, step)
+    for t in np.linspace(0.0, horizon, 17):
+        assert np.array_equal(traj.state(t), dense.state(t))
+    with pytest.raises(ValueError):
+        traj.state(horizon + 0.1)
+
+
+# ------------------------------------------------------ compiled polynomials
+
+
+def _ref_diff(terms, k):
+    out = []
+    for coeff, exps in terms:
+        if exps[k] > 0:
+            new = list(exps)
+            new[k] -= 1
+            out.append((coeff * exps[k], tuple(new)))
+    return out
+
+
+def _ref_eval(terms, z):
+    """One monomial after the other, summed left to right from 0.0."""
+    total = 0.0
+    for coeff, exps in terms:
+        total += coeff * float(np.prod(z ** np.asarray(exps)))
+    return total
+
+
+@st.composite
+def polynomials(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    coeff = st.one_of(st.integers(-5, 5),
+                      st.floats(-1e3, 1e3, allow_nan=False))
+    exps = st.lists(st.integers(0, 4), min_size=2 * n, max_size=2 * n)
+    terms = draw(st.lists(st.tuples(coeff, exps.map(tuple)), max_size=8))
+    points = draw(st.lists(
+        st.lists(st.floats(-3.0, 3.0), min_size=2 * n, max_size=2 * n),
+        min_size=1, max_size=3))
+    return n, terms, [np.array(z) for z in points]
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+@given(polynomials())
+def test_compiled_polynomial_equals_term_by_term_sum(case):
+    n, raw, points = case
+    dim = 2 * n
+    terms = [(float(c), exps) for c, exps in raw]
+    grads = [_ref_diff(terms, k) for k in range(dim)]
+    hesses = [[_ref_diff(grads[k], l) for l in range(dim)]
+              for k in range(dim)]
+    sysn = hamflow.polynomial_system(n, raw)
+    table = hamflow.PolynomialTable([raw], dim)
+    for z in points:
+        h, grad, hess = sysn.eval(z[:n], z[n:])
+        assert h == _ref_eval(terms, z)
+        assert table(z)[0] == _ref_eval(raw, z)
+        assert np.array_equal(grad, [_ref_eval(g, z) for g in grads])
+        assert np.array_equal(hess, [[_ref_eval(hkl, z) for hkl in row]
+                                     for row in hesses])
+        zdot = np.concatenate([-grad[n:], grad[:n]])
+        rate = [[sum(_ref_eval(_ref_diff(hesses[i][j], k), z) * zdot[k]
+                     for k in range(dim)) for j in range(n)]
+                for i in range(n)]
+        assert np.array_equal(sysn.hxx_rate(z[:n], z[n:]), rate)
