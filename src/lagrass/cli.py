@@ -53,6 +53,7 @@ FLOAT_FMT = "%.17g"
 # run budgets: a config asking for more is refused before anything runs
 MAX_RK_STEPS = 200_000     # ceil(horizon / step), the RK4 steps of an orbit
 MAX_SAMPLES = 100_000      # options.samples, the sampled rows of a series
+MAX_N = 8                  # system.n; keeps a DenseFlow under 0.4 GB
 
 
 class ValidationFailure(Exception):
@@ -82,8 +83,11 @@ class RunResult:
 
 
 def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) \
-        and math.isfinite(float(x))
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) \
+            and math.isfinite(float(x))
+    except OverflowError:  # an integer past the double range
+        return False
 
 
 def _check_terms(terms, nvars: int, label: str, out: List[str]):
@@ -107,7 +111,7 @@ def _check_matrix(mat, n: int, label: str, out: List[str],
                   symmetric: bool = True):
     try:
         arr = np.asarray(mat, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         out.append(f"{label} is not a numeric table")
         return
     if arr.shape != (n, n):
@@ -132,6 +136,9 @@ def _validate_system(config: dict, out: List[str]):
     n = sys_cfg.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         out.append("system.n must be an integer >= 1")
+        return
+    if n > MAX_N:
+        out.append(f"system.n = {n} is over the budget of {MAX_N}")
         return
     if family == "natural":
         pot = sys_cfg.get("potential")
@@ -358,10 +365,10 @@ def _field_curvatures(sysn, orbit, ts) -> List[np.ndarray]:
 
 def _run_curvature(sysn, z0, config, opts, seed):
     horizon = float(config["horizon"])
-    dense = DenseFlow(sysn, z0, horizon, config["step"])
+    orbit = flow(sysn, z0, horizon, config["step"])
     ts = np.linspace(0.0, horizon, int(opts.get("samples", 101)))
     n = sysn.n
-    mats = _field_curvatures(sysn, dense, ts)
+    mats = _field_curvatures(sysn, orbit, ts)
     rows = [np.concatenate([[t], r.ravel()]) for t, r in zip(ts, mats)]
     eigs = np.sort(np.linalg.eigvals(mats[0]).real)
     cols = ["t"] + _mat_headers("r", (n, n))

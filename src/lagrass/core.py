@@ -8,9 +8,12 @@ Conventions (fixed here, inherited everywhere else):
     [I; S], so the vertical fiber is [I; 0] and the horizontal is [0; I].
 
 All rank and transversality decisions are relative with tolerance
-rank_tol (default 1e-9). Frames are column-orthonormalized on
-construction; subspace identity is always tested through principal
-angles, never through raw matrix comparison.
+rank_tol (default 1e-9): a singular value counts when it exceeds
+rank_tol times the largest. That rule lives in one place, the helpers
+rank, span and nullspace below; every module decides ranks, spans,
+kernels and transversality through them. Frames are
+column-orthonormalized on construction; subspace identity is always
+tested through principal angles, never through raw matrix comparison.
 """
 
 from __future__ import annotations
@@ -140,6 +143,29 @@ def horizontal_frame(space: SymplecticSpace) -> LagrangianFrame:
     return make_frame(space, cols)
 
 
+def _kept(sv: np.ndarray, rank_tol: float) -> int:
+    """How many singular values (in descending order) the rank rule keeps."""
+    top = sv[0] if sv.size else 0.0
+    return int((sv > rank_tol * max(top, 1e-300)).sum())
+
+
+def rank(mat: np.ndarray, rank_tol: float = RANK_TOL) -> int:
+    """Numerical rank under the relative rule."""
+    return _kept(np.linalg.svd(mat, compute_uv=False), rank_tol)
+
+
+def span(cols: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal basis of the column span, possibly zero columns."""
+    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
+    return u[:, :_kept(sv, rank_tol)]
+
+
+def nullspace(mat: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal basis of the right nullspace, possibly zero columns."""
+    _, sv, vt = np.linalg.svd(mat)
+    return vt[_kept(sv, rank_tol):].T
+
+
 def orthonormal_columns(cols: np.ndarray, rank_tol: float = RANK_TOL):
     """QR-orthonormalize, raising if columns are numerically dependent."""
     cols = np.asarray(cols, dtype=float)
@@ -184,8 +210,7 @@ def intersection_dim(f0: LagrangianFrame, f1: LagrangianFrame,
                      rank_tol: float = RANK_TOL) -> int:
     """dim of the intersection, read off the rank defect of [Z0 | Z1]."""
     stacked = np.hstack([f0.columns, f1.columns])
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(sv <= rank_tol * sv[0]))
+    return stacked.shape[1] - rank(stacked, rank_tol)
 
 
 def is_transversal(f0: LagrangianFrame, f1: LagrangianFrame,
@@ -198,8 +223,7 @@ def projector(v0: LagrangianFrame, v1: LagrangianFrame,
     """Projector onto v1 along v0 (kernel contains v0, identity on v1)."""
     n = v0.n
     stacked = np.hstack([v0.columns, v1.columns])
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    if sv[-1] <= rank_tol * sv[0]:
+    if rank(stacked, rank_tol) < 2 * n:
         raise NotTransversal("v0 and v1 intersect nontrivially")
     sel = np.zeros((2 * n, 2 * n))
     sel[n:, n:] = np.eye(n)
@@ -214,8 +238,7 @@ def darboux_chart(pi_frame: LagrangianFrame,
     sigma = space.form
     e = pi_frame.columns
     g = e.T @ sigma @ delta_frame.columns
-    sv = np.linalg.svd(g, compute_uv=False)
-    if sv[-1] <= rank_tol * max(sv[0], 1e-300):
+    if rank(g, rank_tol) < space.n:
         raise NotTransversal("Pi and Delta intersect nontrivially")
     f = delta_frame.columns @ np.linalg.inv(g)
     basis = np.hstack([e, f])
@@ -240,8 +263,7 @@ def graph_coords(chart: Chart, columns: np.ndarray,
     w = chart.basis_inv @ np.asarray(columns, dtype=float)
     n = chart.n
     top, bottom = w[:n], w[n:]
-    sv = np.linalg.svd(top, compute_uv=False)
-    if sv[-1] <= rank_tol * max(sv[0], 1e-300):
+    if rank(top, rank_tol) < min(top.shape):
         raise NotInChart("subspace meets the chart complement Delta")
     return np.linalg.solve(top.T, bottom.T).T
 

@@ -177,10 +177,10 @@ def _chart_and_stencil(curve: GrassmannCurve, t: float,
     return chart, mats, h
 
 
-def _require_regular(sdot: np.ndarray):
+def _require_regular(sdot: np.ndarray, t: float):
     sv = np.linalg.svd(sdot, compute_uv=False)
     if sv[-1] * REGULARITY_CAP <= 1.0:
-        raise NotRegular("velocity is numerically singular "
+        raise NotRegular(f"velocity is numerically singular at t={t:g} "
                          f"(smallest singular value {sv[-1]:.3e})")
 
 
@@ -190,7 +190,7 @@ def _stencil_geometry(curve: GrassmannCurve, t: float,
     curve spans e A + f in the chart basis (e, f), R is the Schwarzian."""
     chart, mats, h = _chart_and_stencil(curve, t, fd_step)
     sdot = _d1(_inner(mats), h)
-    _require_regular(sdot)
+    _require_regular(sdot, t)
     sdot_inv = np.linalg.inv(sdot)
     sdd = _d2(_inner(mats), h)
     quad = sdot_inv @ sdd
@@ -247,8 +247,7 @@ def infinitesimal_cross_ratio(c0: GrassmannCurve, c1: GrassmannCurve,
     except (SearchExhausted, NotInChart, NotTransversal) as exc:
         raise ChartFailure(f"no common chart for the pair at t={t:g}") from exc
     gap = s0[2] - s1[2]
-    sv = np.linalg.svd(gap, compute_uv=False)
-    if sv[-1] <= core.RANK_TOL * max(sv[0], 1e-300):
+    if core.rank(gap) < chart.n:
         raise NotTransversal("curve points coincide at the evaluation time")
     gap_inv = np.linalg.inv(gap)
     matrix = gap_inv @ _d1(s0, h0) @ gap_inv @ _d1(s1, h1)
@@ -502,8 +501,9 @@ def classify(curve: GrassmannCurve, samples: int = 9,
         except ChartFailure:
             regular = False
             continue
-        sv = np.linalg.svd(vf.form, compute_uv=False)
-        if sv[-1] * REGULARITY_CAP <= 1.0:
+        try:
+            _require_regular(vf.form, t)
+        except NotRegular:
             regular = False
         ine = vf.inertia
         if ine.pos == curve.space.n:

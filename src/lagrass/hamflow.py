@@ -519,17 +519,13 @@ class LevelReduction:
         if np.abs(r).max() <= rank_tol * scale:
             inside = np.eye(z.shape[1])
         else:
-            _, sv, vt = np.linalg.svd(r)
-            keep = int((sv > rank_tol * sv[0]).sum())
-            inside = vt[keep:].T
-        cols = self._proj @ z @ inside
-        u_, sv, _ = np.linalg.svd(cols, full_matrices=False)
-        rank = int((sv > rank_tol * max(sv[0], 1e-300)).sum())
+            inside = core.nullspace(r, rank_tol)
+        cols = core.span(self._proj @ z @ inside, rank_tol)
         half = self.space.dim // 2
-        if rank != half:
-            raise DimensionDefect(
-                f"quotient image has dimension {rank}, expected {half}")
-        return core.make_frame(self.space, u_[:, :rank])
+        if cols.shape[1] != half:
+            raise DimensionDefect(f"quotient image has dimension "
+                                  f"{cols.shape[1]}, expected {half}")
+        return core.make_frame(self.space, cols)
 
 
 def level_reduction(sys: HamiltonianSystem, z0: np.ndarray) -> LevelReduction:

@@ -33,30 +33,6 @@ NEWTON_TOL = 1e-10
 FD_STEP = 1e-6
 
 
-def _nullspace(mat: np.ndarray, rank_tol: float = core.RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the right nullspace, possibly zero columns."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    _, sv, vt = np.linalg.svd(mat)
-    top = sv[0] if sv.size else 0.0
-    rank = int((sv > rank_tol * max(top, 1.0e-300)).sum())
-    return vt[rank:].T
-
-
-def _span(cols: np.ndarray, rank_tol: float = core.RANK_TOL) -> np.ndarray:
-    if cols.size == 0:
-        return cols.reshape(cols.shape[0], 0)
-    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int((sv > rank_tol * max(sv[0], 1.0e-300)).sum())
-    return u[:, :rank]
-
-
-def _rank(mat: np.ndarray, rank_tol: float = core.RANK_TOL) -> int:
-    sv = np.linalg.svd(np.atleast_2d(mat), compute_uv=False)
-    if sv.size == 0:
-        return 0
-    return int((sv > rank_tol * max(sv[0], 1.0e-300)).sum())
-
-
 # --------------------------------------------------------------- the problem
 
 
@@ -263,7 +239,7 @@ def lderiv_data(problem: FiniteProblem, point: LagrangianPoint) -> LDerivData:
 
 def _kernel_restriction(data: LDerivData,
                         rank_tol: float = core.RANK_TOL) -> np.ndarray:
-    k = _nullspace(data.A, rank_tol)
+    k = core.nullspace(data.A, rank_tol)
     return k.T @ data.Q @ k
 
 
@@ -277,9 +253,9 @@ def hessian_on_kernel(problem: FiniteProblem,
     restriction is not the right object to look at.
     """
     data = lderiv_data(problem, point)
-    if _rank(data.A, rank_tol) < problem.m:
-        raise RankDrop(
-            f"constraint Jacobian rank {_rank(data.A, rank_tol)} < {problem.m}")
+    rank = core.rank(data.A, rank_tol)
+    if rank < problem.m:
+        raise RankDrop(f"constraint Jacobian rank {rank} < {problem.m}")
     mat = _kernel_restriction(data, rank_tol)
     return core.QuadraticForm(dim=mat.shape[0], matrix=mat)
 
@@ -294,10 +270,10 @@ def l_derivative(data: LDerivData,
     extraction lost directions to cancellation.
     """
     m = data.m
-    null = _nullspace(np.hstack([data.A.T, data.Q]), rank_tol)
+    null = core.nullspace(np.hstack([data.A.T, data.Q]), rank_tol)
     zeta = null[:m]
     v = null[m:]
-    cols = _span(np.vstack([zeta, data.A @ v]), rank_tol)
+    cols = core.span(np.vstack([zeta, data.A @ v]), rank_tol)
     if cols.shape[1] != m:
         raise DimensionDefect(
             f"solution space maps to dimension {cols.shape[1]}, expected {m}")
@@ -318,7 +294,7 @@ def duality_check(data: LDerivData,
     L(A, Q) to the fiber are equivalent; returning both booleans lets
     tests confirm the equivalence instead of assuming it.
     """
-    if _rank(data.A, rank_tol) < data.m:
+    if core.rank(data.A, rank_tol) < data.m:
         raise RankDrop("constraint Jacobian is rank deficient")
     rest = _kernel_restriction(data, rank_tol)
     nondeg = core.inertia(rest, rank_tol).zero == 0

@@ -23,14 +23,13 @@ from typing import List
 import numpy as np
 
 from . import core
-from .curve import REGULARITY_CAP, GrassmannCurve, velocity_form
+from .curve import GrassmannCurve, _require_regular, velocity_form
 from .errors import (
     ChartFailure,
     DegenerateEndpoint,
     EndpointOnTrain,
     NotInChart,
     NotMonotone,
-    NotRegular,
     NotTransversal,
     SubdivisionFailure,
 )
@@ -80,23 +79,12 @@ class IndexReport:
     endpoint_transversal: bool
 
 
-def _span(cols: np.ndarray, rank_tol: float = core.RANK_TOL) -> np.ndarray:
-    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-    kept = sv > rank_tol * max(sv[0] if sv.size else 0.0, 1e-300)
-    return u[:, kept]
-
-
 def _meet(a: np.ndarray, b: np.ndarray,
           rank_tol: float = core.RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the intersection of two column spans."""
     if a.shape[1] == 0 or b.shape[1] == 0:
         return a[:, :0]
-    stacked = np.hstack([a, -b])
-    _, sv, vt = np.linalg.svd(stacked, full_matrices=True)
-    rank = int((sv > rank_tol * max(sv[0], 1e-300)).sum())
-    kernel = vt[rank:].T
-    if kernel.shape[1] == 0:
-        return a[:, :0]
+    kernel = core.nullspace(np.hstack([a, -b]), rank_tol)
     return core.orthonormal_columns(a @ kernel[:a.shape[1]])
 
 
@@ -114,7 +102,8 @@ def pair_index(train: core.LagrangianFrame, lam0: core.LagrangianFrame,
     """
     sigma = train.space.form
     z0, z1 = lam0.columns, lam1.columns
-    w = _meet(_span(np.hstack([z0, z1]), rank_tol), train.columns, rank_tol)
+    w = _meet(core.span(np.hstack([z0, z1]), rank_tol), train.columns,
+              rank_tol)
     if w.shape[1]:
         coeffs, *_ = np.linalg.lstsq(np.hstack([z0, z1]), w, rcond=None)
         x1 = z1 @ coeffs[train.n:]
@@ -252,9 +241,7 @@ def _monotone_direction(curve: GrassmannCurve, strict: bool,
     for t in np.linspace(t0 + margin, t1 - margin, samples):
         vf = velocity_form(curve, t)
         if strict:
-            sv = np.linalg.svd(vf.form, compute_uv=False)
-            if sv[-1] * REGULARITY_CAP <= 1.0:
-                raise NotRegular(f"velocity is numerically singular at t={t:g}")
+            _require_regular(vf.form, t)
         ine = vf.inertia
         if ine.pos and ine.neg:
             raise NotMonotone(f"velocity form is indefinite at t={t:g}")

@@ -237,6 +237,18 @@ def test_exit_two_on_zero_samples(tmp_path):
                           base_config(options={"samples": 0}))
 
 
+@pytest.mark.parametrize("where", ["horizon", "potential.k"])
+def test_exit_two_on_integer_past_the_double_range(tmp_path, where):
+    # float(10**400) overflows: a bad config, not a numerical failure
+    huge = 10 ** 400
+    cfg = base_config()
+    if where == "horizon":
+        cfg["horizon"] = huge
+    else:
+        cfg["system"]["potential"]["k"] = [[huge]]
+    assert_refused_config(tmp_path, "flow", cfg)
+
+
 def test_exit_three_on_numerical_failure(tmp_path):
     cfg = write_config(tmp_path, base_config(horizon=float(np.pi)))
     out = tmp_path / "out"
@@ -290,14 +302,19 @@ def test_hyperbolic_integrates_the_orbit_once(tmp_path, monkeypatch, reduced):
         assert built == [] and len(flows) == 1
 
 
-def test_hyperbolic_certifies_an_orbit_whose_fundamental_matrix_blows_up(
-        tmp_path):
+def saddle_config(**overrides):
     # the orbit tends to the saddle at the origin while its fundamental
     # matrix grows like e^t, past the norm cap long before t = 25
-    cfg = base_config(horizon=25.0, step=1e-3)
+    cfg = base_config(horizon=25.0, step=1e-3, **overrides)
     cfg["system"] = {"family": "natural", "n": 2,
                      "potential": {"k": [[-1.0, 0.0], [0.0, -1.0]]}}
     cfg["initial"] = [-0.8, 0.6, 0.8, -0.6]
+    return cfg
+
+
+def test_hyperbolic_certifies_an_orbit_whose_fundamental_matrix_blows_up(
+        tmp_path):
+    cfg = saddle_config()
     out = tmp_path / "out"
     path = write_config(tmp_path, cfg)
     assert cli.main(["hyperbolic", "--config", str(path),
@@ -309,6 +326,22 @@ def test_hyperbolic_certifies_an_orbit_whose_fundamental_matrix_blows_up(
     assert scalars["verdict"] == cert.verdict
     assert scalars["max_eig"] == cert.max_eig
     assert scalars["equilibrium_count"] == len(cert.equilibria) == 1
+
+
+def test_curvature_reads_an_orbit_whose_fundamental_matrix_blows_up(
+        tmp_path):
+    # the curvature series reads states only, so the fundamental matrix
+    # passing the norm cap cannot stop it
+    cfg = saddle_config(options={"samples": 11})
+    out = tmp_path / "out"
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["curvature", "--config", str(path),
+                     "--out", str(out)]) == 0
+    scalars = read_json(out / "curvature.json")["scalars"]
+    assert scalars["eig_min_t0"] == pytest.approx(-1.0)
+    assert scalars["eig_max_t0"] == pytest.approx(-1.0)
+    rows = (out / "curvature.csv").read_text().splitlines()
+    assert len(rows) == 1 + 11
 
 
 def test_exit_three_on_unexpected_exception(tmp_path, monkeypatch):
@@ -326,7 +359,7 @@ def test_exit_three_on_unexpected_exception(tmp_path, monkeypatch):
 
 
 def test_validate_refuses_runs_over_budget():
-    # validated only: neither config may ever be run
+    # validated only: none of the configs over a budget may ever be run
     steps = cli.validate(base_config(horizon=1e6, step=1e-6), "flow")
     assert len(steps) == 1 and "budget" in steps[0]
     samples = cli.validate(base_config(options={"samples": 1_500_000_000}),
@@ -335,6 +368,16 @@ def test_validate_refuses_runs_over_budget():
     assert cli.validate(base_config(horizon=cli.MAX_RK_STEPS * 1e-3,
                                     options={"samples": cli.MAX_SAMPLES}),
                         "flow") == []
+
+    def sized(n):
+        cfg = base_config(initial=[0.1] * (2 * n))
+        cfg["system"] = {"family": "natural", "n": n,
+                         "potential": {"k": np.eye(n).tolist()}}
+        return cfg
+
+    dims = cli.validate(sized(cli.MAX_N + 1), "flow")
+    assert len(dims) == 1 and "budget" in dims[0]
+    assert cli.validate(sized(cli.MAX_N), "flow") == []
 
 
 # -------------------------------------------------------------- determinism

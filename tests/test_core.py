@@ -160,6 +160,33 @@ def test_graph_coords_non_lagrangian_is_asymmetric():
     assert np.linalg.norm(got - got.T) > 0.5
 
 
+@pytest.mark.parametrize("shape, k", [((6, 4), 2), ((4, 6), 3), ((5, 5), 1),
+                                      ((3, 5), 3)])
+def test_rank_span_nullspace_share_one_rule(shape, k):
+    rng = np.random.default_rng(shape[0] * 10 + k)
+    rows, cols = shape
+    mat = rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
+    # a perturbation under the relative cut-off does not count
+    mat += 1e-12 * rng.standard_normal(shape)
+    assert core.rank(mat) == k
+    basis = core.span(mat)
+    kernel = core.nullspace(mat)
+    assert basis.shape == (rows, k)
+    assert kernel.shape == (cols, cols - k)
+    assert core.rank(mat) + kernel.shape[1] == cols
+    assert np.allclose(basis.T @ basis, np.eye(k), atol=1e-12)
+    assert np.allclose(kernel.T @ kernel, np.eye(cols - k), atol=1e-12)
+    assert np.abs(mat @ kernel).max(initial=0.0) <= 1e-10
+
+
+def test_rank_helpers_take_empty_inputs():
+    assert core.span(np.zeros((4, 0))).shape == (4, 0)
+    assert core.nullspace(np.zeros((4, 0))).shape == (0, 0)
+    assert core.rank(np.zeros((4, 0))) == 0
+    assert core.rank(np.zeros((3, 3))) == 0
+    assert core.nullspace(np.zeros((2, 3))).shape == (3, 3)
+
+
 def test_inertia_diag():
     q = np.diag([3.0, 0.0, -2.0, -1.0])
     ine = core.inertia(q)

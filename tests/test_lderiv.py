@@ -185,7 +185,7 @@ def test_l_derivative_dimension_guard(monkeypatch):
     # the span can only collapse through catastrophic cancellation, so
     # the guard is exercised with a stubbed kernel
     data = lderiv.LDerivData(A=np.array([[1.0, 0.0]]), Q=np.eye(2))
-    monkeypatch.setattr(lderiv, "_nullspace",
+    monkeypatch.setattr(core, "nullspace",
                         lambda mat, rank_tol=core.RANK_TOL:
                         np.zeros((mat.shape[1], 0)))
     with pytest.raises(DimensionDefect):
