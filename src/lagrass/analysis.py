@@ -36,6 +36,7 @@ from .hamflow import (
     DenseFlow,
     HamiltonianSystem,
     Trajectory,
+    _subsample,
     curvature_operator_field,
     flow,
     jacobi_curve,
@@ -54,8 +55,7 @@ CONGRUENCE_TOL = 1e-6
 
 def _orbit_curvature(sys: HamiltonianSystem, states, count: int):
     """Extreme eigenvalue and trace statistics over sampled states."""
-    idx = np.unique(np.linspace(0, len(states) - 1,
-                                min(len(states), count)).astype(int))
+    idx = _subsample(len(states), count)
     eig_hi, tr_lo, hess_hi = -math.inf, math.inf, 0.0
     for k in idx:
         z = states[k]
@@ -95,8 +95,7 @@ def comparison_check(sys: HamiltonianSystem, z0: np.ndarray, horizon: float,
                      step: float = DEFAULT_STEP) -> ComparisonReport:
     dense = DenseFlow(sys, z0, horizon, step)
     jc = jacobi_curve(sys, z0, horizon, step, dense=dense)
-    eig_hi, tr_lo, _ = _orbit_curvature(sys,
-                                        dense.window(endpoint=False).states,
+    eig_hi, tr_lo, _ = _orbit_curvature(sys, dense.window().states,
                                         CURVATURE_SAMPLES)
     pts = maslov.conjugate_points(jc, core.vertical_frame(jc.space))
     times = [p.t for p in pts]
@@ -193,8 +192,7 @@ def certify_negative_curvature(sys: HamiltonianSystem, z0: np.ndarray,
         dense = orbit if orbit is not None \
             else DenseFlow(sys, z0, horizon, step)
         rc = reduced_jacobi_curve(sys, z0, horizon, step, dense=dense)
-        _, _, hess_hi = _orbit_curvature(
-            sys, dense.window(endpoint=False).states, 33)
+        _, _, hess_hi = _orbit_curvature(sys, dense.window().states, 33)
         max_eig = -math.inf
         for t in np.linspace(0.0, horizon, REDUCED_SAMPLES):
             eigs = np.linalg.eigvals(curvature(rc, t).matrix).real

@@ -36,6 +36,7 @@ from .hamflow import (
     DenseFlow,
     HamiltonianSystem,
     PolynomialTable,
+    _subsample,
     curvature_operator_field,
     flow,
     jacobi_curve,
@@ -45,8 +46,24 @@ from .hamflow import (
     reduced_jacobi_curve,
 )
 
-COMMANDS = ("flow", "jacobi", "curvature", "conjugate", "morse", "maslov",
-            "reduce", "compare", "hyperbolic", "lderiv")
+# the options each command reads, with defaults; a None default follows
+# the horizon (trim: the analysis's own; t0 = 0.01 horizon, t1 = horizon)
+OPTIONS = {
+    "flow": {"samples": 201},
+    "jacobi": {"samples": 101},
+    "curvature": {"samples": 101},
+    "conjugate": {},
+    "morse": {"trim": None},
+    "maslov": {"t0": None, "t1": None},
+    "reduce": {"trim": None},
+    "compare": {},
+    "hyperbolic": {"samples": 33, "reduced": False},
+    "lderiv": {},
+}
+COMMANDS = tuple(OPTIONS)
+# the top-level keys a run reads
+ORBIT_KEYS = ("system", "initial", "horizon", "step", "seed", "options")
+PROBLEM_KEYS = ("problem", "point", "seed", "options")
 
 FLOAT_FMT = "%.17g"
 
@@ -54,6 +71,9 @@ FLOAT_FMT = "%.17g"
 MAX_RK_STEPS = 200_000     # ceil(horizon / step), the RK4 steps of an orbit
 MAX_SAMPLES = 100_000      # options.samples, the sampled rows of a series
 MAX_N = 8                  # system.n; keeps a DenseFlow under 0.4 GB
+MAX_EXPONENT = 32          # of a polynomial term; sizes the table of powers
+MAX_TERMS = 256            # per term list; sizes the compiled term tables
+MAX_DIM_W = 64             # problem.dim_w; fd Hessians cost O(dim_w^2) calls
 
 
 class ValidationFailure(Exception):
@@ -94,16 +114,20 @@ def _check_terms(terms, nvars: int, label: str, out: List[str]):
     if not isinstance(terms, list) or not terms:
         out.append(f"{label} must be a nonempty list of [coeff, exponents]")
         return
+    if len(terms) > MAX_TERMS:
+        out.append(f"{label} lists {len(terms)} terms, over the budget of "
+                   f"{MAX_TERMS}")
+        return
     for item in terms:
         if (not isinstance(item, list) or len(item) != 2
                 or not _is_num(item[0]) or not isinstance(item[1], list)):
             out.append(f"{label} entries must be [coeff, exponent list]")
             return
         if len(item[1]) != nvars or any(
-                not isinstance(e, int) or isinstance(e, bool) or e < 0
-                for e in item[1]):
-            out.append(f"{label} exponent lists need {nvars} nonnegative "
-                       "integers")
+                not isinstance(e, int) or isinstance(e, bool)
+                or not 0 <= e <= MAX_EXPONENT for e in item[1]):
+            out.append(f"{label} exponent lists need {nvars} integers in "
+                       f"[0, {MAX_EXPONENT}]")
             return
 
 
@@ -195,6 +219,10 @@ def _validate_problem(config: dict, out: List[str]):
         if not isinstance(val, int) or isinstance(val, bool) or val < 1:
             out.append(f"{label} must be an integer >= 1")
             return
+    if dim_w > MAX_DIM_W:
+        out.append(f"problem.dim_w = {dim_w} is over the budget of "
+                   f"{MAX_DIM_W}")
+        return
     obj = prob.get("objective")
     if not isinstance(obj, dict) or "terms" not in obj:
         out.append("problem.objective.terms is required")
@@ -223,22 +251,42 @@ def _validate_problem(config: dict, out: List[str]):
         out.append(f"point.zeta must list {m} finite numbers")
 
 
-def validate(config: dict, command: Optional[str] = None) -> List[str]:
+def _maslov_window(horizon, opts: dict):
+    """The (t0, t1) a maslov run reads, defaults filled from the horizon."""
+    t0, t1 = opts.get("t0"), opts.get("t1")
+    return (0.01 * horizon if t0 is None else t0,
+            horizon if t1 is None else t1)
+
+
+def _check_times(config: dict, opts: dict, command: str, out: List[str]):
+    """Options that are times must fall inside the integrated window."""
+    horizon = config.get("horizon")
+    if not _is_num(horizon) or horizon <= 0:
+        return  # refused already; the ranges hang on it
+    if "trim" in opts and not (_is_num(opts["trim"])
+                               and 0 < opts["trim"] < horizon):
+        out.append("options.trim must be a number with 0 < trim < horizon")
+    if command == "maslov":
+        t0, t1 = _maslov_window(horizon, opts)
+        # at t0 = 0 the Jacobi curve starts on the fiber it is counted
+        # against, so every orbit would refuse it
+        if not (_is_num(t0) and _is_num(t1) and 0 < t0 < t1 <= horizon):
+            out.append("options.t0 and options.t1 must be numbers with "
+                       "0 < t0 < t1 <= horizon")
+
+
+def validate(config: dict, command: str) -> List[str]:
     """Schema and semantic checks; an empty list means runnable."""
     out: List[str] = []
     if not isinstance(config, dict):
         return ["config root must be a table"]
+    keys = PROBLEM_KEYS if command == "lderiv" else ORBIT_KEYS
+    out.extend(f"{command} reads no config key {key!r}"
+               for key in sorted(set(config) - set(keys)))
     if command == "lderiv":
         _validate_problem(config, out)
     else:
         _validate_system(config, out)
-    tol = config.get("tolerances", {})
-    if not isinstance(tol, dict):
-        out.append("tolerances must be a table")
-    else:
-        for key in ("rank_tol", "energy_tol", "symp_tol", "fd_step"):
-            if key in tol and (not _is_num(tol[key]) or tol[key] <= 0):
-                out.append(f"tolerances.{key} must be positive")
     seed = config.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         out.append("seed must be an integer")
@@ -246,6 +294,8 @@ def validate(config: dict, command: Optional[str] = None) -> List[str]:
     if not isinstance(opts, dict):
         out.append("options must be a table")
     else:
+        out.extend(f"{command} reads no option {key!r}"
+                   for key in sorted(set(opts) - set(OPTIONS[command])))
         if "reduced" in opts and not isinstance(opts["reduced"], bool):
             out.append("options.reduced must be true or false")
         samples = opts.get("samples", 1)
@@ -255,6 +305,7 @@ def validate(config: dict, command: Optional[str] = None) -> List[str]:
         elif samples > MAX_SAMPLES:
             out.append(f"options.samples = {samples} is over the budget "
                        f"of {MAX_SAMPLES}")
+        _check_times(config, opts, command, out)
     if command == "reduce" and isinstance(config.get("system"), dict):
         if config["system"].get("n") == 1:
             out.append("reduce is trivial for n=1: the quotient by the "
@@ -329,14 +380,9 @@ def _mat_headers(name: str, shape: Tuple[int, int]) -> List[str]:
             for i in range(shape[0]) for j in range(shape[1])]
 
 
-def _subsample(count: int, want: int) -> np.ndarray:
-    return np.unique(np.linspace(0, count - 1,
-                                 min(count, want)).astype(int))
-
-
 def _run_flow(sysn, z0, config, opts, seed):
     traj = flow(sysn, z0, config["horizon"], config["step"])
-    idx = _subsample(len(traj.times), int(opts.get("samples", 201)))
+    idx = _subsample(len(traj.times), opts["samples"])
     rows = np.column_stack([traj.times[idx], traj.states[idx],
                             traj.energies[idx]])
     cols = ["t"] + [f"z[{i}]" for i in range(2 * sysn.n)] + ["energy"]
@@ -348,7 +394,7 @@ def _run_flow(sysn, z0, config, opts, seed):
 def _run_jacobi(sysn, z0, config, opts, seed):
     horizon = float(config["horizon"])
     jc = jacobi_curve(sysn, z0, horizon, config["step"])
-    ts = np.linspace(0.0, horizon, int(opts.get("samples", 101)))
+    ts = np.linspace(0.0, horizon, opts["samples"])
     rows = np.array([np.concatenate([[t], _frame_row(jc.eval(t))])
                      for t in ts])
     n2 = 2 * sysn.n
@@ -366,7 +412,7 @@ def _field_curvatures(sysn, orbit, ts) -> List[np.ndarray]:
 def _run_curvature(sysn, z0, config, opts, seed):
     horizon = float(config["horizon"])
     orbit = flow(sysn, z0, horizon, config["step"])
-    ts = np.linspace(0.0, horizon, int(opts.get("samples", 101)))
+    ts = np.linspace(0.0, horizon, opts["samples"])
     n = sysn.n
     mats = _field_curvatures(sysn, orbit, ts)
     rows = [np.concatenate([[t], r.ravel()]) for t, r in zip(ts, mats)]
@@ -393,7 +439,7 @@ def _run_conjugate(sysn, z0, config, opts, seed):
 
 def _run_morse(sysn, z0, config, opts, seed):
     out = analysis.morse_pipeline(sysn, z0, config["horizon"],
-                                  config["step"], trim=opts.get("trim"))
+                                  config["step"], trim=opts["trim"])
     scalars = {"index": out.index, "trimmed_maslov": out.trimmed_maslov,
                "trim": out.trim, "legendre_sign": out.legendre.sign}
     return scalars, _conjugate_series(out.conjugate_points), []
@@ -402,8 +448,7 @@ def _run_morse(sysn, z0, config, opts, seed):
 def _run_maslov(sysn, z0, config, opts, seed):
     horizon = float(config["horizon"])
     jc = jacobi_curve(sysn, z0, horizon, config["step"])
-    t0 = float(opts.get("t0", 0.01 * horizon))
-    t1 = float(opts.get("t1", horizon))
+    t0, t1 = map(float, _maslov_window(horizon, opts))
     sub = GrassmannCurve(space=jc.space, eval=jc.eval, domain=(t0, t1))
     rep = maslov.maslov_index(sub, core.vertical_frame(jc.space), seed=seed)
     rows = np.asarray(rep.subdivision, dtype=float).reshape(-1, 1)
@@ -416,7 +461,7 @@ def _run_maslov(sysn, z0, config, opts, seed):
 def _run_reduce(sysn, z0, config, opts, seed):
     rep = analysis.reduction_comparison(sysn, z0, config["horizon"],
                                         config["step"],
-                                        trim=opts.get("trim"))
+                                        trim=opts["trim"])
     rows = np.asarray(rep.samples, dtype=float).reshape(-1, 1)
     scalars = {"mu_full": rep.mu_full, "mu_reduced": rep.mu_reduced,
                "dominance_defect": rep.dominance_defect,
@@ -441,14 +486,14 @@ def _run_compare(sysn, z0, config, opts, seed):
 
 def _run_hyperbolic(sysn, z0, config, opts, seed):
     horizon = float(config["horizon"])
-    reduced = opts.get("reduced", False)
+    reduced = opts["reduced"]
     # the full mode reads states only, so it integrates the state alone
     orbit = DenseFlow(sysn, z0, horizon, config["step"]) if reduced \
         else flow(sysn, z0, horizon, config["step"])
     cert = analysis.certify_negative_curvature(sysn, z0, horizon,
                                                config["step"],
                                                reduced=reduced, orbit=orbit)
-    ts = np.linspace(0.0, horizon, int(opts.get("samples", 33)))
+    ts = np.linspace(0.0, horizon, opts["samples"])
     if reduced:
         rc = reduced_jacobi_curve(sysn, z0, horizon, config["step"],
                                   dense=orbit)
@@ -464,7 +509,7 @@ def _run_hyperbolic(sysn, z0, config, opts, seed):
     return scalars, Series(("t", "eig_top"), rows), list(cert.diagnostics)
 
 
-def _run_lderiv(config, opts, seed):
+def _run_lderiv(config):
     problem, point = build_problem(config)
     residual = lderiv.stationarity_residual(problem, point)
     data = lderiv.lderiv_data(problem, point)
@@ -574,14 +619,13 @@ def run(config: dict, command: str, seed: Optional[int] = None) -> RunResult:
     eff_seed = int(config.get("seed", 0))
     start = time.perf_counter()
     if command == "lderiv":
-        scalars, series, notes = _run_lderiv(config,
-                                             config.get("options", {}),
-                                             eff_seed)
+        scalars, series, notes = _run_lderiv(config)
     else:
         sysn = build_system(config)
+        opts = {**OPTIONS[command], **config.get("options", {})}
         scalars, series, notes = _RUNNERS[command](
             sysn, np.asarray(config["initial"], dtype=float), config,
-            config.get("options", {}), eff_seed)
+            opts, eff_seed)
     provenance = {"command": command, "config_sha256": config_hash(config),
                   "version": __version__,
                   "wall_time_s": time.perf_counter() - start}

@@ -7,9 +7,9 @@ Conventions (fixed here, inherited everywhere else):
   * graph subspaces are over the first factor: {(z, S z)} with frame
     [I; S], so the vertical fiber is [I; 0] and the horizontal is [0; I].
 
-All rank and transversality decisions are relative with tolerance
-rank_tol (default 1e-9): a singular value counts when it exceeds
-rank_tol times the largest. That rule lives in one place, the helpers
+All rank and transversality decisions are relative with the fixed
+tolerance RANK_TOL = 1e-9: a singular value counts when it exceeds
+RANK_TOL times the largest. That rule lives in one place, the helpers
 rank, span and nullspace below; every module decides ranks, spans,
 kernels and transversality through them. Frames are
 column-orthonormalized on construction; subspace identity is always
@@ -143,46 +143,46 @@ def horizontal_frame(space: SymplecticSpace) -> LagrangianFrame:
     return make_frame(space, cols)
 
 
-def _kept(sv: np.ndarray, rank_tol: float) -> int:
+def _kept(sv: np.ndarray) -> int:
     """How many singular values (in descending order) the rank rule keeps."""
     top = sv[0] if sv.size else 0.0
-    return int((sv > rank_tol * max(top, 1e-300)).sum())
+    return int((sv > RANK_TOL * max(top, 1e-300)).sum())
 
 
-def rank(mat: np.ndarray, rank_tol: float = RANK_TOL) -> int:
+def rank(mat: np.ndarray) -> int:
     """Numerical rank under the relative rule."""
-    return _kept(np.linalg.svd(mat, compute_uv=False), rank_tol)
+    return _kept(np.linalg.svd(mat, compute_uv=False))
 
 
-def span(cols: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def span(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, possibly zero columns."""
     u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, :_kept(sv, rank_tol)]
+    return u[:, :_kept(sv)]
 
 
-def nullspace(mat: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def nullspace(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the right nullspace, possibly zero columns."""
     _, sv, vt = np.linalg.svd(mat)
-    return vt[_kept(sv, rank_tol):].T
+    return vt[_kept(sv):].T
 
 
-def orthonormal_columns(cols: np.ndarray, rank_tol: float = RANK_TOL):
+def orthonormal_columns(cols: np.ndarray):
     """QR-orthonormalize, raising if columns are numerically dependent."""
     cols = np.asarray(cols, dtype=float)
     q, r = np.linalg.qr(cols)
     diag = np.abs(np.diag(r))
-    if diag.size and diag.min() <= rank_tol * max(diag.max(), 1e-300):
+    if diag.size and diag.min() <= RANK_TOL * max(diag.max(), 1e-300):
         raise ValueError("columns are numerically rank deficient")
     return q
 
 
-def make_frame(space: SymplecticSpace, columns: np.ndarray,
-               rank_tol: float = RANK_TOL) -> LagrangianFrame:
+def make_frame(space: SymplecticSpace,
+               columns: np.ndarray) -> LagrangianFrame:
     """Orthonormalize columns and validate the Lagrangian invariants."""
     cols = np.asarray(columns, dtype=float)
     if cols.shape != (space.dim, space.n):
         raise ValueError("frame must be 2n x n")
-    q = orthonormal_columns(cols, rank_tol)
+    q = orthonormal_columns(cols)
     defect = np.linalg.norm(q.T @ space.form @ q)
     if defect > ISOTROPY_TOL:
         raise ValueError(f"frame is not isotropic (defect {defect:.3e})")
@@ -206,24 +206,21 @@ def same_subspace(f0: LagrangianFrame, f1: LagrangianFrame,
     return subspace_gap(f0, f1) <= tol
 
 
-def intersection_dim(f0: LagrangianFrame, f1: LagrangianFrame,
-                     rank_tol: float = RANK_TOL) -> int:
+def intersection_dim(f0: LagrangianFrame, f1: LagrangianFrame) -> int:
     """dim of the intersection, read off the rank defect of [Z0 | Z1]."""
     stacked = np.hstack([f0.columns, f1.columns])
-    return stacked.shape[1] - rank(stacked, rank_tol)
+    return stacked.shape[1] - rank(stacked)
 
 
-def is_transversal(f0: LagrangianFrame, f1: LagrangianFrame,
-                   rank_tol: float = RANK_TOL) -> bool:
-    return intersection_dim(f0, f1, rank_tol) == 0
+def is_transversal(f0: LagrangianFrame, f1: LagrangianFrame) -> bool:
+    return intersection_dim(f0, f1) == 0
 
 
-def projector(v0: LagrangianFrame, v1: LagrangianFrame,
-              rank_tol: float = RANK_TOL) -> np.ndarray:
+def projector(v0: LagrangianFrame, v1: LagrangianFrame) -> np.ndarray:
     """Projector onto v1 along v0 (kernel contains v0, identity on v1)."""
     n = v0.n
     stacked = np.hstack([v0.columns, v1.columns])
-    if rank(stacked, rank_tol) < 2 * n:
+    if rank(stacked) < 2 * n:
         raise NotTransversal("v0 and v1 intersect nontrivially")
     sel = np.zeros((2 * n, 2 * n))
     sel[n:, n:] = np.eye(n)
@@ -231,14 +228,13 @@ def projector(v0: LagrangianFrame, v1: LagrangianFrame,
 
 
 def darboux_chart(pi_frame: LagrangianFrame,
-                  delta_frame: LagrangianFrame,
-                  rank_tol: float = RANK_TOL) -> Chart:
+                  delta_frame: LagrangianFrame) -> Chart:
     """Assemble the Darboux basis [E | F] from a transversal pair."""
     space = pi_frame.space
     sigma = space.form
     e = pi_frame.columns
     g = e.T @ sigma @ delta_frame.columns
-    if rank(g, rank_tol) < space.n:
+    if rank(g) < space.n:
         raise NotTransversal("Pi and Delta intersect nontrivially")
     f = delta_frame.columns @ np.linalg.inv(g)
     basis = np.hstack([e, f])
@@ -253,8 +249,7 @@ def standard_chart(space: SymplecticSpace) -> Chart:
     return darboux_chart(vertical_frame(space), horizontal_frame(space))
 
 
-def graph_coords(chart: Chart, columns: np.ndarray,
-                 rank_tol: float = RANK_TOL) -> np.ndarray:
+def graph_coords(chart: Chart, columns: np.ndarray) -> np.ndarray:
     """Raw graph matrix of an n-dim subspace in the chart, no symmetry check.
 
     Non-Lagrangian subspaces are welcome here; they come out with an
@@ -263,14 +258,13 @@ def graph_coords(chart: Chart, columns: np.ndarray,
     w = chart.basis_inv @ np.asarray(columns, dtype=float)
     n = chart.n
     top, bottom = w[:n], w[n:]
-    if rank(top, rank_tol) < min(top.shape):
+    if rank(top) < min(top.shape):
         raise NotInChart("subspace meets the chart complement Delta")
     return np.linalg.solve(top.T, bottom.T).T
 
 
-def chart_coords(frame: LagrangianFrame, chart: Chart,
-                 rank_tol: float = RANK_TOL) -> ChartRep:
-    s = graph_coords(chart, frame.columns, rank_tol)
+def chart_coords(frame: LagrangianFrame, chart: Chart) -> ChartRep:
+    s = graph_coords(chart, frame.columns)
     asym = np.linalg.norm(s - s.T)
     if asym > 1e-6 * (1.0 + np.linalg.norm(s)):
         raise ValueError(f"chart matrix asymmetric ({asym:.3e}); "
@@ -285,7 +279,7 @@ def frame_from_chart(rep: ChartRep) -> LagrangianFrame:
     return make_frame(rep.chart.space, e + f @ rep.S)
 
 
-def inertia(q, rank_tol: float = RANK_TOL) -> Inertia:
+def inertia(q) -> Inertia:
     """Eigenvalue inertia with a relative zero threshold."""
     m = q.matrix if isinstance(q, QuadraticForm) else np.asarray(q, dtype=float)
     m = 0.5 * (m + m.T)
@@ -296,7 +290,7 @@ def inertia(q, rank_tol: float = RANK_TOL) -> Inertia:
     # below ~100 eps the matrix is indistinguishable from the zero matrix
     if scale <= 2.5e-14:
         return Inertia(0, m.shape[0], 0)
-    thr = rank_tol * scale
+    thr = RANK_TOL * scale
     neg = int(np.sum(eigs < -thr))
     pos = int(np.sum(eigs > thr))
     return Inertia(neg=neg, zero=m.shape[0] - neg - pos, pos=pos)
@@ -308,7 +302,6 @@ def _graph_candidate(space: SymplecticSpace, s: np.ndarray) -> LagrangianFrame:
 
 
 def transversal_complement(frame: LagrangianFrame, avoid=(),
-                           rank_tol: float = RANK_TOL,
                            seed: int = 0) -> LagrangianFrame:
     """Deterministic search for a Lagrangian complement.
 
@@ -321,8 +314,7 @@ def transversal_complement(frame: LagrangianFrame, avoid=(),
     must_miss = [frame, *avoid]
 
     def ok(candidate: LagrangianFrame) -> bool:
-        return all(is_transversal(candidate, other, rank_tol)
-                   for other in must_miss)
+        return all(is_transversal(candidate, other) for other in must_miss)
 
     cand = make_frame(space, space.form @ frame.columns)
     if ok(cand):
@@ -377,10 +369,10 @@ def symplectic_defect(space: SymplecticSpace, t: np.ndarray) -> float:
                  / np.linalg.norm(sigma))
 
 
-def sym_inv_sqrt(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def sym_inv_sqrt(m: np.ndarray) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix."""
     m = 0.5 * (m + np.asarray(m).T)
     w, v = np.linalg.eigh(m)
-    if w.min() <= rank_tol * max(abs(w).max(), 1e-300):
+    if w.min() <= RANK_TOL * max(abs(w).max(), 1e-300):
         raise ValueError("matrix is not positive definite")
     return v @ np.diag(1.0 / np.sqrt(w)) @ v.T

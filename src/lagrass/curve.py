@@ -40,6 +40,7 @@ from .errors import (
 # a velocity is treated as singular when |Sdot^-1| exceeds this
 REGULARITY_CAP = 1e8
 FLAT_TOL = 1e-6
+SYM_TOL = 1e-3
 
 
 @dataclass
@@ -208,16 +209,16 @@ def velocity_form(curve: GrassmannCurve, t: float,
 
 
 def cross_ratio(v0: core.LagrangianFrame, v1: core.LagrangianFrame,
-                v2: core.LagrangianFrame, v3: core.LagrangianFrame,
-                rank_tol: float = core.RANK_TOL) -> CurveOperator:
+                v2: core.LagrangianFrame,
+                v3: core.LagrangianFrame) -> CurveOperator:
     """Cross-ratio of four points, as an operator on v1.
 
     Composition of the projector onto v3 along v2 with the projector
     onto v1 along v0, restricted to v1. Equal consecutive arguments
     degenerate gracefully: with v2 = v0 the operator is the identity.
     """
-    p01 = core.projector(v0, v1, rank_tol)
-    p23 = core.projector(v2, v3, rank_tol)
+    p01 = core.projector(v0, v1)
+    p23 = core.projector(v2, v3)
     z1 = v1.columns
     image = p01 @ (p23 @ z1)
     matrix, *_ = np.linalg.lstsq(z1, image, rcond=None)
@@ -479,8 +480,7 @@ class CurveClassification:
     symmetric: Optional[bool]
 
 
-def classify(curve: GrassmannCurve, samples: int = 9,
-             sym_tol: float = 1e-3) -> CurveClassification:
+def classify(curve: GrassmannCurve, samples: int = 9) -> CurveClassification:
     """Coarse flags from interior samples of the curve.
 
     Regularity and monotonicity read the velocity form on a sample grid;
@@ -539,7 +539,7 @@ def classify(curve: GrassmannCurve, samples: int = 9,
     tr = transport(curve, ts[0], ts[-1])
     a_ref = tr.generators[0][1]
     scale = 1.0 + np.linalg.norm(a_ref)
-    symmetric = all(np.linalg.norm(a - a_ref) <= sym_tol * scale
+    symmetric = all(np.linalg.norm(a - a_ref) <= SYM_TOL * scale
                     for _, a in tr.generators)
     return CurveClassification(regular=True, monotone=monotone,
                                flat=flat, symmetric=symmetric)

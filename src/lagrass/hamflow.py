@@ -406,23 +406,21 @@ def variational_flow(sys: HamiltonianSystem,
 class DenseFlow:
     """Checkpointed orbit and fundamental matrix, one RK4 step between.
 
-    Integrates over [-margin, horizon + margin] so curves declared on
-    [0, horizon] can be probed by stencils that stick out slightly past
-    the endpoints; the default margin gives the widest default stencil
-    twice its reach. One instance backs the Jacobi curve, state reads
+    Integrates over [-margin, horizon + margin], margin = max(8e-3
+    horizon, 4 step), so stencils on curves declared on [0, horizon]
+    may stick out past the endpoints: the widest default one reaches
+    half the margin. One instance backs the Jacobi curve, state reads
     and, through window(), the trajectory on [0, horizon].
     """
 
     def __init__(self, sys: HamiltonianSystem, z0: np.ndarray,
-                 horizon: float, step: float = DEFAULT_STEP,
-                 margin: Optional[float] = None):
+                 horizon: float, step: float = DEFAULT_STEP):
         self.sys = sys
         self.horizon = float(horizon)
         self.step = step
-        if margin is None:
-            # default stencils reach 4 fd steps past either endpoint
-            margin = max(8.0e-3 * self.horizon, 4.0 * step)
-        self.t_lo, self.t_hi = -float(margin), self.horizon + float(margin)
+        # default stencils reach 4 fd steps past either endpoint
+        margin = max(8.0e-3 * self.horizon, 4.0 * step)
+        self.t_lo, self.t_hi = -margin, self.horizon + margin
         start = (np.asarray(z0, dtype=float).copy(), np.eye(2 * sys.n))
 
         def march(span, sign):
@@ -455,17 +453,12 @@ class DenseFlow:
         phi = self._at(t)[1]
         return -self._j @ phi.T @ self._j
 
-    def window(self, endpoint: bool = True) -> Trajectory:
+    def window(self) -> Trajectory:
         """The orbit on [0, horizon], equal to flow()'s bit for bit.
 
         An off-grid horizon is reached by the same single step from the
-        checkpoint below that flow() takes; endpoint=False leaves it out.
+        checkpoint below that flow() takes.
         """
-        if not endpoint:
-            pad = 1e-12
-            inside = (self.times >= -pad) & (self.times <= self.horizon + pad)
-            return Trajectory(self.times[inside], self.states[inside],
-                              self.sys)
         times = _grid(self.horizon, self.step)
         last = self._origin + len(times) - 1
         states = self.states[self._origin:last + 1].copy()
@@ -510,17 +503,17 @@ class LevelReduction:
     def project(self, w: np.ndarray) -> np.ndarray:
         return self._proj @ np.asarray(w, dtype=float)
 
-    def reduce_frame(self, frame: core.LagrangianFrame,
-                     rank_tol: float = core.RANK_TOL) -> core.LagrangianFrame:
+    def reduce_frame(self,
+                     frame: core.LagrangianFrame) -> core.LagrangianFrame:
         z = frame.columns
         sigma = core.standard_space(z.shape[0] // 2).form
         r = np.atleast_2d(self.u @ sigma @ z)
         scale = max(np.abs(r).max(), 1.0)
-        if np.abs(r).max() <= rank_tol * scale:
+        if np.abs(r).max() <= core.RANK_TOL * scale:
             inside = np.eye(z.shape[1])
         else:
-            inside = core.nullspace(r, rank_tol)
-        cols = core.span(self._proj @ z @ inside, rank_tol)
+            inside = core.nullspace(r)
+        cols = core.span(self._proj @ z @ inside)
         half = self.space.dim // 2
         if cols.shape[1] != half:
             raise DimensionDefect(f"quotient image has dimension "
@@ -635,8 +628,7 @@ def _hxx_rate(sys: HamiltonianSystem, z: np.ndarray,
 
 
 def connection_hamiltonian(sys: HamiltonianSystem,
-                           at: Tuple[np.ndarray, np.ndarray],
-                           fd_step: float = THIRD_FD_STEP) -> np.ndarray:
+                           at: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Connection matrix C from the Hessian blocks.
 
     Solves 2 hxx C hxx = (rate of hxx along the flow) - hxy hxx -
@@ -650,7 +642,7 @@ def connection_hamiltonian(sys: HamiltonianSystem,
     hxx = h2[:n, :n]
     hxy = h2[:n, n:]
     _regular_or_raise(hxx)
-    rhs = _hxx_rate(sys, z, fd_step) - hxy @ hxx - hxx @ hxy.T
+    rhs = _hxx_rate(sys, z, THIRD_FD_STEP) - hxy @ hxx - hxx @ hxy.T
     half = np.linalg.solve(hxx, rhs)
     c = 0.5 * np.linalg.solve(hxx, half.T).T
     defect = np.linalg.norm(c - c.T)
@@ -660,8 +652,7 @@ def connection_hamiltonian(sys: HamiltonianSystem,
 
 
 def curvature_via_brackets(sys: HamiltonianSystem,
-                           at: Tuple[np.ndarray, np.ndarray],
-                           fd_step: float = THIRD_FD_STEP) -> np.ndarray:
+                           at: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Curvature operator from the double-bracket formula.
 
     Brackets the field twice against each vertical basis direction,
@@ -672,18 +663,18 @@ def curvature_via_brackets(sys: HamiltonianSystem,
     n = sys.n
     z0 = np.concatenate([np.asarray(at[0], dtype=float),
                          np.asarray(at[1], dtype=float)])
-    c0 = connection_hamiltonian(sys, at, fd_step)
+    c0 = connection_hamiltonian(sys, at)
     dzeta0 = sys.linearization(z0)
     zeta0 = sys.field(z0)
     speed = np.linalg.norm(zeta0)
 
     def phi_field(z, i):
         b = -sys.hessian(z)[:n, :n][:, i]
-        cz = connection_hamiltonian(sys, (z[:n], z[n:]), fd_step)
+        cz = connection_hamiltonian(sys, (z[:n], z[n:]))
         return np.concatenate([cz.T @ b, b])
 
     rmat = np.empty((n, n))
-    d = fd_step * (1.0 + np.abs(z0).max())
+    d = THIRD_FD_STEP * (1.0 + np.abs(z0).max())
     for i in range(n):
         if speed == 0.0:
             dphi = np.zeros(2 * n)
@@ -715,6 +706,12 @@ def curvature_operator_field(sys: HamiltonianSystem,
 # ------------------------------------------------------------- monotonicity
 
 
+def _subsample(count: int, want: int) -> np.ndarray:
+    """At most want indices spread evenly over range(count), ends included."""
+    return np.unique(np.linspace(0, count - 1,
+                                 min(count, want)).astype(int))
+
+
 @dataclass(frozen=True)
 class MonotonicityReport:
     times: np.ndarray
@@ -727,9 +724,7 @@ def monotonicity_test(sys: HamiltonianSystem,
                       traj: Trajectory,
                       max_samples: int = 201) -> MonotonicityReport:
     """Inertia scan of the xx Hessian block along a trajectory."""
-    count = len(traj.times)
-    idx = np.unique(np.linspace(0, count - 1,
-                                min(count, max_samples)).astype(int))
+    idx = _subsample(len(traj.times), max_samples)
     inertias = []
     for k in idx:
         hxx = sys.hessian(traj.states[k])[:sys.n, :sys.n]

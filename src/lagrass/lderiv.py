@@ -41,7 +41,7 @@ class FiniteProblem:
     """Objective and constraint with optional analytic derivatives.
 
     Derivative callbacks left as None are replaced by central finite
-    differences with step ``fd_step`` scaled by the evaluation point.
+    differences with step ``FD_STEP`` scaled by the evaluation point.
     The ``fd_fallback`` flag records that substitution so reports can
     mark derived quantities as approximate.
     """
@@ -54,7 +54,6 @@ class FiniteProblem:
     j_hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
     phi_jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     phi_hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = FD_STEP
 
     @property
     def fd_fallback(self) -> bool:
@@ -62,7 +61,7 @@ class FiniteProblem:
                    (self.j_grad, self.j_hess, self.phi_jac, self.phi_hess))
 
     def _h(self, w: np.ndarray) -> float:
-        return self.fd_step * (1.0 + float(np.abs(w).max(initial=0.0)))
+        return FD_STEP * (1.0 + float(np.abs(w).max(initial=0.0)))
 
     def grad_j(self, w: np.ndarray) -> np.ndarray:
         if self.j_grad is not None:
@@ -237,15 +236,13 @@ def lderiv_data(problem: FiniteProblem, point: LagrangianPoint) -> LDerivData:
                       Q=problem.corrected_hessian(point.w, point.zeta))
 
 
-def _kernel_restriction(data: LDerivData,
-                        rank_tol: float = core.RANK_TOL) -> np.ndarray:
-    k = core.nullspace(data.A, rank_tol)
+def _kernel_restriction(data: LDerivData) -> np.ndarray:
+    k = core.nullspace(data.A)
     return k.T @ data.Q @ k
 
 
 def hessian_on_kernel(problem: FiniteProblem,
-                      point: LagrangianPoint,
-                      rank_tol: float = core.RANK_TOL) -> core.QuadraticForm:
+                      point: LagrangianPoint) -> core.QuadraticForm:
     """Corrected Hessian restricted to the constraint kernel.
 
     The constraint Jacobian must have full row rank at the point; a
@@ -253,15 +250,14 @@ def hessian_on_kernel(problem: FiniteProblem,
     restriction is not the right object to look at.
     """
     data = lderiv_data(problem, point)
-    rank = core.rank(data.A, rank_tol)
+    rank = core.rank(data.A)
     if rank < problem.m:
         raise RankDrop(f"constraint Jacobian rank {rank} < {problem.m}")
-    mat = _kernel_restriction(data, rank_tol)
+    mat = _kernel_restriction(data)
     return core.QuadraticForm(dim=mat.shape[0], matrix=mat)
 
 
-def l_derivative(data: LDerivData,
-                 rank_tol: float = core.RANK_TOL) -> core.LagrangianFrame:
+def l_derivative(data: LDerivData) -> core.LagrangianFrame:
     """Lagrangian subspace attached to the pair (A, Q).
 
     Solutions (zeta, v) of zeta A + v^T Q = 0 are pushed to phase
@@ -270,10 +266,10 @@ def l_derivative(data: LDerivData,
     extraction lost directions to cancellation.
     """
     m = data.m
-    null = core.nullspace(np.hstack([data.A.T, data.Q]), rank_tol)
+    null = core.nullspace(np.hstack([data.A.T, data.Q]))
     zeta = null[:m]
     v = null[m:]
-    cols = core.span(np.vstack([zeta, data.A @ v]), rank_tol)
+    cols = core.span(np.vstack([zeta, data.A @ v]))
     if cols.shape[1] != m:
         raise DimensionDefect(
             f"solution space maps to dimension {cols.shape[1]}, expected {m}")
@@ -286,21 +282,20 @@ class DualityCheck:
     transversal_to_fiber: bool
 
 
-def duality_check(data: LDerivData,
-                  rank_tol: float = core.RANK_TOL) -> DualityCheck:
+def duality_check(data: LDerivData) -> DualityCheck:
     """Both sides of the degeneracy correspondence, computed separately.
 
     Nondegeneracy of the kernel restriction and transversality of
     L(A, Q) to the fiber are equivalent; returning both booleans lets
     tests confirm the equivalence instead of assuming it.
     """
-    if core.rank(data.A, rank_tol) < data.m:
+    if core.rank(data.A) < data.m:
         raise RankDrop("constraint Jacobian is rank deficient")
-    rest = _kernel_restriction(data, rank_tol)
-    nondeg = core.inertia(rest, rank_tol).zero == 0
-    frame = l_derivative(data, rank_tol)
+    rest = _kernel_restriction(data)
+    nondeg = core.inertia(rest).zero == 0
+    frame = l_derivative(data)
     fiber = core.vertical_frame(core.standard_space(data.m))
-    trans = core.intersection_dim(frame, fiber, rank_tol) == 0
+    trans = core.intersection_dim(frame, fiber) == 0
     return DualityCheck(hessian_nondegenerate=nondeg,
                         transversal_to_fiber=trans)
 

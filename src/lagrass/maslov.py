@@ -79,18 +79,16 @@ class IndexReport:
     endpoint_transversal: bool
 
 
-def _meet(a: np.ndarray, b: np.ndarray,
-          rank_tol: float = core.RANK_TOL) -> np.ndarray:
+def _meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the intersection of two column spans."""
     if a.shape[1] == 0 or b.shape[1] == 0:
         return a[:, :0]
-    kernel = core.nullspace(np.hstack([a, -b]), rank_tol)
+    kernel = core.nullspace(np.hstack([a, -b]))
     return core.orthonormal_columns(a @ kernel[:a.shape[1]])
 
 
 def pair_index(train: core.LagrangianFrame, lam0: core.LagrangianFrame,
-               lam1: core.LagrangianFrame,
-               rank_tol: float = core.RANK_TOL) -> PairIndex:
+               lam1: core.LagrangianFrame) -> PairIndex:
     """Pair index of (lam0, lam1) against the train of the reference.
 
     The quadratic form lives on (lam0 + lam1) intersected with the
@@ -102,18 +100,17 @@ def pair_index(train: core.LagrangianFrame, lam0: core.LagrangianFrame,
     """
     sigma = train.space.form
     z0, z1 = lam0.columns, lam1.columns
-    w = _meet(core.span(np.hstack([z0, z1]), rank_tol), train.columns,
-              rank_tol)
+    w = _meet(core.span(np.hstack([z0, z1])), train.columns)
     if w.shape[1]:
         coeffs, *_ = np.linalg.lstsq(np.hstack([z0, z1]), w, rcond=None)
         x1 = z1 @ coeffs[train.n:]
         g = x1.T @ sigma @ w
-        ind_q = core.inertia(0.5 * (g + g.T), rank_tol).neg
+        ind_q = core.inertia(0.5 * (g + g.T)).neg
     else:
         ind_q = 0
-    d0 = core.intersection_dim(train, lam0, rank_tol)
-    d1 = core.intersection_dim(train, lam1, rank_tol)
-    d01 = _meet(_meet(z0, z1, rank_tol), train.columns, rank_tol).shape[1]
+    d0 = core.intersection_dim(train, lam0)
+    d1 = core.intersection_dim(train, lam1)
+    d01 = _meet(_meet(z0, z1), train.columns).shape[1]
     return PairIndex(doubled=2 * ind_q + d0 + d1 - 2 * d01)
 
 

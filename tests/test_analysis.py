@@ -97,6 +97,19 @@ def test_comparison_requires_monotone_curve():
                                   horizon=1.0, step=1e-3)
 
 
+def test_comparison_samples_the_states_flow_returns():
+    # the off-grid horizon ends flow() one short step past the last
+    # checkpoint, and the curvature scan samples that end state too
+    sysn = hamflow.polynomial_system(
+        1, [(0.5, (2, 0)), (1.0, (0, 2)), (0.3, (0, 4))], family="natural")
+    z0, horizon, step = np.array([0.4, 0.9]), 1.005, 1e-2
+    rep = analysis.comparison_check(sysn, z0, horizon, step)
+    states = hamflow.flow(sysn, z0, horizon, step).states
+    eig_hi, tr_lo, _ = analysis._orbit_curvature(
+        sysn, states, analysis.CURVATURE_SAMPLES)
+    assert (rep.eig_upper, rep.trace_lower) == (eig_hi, tr_lo)
+
+
 # --------------------------------------------------------------- certificates
 
 

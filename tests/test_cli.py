@@ -249,6 +249,32 @@ def test_exit_two_on_integer_past_the_double_range(tmp_path, where):
     assert_refused_config(tmp_path, "flow", cfg)
 
 
+@pytest.mark.parametrize("command, options", [
+    ("maslov", {"t0": 5.0}),          # past the horizon
+    ("maslov", {"t0": "abc"}),
+    ("maslov", {"t1": 4.02}),         # into the integration margin
+    ("maslov", {"t0": -0.02}),
+    ("maslov", {"t0": 0.0}),          # the curve starts on the fiber
+    ("morse", {"trim": True}),
+    ("morse", {"trim": "abc"}),
+    ("reduce", {"trim": "x"}),
+], ids=["t0-past-horizon", "t0-string", "t1-past-horizon", "t0-negative",
+        "t0-zero", "trim-bool", "trim-string", "reduce-trim-string"])
+def test_exit_two_on_option_of_wrong_type_or_range(tmp_path, command,
+                                                   options):
+    config = well_config if command == "reduce" else base_config
+    assert_refused_config(tmp_path, command, config(options=options))
+
+
+def test_validate_refuses_keys_nothing_reads():
+    tolerances = cli.validate(base_config(tolerances={"rank_tol": 1e-9}),
+                              "flow")
+    assert tolerances == ["flow reads no config key 'tolerances'"]
+    samples = cli.validate(base_config(options={"samples": 10}),
+                           "conjugate")
+    assert samples == ["conjugate reads no option 'samples'"]
+
+
 def test_exit_three_on_numerical_failure(tmp_path):
     cfg = write_config(tmp_path, base_config(horizon=float(np.pi)))
     out = tmp_path / "out"
@@ -378,6 +404,32 @@ def test_validate_refuses_runs_over_budget():
     dims = cli.validate(sized(cli.MAX_N + 1), "flow")
     assert len(dims) == 1 and "budget" in dims[0]
     assert cli.validate(sized(cli.MAX_N), "flow") == []
+
+    def custom(terms):
+        cfg = base_config()
+        cfg["system"] = {"family": "custom", "n": 1,
+                         "hamiltonian": {"terms": terms}}
+        return cfg
+
+    for exponent in (cli.MAX_EXPONENT + 1, 10 ** 23):
+        powers = cli.validate(custom([[0.5, [2, 0]], [1.0, [0, exponent]]]),
+                              "flow")
+        assert len(powers) == 1 and "exponent" in powers[0]
+    assert cli.validate(custom([[1.0, [0, cli.MAX_EXPONENT]]]), "flow") == []
+    many = [[0.5, [2, 0]]] * (cli.MAX_TERMS + 1)
+    terms = cli.validate(custom(many), "flow")
+    assert len(terms) == 1 and "budget" in terms[0]
+    assert cli.validate(custom(many[1:]), "flow") == []
+
+    def problem(dim_w):
+        return {"problem": {"dim_w": dim_w, "m": 1,
+                            "objective": {"terms": [[1.0, [2] * dim_w]]},
+                            "constraints": [{"terms": [[1.0, [1] * dim_w]]}]},
+                "point": {"w": [0.0] * dim_w, "zeta": [0.0]}}
+
+    wide = cli.validate(problem(cli.MAX_DIM_W + 1), "lderiv")
+    assert len(wide) == 1 and "budget" in wide[0]
+    assert cli.validate(problem(cli.MAX_DIM_W), "lderiv") == []
 
 
 # -------------------------------------------------------------- determinism

@@ -1,6 +1,11 @@
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import lagrass
 from lagrass import core
 from lagrass.errors import NotInChart, NotTransversal, SearchExhausted
 
@@ -185,6 +190,34 @@ def test_rank_helpers_take_empty_inputs():
     assert core.rank(np.zeros((4, 0))) == 0
     assert core.rank(np.zeros((3, 3))) == 0
     assert core.nullspace(np.zeros((2, 3))).shape == (3, 3)
+
+
+def _public_callables():
+    """Every public function, class and method the lagrass modules define.
+
+    Exception classes are left out: they take a message, nothing else.
+    """
+    for info in pkgutil.iter_modules(lagrass.__path__):
+        mod = importlib.import_module(f"lagrass.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or not callable(obj) \
+                    or getattr(obj, "__module__", "") != mod.__name__:
+                continue
+            if not inspect.isclass(obj):
+                yield f"{mod.__name__}.{name}", obj
+            elif not issubclass(obj, BaseException):
+                yield f"{mod.__name__}.{name}", obj
+                for attr, meth in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(meth):
+                        yield f"{mod.__name__}.{name}.{attr}", meth
+
+
+def test_no_callable_takes_a_rank_tolerance():
+    # the rank rule has one fixed tolerance, core.RANK_TOL
+    walked = dict(_public_callables())
+    assert "lagrass.hamflow.LevelReduction.reduce_frame" in walked
+    assert [name for name, obj in walked.items()
+            if "rank_tol" in inspect.signature(obj).parameters] == []
 
 
 def test_inertia_diag():
