@@ -229,17 +229,17 @@ def certify_negative_curvature(sys: HamiltonianSystem, z0: np.ndarray,
         diagnostics=tuple(diagnostics), equilibria=equilibria)
 
 
-def decay_rate(traj: Trajectory, skip: float = 0.2,
-               floor: float = 1e-6) -> float:
+def decay_rate(traj: Trajectory) -> float:
     """Exponential rate fitted to |z(t)| by least squares, positive
     for decay.
 
-    The fit window drops the leading transient and everything below the
-    floor, where rounding feeds the unstable branch.
+    The fit window drops the leading fifth of the time span, a
+    transient, and every norm below 1e-6 (1 + |z(0)|), where rounding
+    feeds the unstable branch.
     """
     norms = np.linalg.norm(traj.states, axis=1)
-    start = traj.times[0] + skip * (traj.times[-1] - traj.times[0])
-    mask = (traj.times >= start) & (norms > floor * (1.0 + norms[0]))
+    start = traj.times[0] + 0.2 * (traj.times[-1] - traj.times[0])
+    mask = (traj.times >= start) & (norms > 1e-6 * (1.0 + norms[0]))
     if int(mask.sum()) < 8:
         raise ValueError("too few samples above the floor for a rate fit")
     slope = np.polyfit(traj.times[mask], np.log(norms[mask]), 1)[0]
@@ -323,13 +323,12 @@ class ReductionComparison:
 
 def reduction_comparison(sys: HamiltonianSystem, z0: np.ndarray,
                          horizon: float, step: float = DEFAULT_STEP,
-                         trim: Optional[float] = None,
-                         count: int = 9) -> ReductionComparison:
+                         trim: Optional[float] = None) -> ReductionComparison:
     """Compare a Jacobi curve with its energy-level reduction.
 
     Refuses orbits whose velocity direction grazes the curve: the
     reduced curve then develops boundary layers faster than any sample
-    schedule, and the comparison would certify garbage. Curvature-form
+    schedule, and the comparison would certify garbage. Nine curvature-form
     samples validate themselves by step halving; samples whose forms
     drift are dropped.
     """
@@ -382,7 +381,7 @@ def reduction_comparison(sys: HamiltonianSystem, z0: np.ndarray,
 
     h0 = rev_full.fd_step
     kept, worst_min, worst_second = [], 0.0, 0.0
-    for t in np.linspace(trim + 0.05 * span, horizon - 0.05 * span, count):
+    for t in np.linspace(trim + 0.05 * span, horizon - 0.05 * span, 9):
         mf1, mr1 = shared_forms(t, h0)
         mf2, mr2 = shared_forms(t, 0.5 * h0)
         scale = 1.0 + max(np.linalg.norm(mf2), np.linalg.norm(mr2))

@@ -14,6 +14,9 @@ rank, span and nullspace below; every module decides ranks, spans,
 kernels and transversality through them. Frames are
 column-orthonormalized on construction; subspace identity is always
 tested through principal angles, never through raw matrix comparison.
+Numerical derivatives likewise share one central-difference rule, the
+helpers _central_difference and _mixed_difference below; callers
+choose only the step.
 """
 
 from __future__ import annotations
@@ -164,6 +167,36 @@ def nullspace(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the right nullspace, possibly zero columns."""
     _, sv, vt = np.linalg.svd(mat)
     return vt[_kept(sv):].T
+
+
+def _central_difference(fun, x, h: float, directions=None) -> np.ndarray:
+    """(fun(x + h d) - fun(x - h d)) / 2h for each row d of directions
+    (default: the coordinate axes), stacked on a new last axis, so a
+    vector-valued fun gives its C-ordered Jacobian."""
+    x = np.asarray(x, dtype=float)
+    rows = np.eye(x.size) if directions is None else directions
+    return np.stack([(np.asarray(fun(x + h * d), dtype=float)
+                      - np.asarray(fun(x - h * d), dtype=float)) / (2.0 * h)
+                     for d in rows], axis=-1)
+
+
+def _mixed_difference(fun, x, h: float) -> np.ndarray:
+    """Second partials (f(++) - f(+-) - f(-+) + f(--)) / 4h^2 on two new
+    last axes, the upper triangle differenced and mirrored."""
+    x = np.asarray(x, dtype=float)
+    e = h * np.eye(x.size)
+    out = None
+    for i in range(x.size):
+        for j in range(i, x.size):
+            val = (np.asarray(fun(x + e[i] + e[j]), dtype=float)
+                   - np.asarray(fun(x + e[i] - e[j]), dtype=float)
+                   - np.asarray(fun(x - e[i] + e[j]), dtype=float)
+                   + np.asarray(fun(x - e[i] - e[j]), dtype=float)
+                   ) / (4.0 * h * h)
+            if out is None:
+                out = np.zeros(val.shape + (x.size, x.size))
+            out[..., i, j] = out[..., j, i] = val
+    return out
 
 
 def orthonormal_columns(cols: np.ndarray):
@@ -333,15 +366,15 @@ def transversal_complement(frame: LagrangianFrame, avoid=(),
         f"no transversal complement among {MAX_CANDIDATES} candidates")
 
 
-def random_symplectic(space: SymplecticSpace, rng,
-                      factors: int = 4, scale: float = 0.5) -> np.ndarray:
-    """Random symplectic matrix as a product of elementary factors."""
+def random_symplectic(space: SymplecticSpace, rng) -> np.ndarray:
+    """Random symplectic matrix as a product of four elementary factors."""
     n = space.n
+    scale = 0.5
     eye = np.eye(n)
     zero = np.zeros((n, n))
     jstd = np.block([[zero, eye], [-eye, zero]])
     t = np.eye(2 * n)
-    for _ in range(factors):
+    for _ in range(4):
         kind = rng.integers(0, 4)
         if kind == 0:
             a = np.eye(n) + scale * rng.standard_normal((n, n)) / np.sqrt(n)

@@ -1,7 +1,7 @@
 """Curves of Lagrangian subspaces: velocity, curvature, transport.
 
 A curve is a frame-valued callable on a real interval plus bookkeeping
-(domain, finite-difference step, evaluation grid). Differentiation runs
+(domain, finite-difference step). Differentiation runs
 through moving Darboux charts: the chart origin for a stencil centered
 at t is the curve point itself, so the local graph matrix vanishes at
 the center and the five stencil values form a symmetric-matrix family
@@ -49,26 +49,17 @@ class GrassmannCurve:
     eval: Callable[[float], core.LagrangianFrame]
     domain: Tuple[float, float]
     fd_step: Optional[float] = None
-    grid: Optional[np.ndarray] = None
 
     def __post_init__(self):
         t0, t1 = self.domain
         if not t1 > t0:
             raise ValueError("domain must be a nondegenerate interval")
-        length = t1 - t0
         if self.fd_step is None:
-            self.fd_step = 1e-3 * length
-        if self.grid is None:
-            # grid spacing capped at ten finite-difference steps
-            npts = max(33, int(np.ceil(length / (10.0 * self.fd_step))) + 1)
-            self.grid = np.linspace(t0, t1, npts)
+            self.fd_step = 1e-3 * (t1 - t0)
 
     @property
     def length(self) -> float:
         return self.domain[1] - self.domain[0]
-
-    def frame(self, t: float) -> core.LagrangianFrame:
-        return self.eval(t)
 
 
 def from_chart_family(n: int, matrix_func, domain,
@@ -368,9 +359,8 @@ class TransportResult:
     drift: float                # gap between span(frame1) and the curve point
 
 
-def transport(curve: GrassmannCurve, t0: float, t1: float,
-              step: Optional[float] = None,
-              fd_step: Optional[float] = None) -> TransportResult:
+def transport(curve: GrassmannCurve, t0: float,
+              t1: float) -> TransportResult:
     """Propagator of the second-order frame equation along the curve.
 
     A moving frame of curve points with velocities in the derivative
@@ -379,13 +369,12 @@ def transport(curve: GrassmannCurve, t0: float, t1: float,
     the marched frame, and the returned matrix propagates (x, y) from t0
     to t1. The initial frame is orthonormal for the velocity inner
     product, which keeps A(t) symmetric and the propagator symplectic.
+    RK4 steps are at most 0.005 of the curve length, and at least 8.
     """
     if not t1 > t0:
         raise ValueError("transport needs t1 > t0")
     n = curve.space.n
-    if step is None:
-        step = 0.005 * curve.length
-    nsteps = max(8, int(np.ceil((t1 - t0) / step)))
+    nsteps = max(8, int(np.ceil((t1 - t0) / (0.005 * curve.length))))
     dt = (t1 - t0) / nsteps
 
     cache = {}
@@ -393,7 +382,7 @@ def transport(curve: GrassmannCurve, t0: float, t1: float,
     def geometry(tau):
         key = int(round((tau - t0) / (0.5 * dt)))
         if key not in cache:
-            cache[key] = _stencil_geometry(curve, tau, fd_step)
+            cache[key] = _stencil_geometry(curve, tau)
         return cache[key]
 
     chart0, sdot0, a0, _ = geometry(t0)
@@ -480,10 +469,10 @@ class CurveClassification:
     symmetric: Optional[bool]
 
 
-def classify(curve: GrassmannCurve, samples: int = 9) -> CurveClassification:
-    """Coarse flags from interior samples of the curve.
+def classify(curve: GrassmannCurve) -> CurveClassification:
+    """Coarse flags from nine interior samples of the curve.
 
-    Regularity and monotonicity read the velocity form on a sample grid;
+    Regularity and monotonicity read the velocity form on the samples;
     flatness thresholds the curvature norm; the symmetry flag checks
     that the curvature matrix stays constant in the marched frame, which
     characterizes curves reproduced by their double derivative curve.
@@ -492,7 +481,7 @@ def classify(curve: GrassmannCurve, samples: int = 9) -> CurveClassification:
     """
     t0, t1 = curve.domain
     margin = 4.5 * curve.fd_step
-    ts = np.linspace(t0 + margin, t1 - margin, samples)
+    ts = np.linspace(t0 + margin, t1 - margin, 9)
     regular = True
     signs = []
     for t in ts:

@@ -33,6 +33,7 @@ from .errors import (BlowUp, DimensionDefect, NotRegular, ReductionRefused,
 
 BLOWUP_CAP = 1e8
 DEFAULT_STEP = 1e-3
+FD_STEP = 1e-6
 THIRD_FD_STEP = 1e-4
 EQUILIBRIUM_TOL = 1e-8
 
@@ -133,41 +134,18 @@ def quadratic_potential_system(k_mat: np.ndarray) -> HamiltonianSystem:
 
 
 def metric_system(n: int,
-                  g: Callable[[np.ndarray], np.ndarray],
+                  g: Callable[[np.ndarray], np.ndarray], *,
+                  dg: Callable[[np.ndarray], np.ndarray],
+                  d2g: Callable[[np.ndarray], np.ndarray],
                   u_value: Optional[Callable] = None,
                   u_grad: Optional[Callable] = None,
-                  u_hess: Optional[Callable] = None,
-                  dg: Optional[Callable] = None,
-                  d2g: Optional[Callable] = None,
-                  fd_step: float = 1e-6) -> HamiltonianSystem:
+                  u_hess: Optional[Callable] = None) -> HamiltonianSystem:
     """Metric Hamiltonian H = x^T g(y) x / 2 + U(y).
 
     ``dg(y)`` stacks the y-partials of g as a (n, n, n) tensor indexed
     by the differentiation direction first; ``d2g(y)`` the second
-    partials as (n, n, n, n).  Missing derivative callbacks fall back
-    to central differences of the level below.
+    partials as (n, n, n, n).
     """
-
-    def dg_at(y):
-        if dg is not None:
-            return np.asarray(dg(y), dtype=float)
-        out = np.zeros((n, n, n))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = fd_step
-            out[k] = (np.asarray(g(y + e), dtype=float)
-                      - np.asarray(g(y - e), dtype=float)) / (2.0 * fd_step)
-        return out
-
-    def d2g_at(y):
-        if d2g is not None:
-            return np.asarray(d2g(y), dtype=float)
-        out = np.zeros((n, n, n, n))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = fd_step
-            out[k] = (dg_at(y + e) - dg_at(y - e)) / (2.0 * fd_step)
-        return out
 
     def pot(y):
         if u_value is None:
@@ -178,18 +156,19 @@ def metric_system(n: int,
     def ev(x, y):
         gm = np.asarray(g(y), dtype=float)
         gm = 0.5 * (gm + gm.T)
-        dgm = dg_at(y)
+        dgm = np.asarray(dg(y), dtype=float)
         u0, u1, u2 = pot(y)
         h = 0.5 * float(x @ gm @ x) + u0
         grad_y = 0.5 * np.einsum("kij,i,j->k", dgm, x, x) + u1
         grad = np.concatenate([gm @ x, grad_y])
         hxy = np.column_stack([dgm[k] @ x for k in range(n)])
-        hyy = 0.5 * np.einsum("klij,i,j->kl", d2g_at(y), x, x) + u2
+        d2gm = np.asarray(d2g(y), dtype=float)
+        hyy = 0.5 * np.einsum("klij,i,j->kl", d2gm, x, x) + u2
         hess = np.block([[gm, hxy], [hxy.T, hyy]])
         return h, grad, hess
 
     def rate(x, y):
-        dgm = dg_at(y)
+        dgm = np.asarray(dg(y), dtype=float)
         ydot = np.asarray(g(y), dtype=float) @ x
         return np.einsum("kij,k->ij", dgm, ydot)
 
@@ -313,20 +292,6 @@ class Trajectory:
                     dt)[0]
 
 
-@dataclass
-class VariationalFlow:
-    times: np.ndarray
-    matrices: np.ndarray
-
-    def symplectic_defect(self) -> float:
-        n2 = self.matrices.shape[1]
-        j = core.standard_space(n2 // 2).form
-        worst = 0.0
-        for mat in self.matrices:
-            worst = max(worst, np.linalg.norm(mat.T @ j @ mat - j))
-        return worst
-
-
 def _grid(horizon: float, step: float) -> np.ndarray:
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -383,24 +348,6 @@ def flow(sys: HamiltonianSystem, z0: np.ndarray, horizon: float,
     steps = _march(sys._state_rhs, (z,), times)
     states = np.array([s[0] for s in steps])
     return Trajectory(times=times, states=states, sys=sys)
-
-
-def variational_flow(sys: HamiltonianSystem,
-                     traj: Trajectory) -> VariationalFlow:
-    """Backward transport matrices along a trajectory.
-
-    The forward fundamental solution of the linearized field is
-    integrated together with the state and inverted symplectically, so
-    each output matrix carries the tangent space at time t back to the
-    start; pushing the fiber frame through these matrices yields the
-    Jacobi curve.
-    """
-    n2 = 2 * sys.n
-    j = core.standard_space(sys.n).form
-    steps = _march(sys._pair_rhs, (traj.states[0].copy(), np.eye(n2)),
-                   traj.times)
-    mats = np.array([np.eye(n2)] + [-j @ phi.T @ j for _, phi in steps[1:]])
-    return VariationalFlow(times=traj.times.copy(), matrices=mats)
 
 
 class DenseFlow:
@@ -585,24 +532,18 @@ def reduced_jacobi_curve(sys: HamiltonianSystem, z0: np.ndarray,
 
 def connection_ode2(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     at: Tuple[np.ndarray, np.ndarray],
-                    f_x: Optional[Callable] = None,
-                    fd_step: float = 1e-6) -> np.ndarray:
+                    f_x: Optional[Callable] = None) -> np.ndarray:
     """Connection coefficients of a second-order field y'' = f(y', y).
 
     Half the x-Jacobian of the right side, differentiated numerically
-    when no Jacobian callback is supplied.
+    with step FD_STEP when no Jacobian callback is supplied.
     """
     x = np.asarray(at[0], dtype=float)
     y = np.asarray(at[1], dtype=float)
     if f_x is not None:
         return 0.5 * np.atleast_2d(np.asarray(f_x(x, y), dtype=float))
-    cols = []
-    for i in range(len(x)):
-        e = np.zeros(len(x))
-        e[i] = fd_step
-        cols.append((np.asarray(f(x + e, y), dtype=float)
-                     - np.asarray(f(x - e, y), dtype=float)) / (2.0 * fd_step))
-    return 0.5 * np.column_stack(cols)
+    return 0.5 * np.atleast_2d(
+        core._central_difference(lambda u: f(u, y), x, FD_STEP))
 
 
 def _regular_or_raise(hxx: np.ndarray):
@@ -621,10 +562,8 @@ def _hxx_rate(sys: HamiltonianSystem, z: np.ndarray,
     if speed == 0.0:
         return np.zeros((n, n))
     d = fd_step * (1.0 + np.abs(z).max())
-    unit = zeta / speed
-    plus = sys.hessian(z + d * unit)[:n, :n]
-    minus = sys.hessian(z - d * unit)[:n, :n]
-    return (plus - minus) / (2.0 * d) * speed
+    return core._central_difference(lambda u: sys.hessian(u)[:n, :n], z, d,
+                                    [zeta / speed])[..., 0] * speed
 
 
 def connection_hamiltonian(sys: HamiltonianSystem,
@@ -668,21 +607,21 @@ def curvature_via_brackets(sys: HamiltonianSystem,
     zeta0 = sys.field(z0)
     speed = np.linalg.norm(zeta0)
 
-    def phi_field(z, i):
-        b = -sys.hessian(z)[:n, :n][:, i]
+    def phi_fields(z):
+        """Row i: the horizontal field over vertical direction i."""
+        b = -sys.hessian(z)[:n, :n]    # symmetric, so row i is column i
         cz = connection_hamiltonian(sys, (z[:n], z[n:]))
-        return np.concatenate([cz.T @ b, b])
+        return np.array([np.concatenate([cz.T @ row, row]) for row in b])
 
+    phi0 = phi_fields(z0)
+    dphi = np.zeros_like(phi0)
+    if speed != 0.0:
+        d = THIRD_FD_STEP * (1.0 + np.abs(z0).max())
+        dphi = core._central_difference(phi_fields, z0, d,
+                                        [zeta0 / speed])[..., 0] * speed
     rmat = np.empty((n, n))
-    d = THIRD_FD_STEP * (1.0 + np.abs(z0).max())
     for i in range(n):
-        if speed == 0.0:
-            dphi = np.zeros(2 * n)
-        else:
-            unit = zeta0 / speed
-            dphi = (phi_field(z0 + d * unit, i)
-                    - phi_field(z0 - d * unit, i)) / (2.0 * d) * speed
-        br = dphi - dzeta0 @ phi_field(z0, i)
+        br = dphi[i] - dzeta0 @ phi0[i]
         ver = br[:n] - c0.T @ br[n:]
         rmat[:, i] = -ver
     return rmat
@@ -721,10 +660,10 @@ class MonotonicityReport:
 
 
 def monotonicity_test(sys: HamiltonianSystem,
-                      traj: Trajectory,
-                      max_samples: int = 201) -> MonotonicityReport:
-    """Inertia scan of the xx Hessian block along a trajectory."""
-    idx = _subsample(len(traj.times), max_samples)
+                      traj: Trajectory) -> MonotonicityReport:
+    """Inertia scan of the xx Hessian block at up to 201 trajectory
+    samples."""
+    idx = _subsample(len(traj.times), 201)
     inertias = []
     for k in idx:
         hxx = sys.hessian(traj.states[k])[:sys.n, :sys.n]

@@ -30,6 +30,7 @@ from .errors import DimensionDefect, EndpointDegenerate, RankDrop
 from .maslov import maslov_index
 
 NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 60
 FD_STEP = 1e-6
 
 
@@ -40,8 +41,8 @@ FD_STEP = 1e-6
 class FiniteProblem:
     """Objective and constraint with optional analytic derivatives.
 
-    Derivative callbacks left as None are replaced by central finite
-    differences with step ``FD_STEP`` scaled by the evaluation point.
+    Derivative callbacks left as None are replaced by the differences of
+    :mod:`lagrass.core`, with step ``FD_STEP`` scaled by the point.
     The ``fd_fallback`` flag records that substitution so reports can
     mark derived quantities as approximate.
     """
@@ -66,65 +67,27 @@ class FiniteProblem:
     def grad_j(self, w: np.ndarray) -> np.ndarray:
         if self.j_grad is not None:
             return np.asarray(self.j_grad(w), dtype=float)
-        h = self._h(w)
-        out = np.zeros(self.dim_w)
-        for i in range(self.dim_w):
-            e = np.zeros(self.dim_w)
-            e[i] = h
-            out[i] = (self.j_value(w + e) - self.j_value(w - e)) / (2.0 * h)
-        return out
+        return core._central_difference(self.j_value, w, self._h(w))
 
     def hess_j(self, w: np.ndarray) -> np.ndarray:
         if self.j_hess is not None:
             mat = np.asarray(self.j_hess(w), dtype=float)
             return 0.5 * (mat + mat.T)
-        h = self._h(w)
-        mat = np.zeros((self.dim_w, self.dim_w))
-        for i in range(self.dim_w):
-            ei = np.zeros(self.dim_w)
-            ei[i] = h
-            for j in range(i, self.dim_w):
-                ej = np.zeros(self.dim_w)
-                ej[j] = h
-                val = (self.j_value(w + ei + ej) - self.j_value(w + ei - ej)
-                       - self.j_value(w - ei + ej)
-                       + self.j_value(w - ei - ej)) / (4.0 * h * h)
-                mat[i, j] = mat[j, i] = val
-        return mat
+        return core._mixed_difference(self.j_value, w, self._h(w))
 
     def jac_phi(self, w: np.ndarray) -> np.ndarray:
         if self.phi_jac is not None:
             return np.atleast_2d(np.asarray(self.phi_jac(w), dtype=float))
-        h = self._h(w)
-        cols = []
-        for i in range(self.dim_w):
-            e = np.zeros(self.dim_w)
-            e[i] = h
-            cols.append((np.asarray(self.phi_value(w + e), dtype=float)
-                         - np.asarray(self.phi_value(w - e), dtype=float))
-                        / (2.0 * h))
-        return np.column_stack(cols)
+        return np.atleast_2d(
+            core._central_difference(self.phi_value, w, self._h(w)))
 
     def hess_phi(self, w: np.ndarray) -> np.ndarray:
         """Stack of component Hessians, shape (m, dim_w, dim_w)."""
         if self.phi_hess is not None:
             ten = np.asarray(self.phi_hess(w), dtype=float)
             return 0.5 * (ten + np.swapaxes(ten, 1, 2))
-        h = self._h(w)
-        ten = np.zeros((self.m, self.dim_w, self.dim_w))
-        for i in range(self.dim_w):
-            ei = np.zeros(self.dim_w)
-            ei[i] = h
-            for j in range(i, self.dim_w):
-                ej = np.zeros(self.dim_w)
-                ej[j] = h
-                val = (np.asarray(self.phi_value(w + ei + ej), dtype=float)
-                       - np.asarray(self.phi_value(w + ei - ej), dtype=float)
-                       - np.asarray(self.phi_value(w - ei + ej), dtype=float)
-                       + np.asarray(self.phi_value(w - ei - ej), dtype=float)
-                       ) / (4.0 * h * h)
-                ten[:, i, j] = ten[:, j, i] = val
-        return ten
+        ten = core._mixed_difference(self.phi_value, w, self._h(w))
+        return ten.reshape(self.m, self.dim_w, self.dim_w)
 
     def corrected_hessian(self, w: np.ndarray, zeta: np.ndarray) -> np.ndarray:
         """Objective Hessian minus the multiplier-weighted constraint one."""
@@ -150,14 +113,13 @@ def stationarity_residual(problem: FiniteProblem,
 def lagrangian_point(problem: FiniteProblem,
                      w0: np.ndarray,
                      zeta0: np.ndarray,
-                     target: Optional[np.ndarray] = None,
-                     tol: float = NEWTON_TOL,
-                     max_iter: int = 60) -> LagrangianPoint:
+                     target: Optional[np.ndarray] = None) -> LagrangianPoint:
     """Damped Newton refinement of the multiplier equations.
 
     With ``target`` given the constraint value is pinned as well,
     otherwise only stationarity is solved and the constraint level
-    floats.  Raises ValueError when the residual fails to reach ``tol``.
+    floats.  Raises ValueError when the residual fails to reach
+    ``NEWTON_TOL`` within ``NEWTON_MAX_ITER`` iterations.
     """
     w = np.asarray(w0, dtype=float).copy()
     zeta = np.asarray(zeta0, dtype=float).copy()
@@ -170,9 +132,9 @@ def lagrangian_point(problem: FiniteProblem,
         return r
 
     r = residual(w, zeta)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         norm = np.linalg.norm(r)
-        if norm <= tol:
+        if norm <= NEWTON_TOL:
             return LagrangianPoint(w=w, zeta=zeta)
         a = problem.jac_phi(w)
         q = problem.corrected_hessian(w, zeta)
@@ -194,10 +156,10 @@ def lagrangian_point(problem: FiniteProblem,
             if lam < 1e-8:
                 break
         w, zeta, r = w_try, z_try, r_try
-    if np.linalg.norm(r) <= tol:
+    if np.linalg.norm(r) <= NEWTON_TOL:
         return LagrangianPoint(w=w, zeta=zeta)
     raise ValueError(
-        f"no stationary point within {max_iter} iterations, "
+        f"no stationary point within {NEWTON_MAX_ITER} iterations, "
         f"residual {np.linalg.norm(r):.3e}")
 
 

@@ -230,12 +230,12 @@ def _memoized(curve: GrassmannCurve):
     return at
 
 
-def _monotone_direction(curve: GrassmannCurve, strict: bool,
-                        samples: int = 7) -> int:
+def _monotone_direction(curve: GrassmannCurve, strict: bool) -> int:
+    """Sign of the velocity form, read at seven interior samples."""
     t0, t1 = curve.domain
     margin = 4.5 * curve.fd_step
     signs = set()
-    for t in np.linspace(t0 + margin, t1 - margin, samples):
+    for t in np.linspace(t0 + margin, t1 - margin, 7):
         vf = velocity_form(curve, t)
         if strict:
             _require_regular(vf.form, t)

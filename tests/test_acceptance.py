@@ -349,13 +349,15 @@ def test_criterion_07_symplectic_integrity():
         ("cubic", cubic_poly_system(), np.array([0.4, -0.2, 0.3, 0.1])),
     ]
     for name, sysn, z0 in cases:
-        traj = hamflow.flow(sysn, z0, horizon=10.0, step=1e-3)
-        defect = hamflow.variational_flow(sysn, traj).symplectic_defect()
+        dense = hamflow.DenseFlow(sysn, z0, horizon=10.0, step=1e-3)
+        space = core.standard_space(sysn.n)
+        j = space.form
+        defect = max(np.linalg.norm(g.T @ j @ g - j)
+                     for g in map(dense.gamma, dense.window().times))
         if defect > 1e-8:
             failures.append(f"{name}: variational defect {defect:.2e}")
         jc = hamflow.jacobi_curve(sysn, z0, 2.0)
         res = curve.transport(jc, 0.3, 1.2)
-        space = core.standard_space(sysn.n)
         tdef = core.symplectic_defect(space, res.matrix)
         if tdef > 1e-8:
             failures.append(f"{name}: transport defect {tdef:.2e}")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lagrass
-from lagrass import core
+from lagrass import core, maslov
 from lagrass.errors import NotInChart, NotTransversal, SearchExhausted
 
 
@@ -218,6 +218,83 @@ def test_no_callable_takes_a_rank_tolerance():
     assert "lagrass.hamflow.LevelReduction.reduce_frame" in walked
     assert [name for name, obj in walked.items()
             if "rank_tol" in inspect.signature(obj).parameters] == []
+
+
+# parameters that had one value in use and became that constant
+_DELETED_KNOBS = {
+    "lagrass.hamflow.metric_system": {"fd_step"},
+    "lagrass.hamflow.connection_ode2": {"fd_step"},
+    "lagrass.hamflow.monotonicity_test": {"max_samples"},
+    "lagrass.curve.GrassmannCurve": {"grid"},
+    "lagrass.curve.transport": {"step", "fd_step"},
+    "lagrass.curve.classify": {"samples"},
+    "lagrass.analysis.reduction_comparison": {"count"},
+    "lagrass.analysis.decay_rate": {"skip", "floor"},
+    "lagrass.lderiv.lagrangian_point": {"tol", "max_iter"},
+    "lagrass.core.random_symplectic": {"factors", "scale"},
+}
+
+
+def test_deleted_knobs_stay_deleted():
+    walked = dict(_public_callables())
+    assert set(_DELETED_KNOBS) <= set(walked)
+    back = {}
+    for name, gone in _DELETED_KNOBS.items():
+        knobs = gone & set(inspect.signature(walked[name]).parameters)
+        if knobs:
+            back[name] = sorted(knobs)
+    assert back == {}
+    assert "samples" not in inspect.signature(
+        maslov._monotone_direction).parameters
+
+
+def _quadratic(a, b):
+    return lambda x: 0.5 * float(x @ a @ x) + float(b @ x)
+
+
+def test_differences_are_exact_on_a_quadratic():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 3))
+    a = a + a.T
+    b = rng.standard_normal(3)
+    x = rng.standard_normal(3)
+    f = _quadratic(a, b)
+    assert np.allclose(core._central_difference(f, x, 1e-4), a @ x + b,
+                       rtol=0.0, atol=1e-9)
+    assert np.allclose(core._mixed_difference(f, x, 1e-3), a,
+                       rtol=0.0, atol=1e-7)
+    # a vector of quadratics: the component Hessians fill the last axes
+    c = rng.standard_normal((3, 3))
+    c = c + c.T
+    g = _quadratic(c, b)
+    pair = core._mixed_difference(lambda x: np.array([f(x), g(x)]), x, 1e-3)
+    assert pair.shape == (2, 3, 3)
+    assert np.allclose(pair, [a, c], rtol=0.0, atol=1e-7)
+
+
+def test_central_difference_rows_are_directions():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((3, 3))
+    a = a + a.T
+    b = rng.standard_normal(3)
+    x = rng.standard_normal(3)
+    dirs = rng.standard_normal((2, 3))
+    got = core._central_difference(_quadratic(a, b), x, 1e-4, dirs)
+    assert got.shape == (2,)
+    assert np.allclose(got, dirs @ (a @ x + b), rtol=0.0, atol=1e-9)
+
+
+def test_central_difference_of_vectors_is_a_c_ordered_jacobian():
+    # SVD and BLAS round differently on F-ordered input, so the layout
+    # is part of what the callers rely on
+    def fun(x):
+        return np.array([np.sin(x[0]) * x[1], x[0] ** 3, np.exp(x[1] - x[2])])
+
+    x, h = np.array([0.3, -0.7, 0.2]), 1e-6
+    cols = [(fun(x + e) - fun(x - e)) / (2.0 * h) for e in h * np.eye(3)]
+    got = core._central_difference(fun, x, h)
+    assert got.flags["C_CONTIGUOUS"]
+    assert np.array_equal(got, np.column_stack(cols))
 
 
 def test_inertia_diag():

@@ -120,21 +120,19 @@ def test_flow_validates_inputs():
 
 def test_variational_free_particle_shear():
     sys = hamflow.quadratic_potential_system(np.zeros((2, 2)))
-    traj = hamflow.flow(sys, np.array([0.5, 0.2, 0.0, 1.0]), 2.0, 1e-2)
-    vf = hamflow.variational_flow(sys, traj)
-    t = traj.times[-1]
+    dense = hamflow.DenseFlow(sys, np.array([0.5, 0.2, 0.0, 1.0]), 2.0, 1e-2)
+    t = 2.0
     expect = np.block([[np.eye(2), np.zeros((2, 2))],
                        [-t * np.eye(2), np.eye(2)]])
-    assert np.allclose(vf.matrices[-1], expect, atol=1e-11)
+    assert np.allclose(dense.gamma(t), expect, atol=1e-11)
 
 
 def test_variational_oscillator_rotation():
     sys = oscillator()
-    traj = hamflow.flow(sys, np.array([1.0, 0.0]), 2.5, 1e-3)
-    vf = hamflow.variational_flow(sys, traj)
-    t = traj.times[-1]
+    dense = hamflow.DenseFlow(sys, np.array([1.0, 0.0]), 2.5, 1e-3)
+    t = 2.5
     expect = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
-    assert np.allclose(vf.matrices[-1], expect, atol=1e-9)
+    assert np.allclose(dense.gamma(t), expect, atol=1e-9)
 
 
 def test_variational_quadratic_matches_matrix_exponential():
@@ -149,11 +147,10 @@ def test_variational_quadratic_matches_matrix_exponential():
         return 0.5 * float(z @ m @ z), m @ z, m
 
     sys = hamflow.HamiltonianSystem(n=n, eval=ev)
-    traj = hamflow.flow(sys, rng.standard_normal(2 * n), 2.0, 1e-3)
-    vf = hamflow.variational_flow(sys, traj)
+    dense = hamflow.DenseFlow(sys, rng.standard_normal(2 * n), 2.0, 1e-3)
     j = core.standard_space(n).form
-    t = traj.times[-1]
-    assert np.allclose(vf.matrices[-1], scipy.linalg.expm(t * j @ m),
+    t = 2.0
+    assert np.allclose(dense.gamma(t), scipy.linalg.expm(t * j @ m),
                        atol=1e-9)
 
 
@@ -166,10 +163,13 @@ def test_energy_and_symplecticity_invariants_on_builtins():
          np.array([0.5, -0.4, 0.3, 0.6])),
     ]
     for sys, z0 in cases:
-        traj = hamflow.flow(sys, z0, horizon=10.0, step=1e-3)
+        dense = hamflow.DenseFlow(sys, z0, horizon=10.0, step=1e-3)
+        traj = dense.window()
         assert traj.energy_drift <= 1e-8
-        vf = hamflow.variational_flow(sys, traj)
-        assert vf.symplectic_defect() <= 1e-8
+        j = core.standard_space(sys.n).form
+        defect = max(np.linalg.norm(g.T @ j @ g - j)
+                     for g in map(dense.gamma, traj.times))
+        assert defect <= 1e-8
 
 
 # ------------------------------------------------------------- jacobi curves
@@ -180,7 +180,7 @@ def test_jacobi_free_particle_chart():
     jc = hamflow.jacobi_curve(sys, np.array([0.3, -0.7, 0.1, 0.4]), 3.0)
     chart = core.standard_chart(jc.space)
     for t in (0.5, 1.25, 2.8):
-        rep = core.chart_coords(jc.frame(t), chart)
+        rep = core.chart_coords(jc.eval(t), chart)
         assert np.allclose(rep.S, -t * np.eye(2), atol=1e-10)
 
 
