@@ -40,9 +40,9 @@ from .hamflow import (
     curvature_operator_field,
     flow,
     jacobi_curve,
-    metric_system,
     polynomial_system,
     quadratic_potential_system,
+    quadratic_system,
     reduced_jacobi_curve,
 )
 
@@ -74,6 +74,9 @@ MAX_N = 8                  # system.n; keeps a DenseFlow under 0.4 GB
 MAX_EXPONENT = 32          # of a polynomial term; sizes the table of powers
 MAX_TERMS = 256            # per term list; sizes the compiled term tables
 MAX_DIM_W = 64             # problem.dim_w; fd Hessians cost O(dim_w^2) calls
+# RK steps x compiled-table entries of a polynomial Hamiltonian: each RK
+# stage evaluates every entry of the (1 + 2n + 4n^2) x terms x 2n table
+MAX_CALLBACK_WORK = 2_000_000_000
 
 
 class ValidationFailure(Exception):
@@ -110,25 +113,27 @@ def _is_num(x) -> bool:
         return False
 
 
-def _check_terms(terms, nvars: int, label: str, out: List[str]):
+def _check_terms(terms, nvars: int, label: str, out: List[str]) -> int:
+    """The number of terms, or 0 after appending why the list is refused."""
     if not isinstance(terms, list) or not terms:
         out.append(f"{label} must be a nonempty list of [coeff, exponents]")
-        return
+        return 0
     if len(terms) > MAX_TERMS:
         out.append(f"{label} lists {len(terms)} terms, over the budget of "
                    f"{MAX_TERMS}")
-        return
+        return 0
     for item in terms:
         if (not isinstance(item, list) or len(item) != 2
                 or not _is_num(item[0]) or not isinstance(item[1], list)):
             out.append(f"{label} entries must be [coeff, exponent list]")
-            return
+            return 0
         if len(item[1]) != nvars or any(
                 not isinstance(e, int) or isinstance(e, bool)
                 or not 0 <= e <= MAX_EXPONENT for e in item[1]):
             out.append(f"{label} exponent lists need {nvars} integers in "
                        f"[0, {MAX_EXPONENT}]")
-            return
+            return 0
+    return len(terms)
 
 
 def _check_matrix(mat, n: int, label: str, out: List[str],
@@ -164,6 +169,7 @@ def _validate_system(config: dict, out: List[str]):
     if n > MAX_N:
         out.append(f"system.n = {n} is over the budget of {MAX_N}")
         return
+    width = 0  # terms of a polynomial Hamiltonian; 0 for a constant Hessian
     if family == "natural":
         pot = sys_cfg.get("potential")
         if not isinstance(pot, dict) or ("k" in pot) == ("terms" in pot):
@@ -172,7 +178,8 @@ def _validate_system(config: dict, out: List[str]):
         elif "k" in pot:
             _check_matrix(pot["k"], n, "potential.k", out)
         else:
-            _check_terms(pot["terms"], n, "potential.terms", out)
+            width = _check_terms(pot["terms"], n, "potential.terms", out)
+            width += n if width else 0  # the kinetic terms |x|^2 / 2
     elif family == "metric":
         met = sys_cfg.get("metric")
         if not isinstance(met, dict) or "g" not in met:
@@ -191,7 +198,8 @@ def _validate_system(config: dict, out: List[str]):
         if not isinstance(ham, dict) or "terms" not in ham:
             out.append("custom system needs hamiltonian.terms")
         else:
-            _check_terms(ham["terms"], 2 * n, "hamiltonian.terms", out)
+            width = _check_terms(ham["terms"], 2 * n, "hamiltonian.terms",
+                                 out)
     initial = config.get("initial")
     if (not isinstance(initial, list) or len(initial) != 2 * n
             or not all(_is_num(v) for v in initial)):
@@ -207,6 +215,18 @@ def _validate_system(config: dict, out: List[str]):
         elif step > 0 and horizon / step > MAX_RK_STEPS:
             out.append(f"horizon / step asks for {horizon / step:.6g} RK "
                        f"steps, over the budget of {MAX_RK_STEPS}")
+        elif horizon / step * _callback_entries(n, width) > MAX_CALLBACK_WORK:
+            out.append(f"the orbit asks for {horizon / step:.6g} RK steps "
+                       f"x {_callback_entries(n, width)} table entries per "
+                       f"callback, over the budget of {MAX_CALLBACK_WORK}")
+
+
+def _callback_entries(n: int, width: int) -> int:
+    """Entries of the compiled value, gradient and Hessian table of a
+    polynomial Hamiltonian with width terms: polynomials x terms x
+    variables, the work of one callback call."""
+    dim = 2 * n
+    return (1 + dim + dim * dim) * width * dim
 
 
 def _validate_problem(config: dict, out: List[str]):
@@ -338,15 +358,11 @@ def build_system(config: dict) -> HamiltonianSystem:
     if family == "metric":
         g_mat = np.asarray(sys_cfg["metric"]["g"], dtype=float)
         pot = sys_cfg.get("potential")
-        kwargs = dict(g=lambda y: g_mat,
-                      dg=lambda y: np.zeros((n, n, n)),
-                      d2g=lambda y: np.zeros((n, n, n, n)))
-        if pot is not None:
-            k_mat = np.asarray(pot["k"], dtype=float)
-            kwargs.update(u_value=lambda y: 0.5 * float(y @ k_mat @ y),
-                          u_grad=lambda y: k_mat @ y,
-                          u_hess=lambda y: k_mat)
-        return metric_system(n, **kwargs)
+        k_mat = (np.zeros((n, n)) if pot is None
+                 else np.asarray(pot["k"], dtype=float))
+        return quadratic_system(np.block([[g_mat, np.zeros((n, n))],
+                                          [np.zeros((n, n)), k_mat]]),
+                                family="metric")
     terms = [(float(c), tuple(int(e) for e in exps))
              for c, exps in sys_cfg["hamiltonian"]["terms"]]
     return polynomial_system(n, terms)

@@ -9,7 +9,13 @@ through one cap-checked loop; a DenseFlow is the single trajectory
 object of an orbit, and its in-window view is the trajectory flow()
 would return, so an analysis integrates each orbit once.  A polynomial
 Hamiltonian is compiled once into term tables, and each callback call
-evaluates all of its monomials in one vectorized pass.  The module
+evaluates all of its monomials in one vectorized pass.  A quadratic
+Hamiltonian (quadratic_system: quadratic_potential_system, and the
+CLI's natural potential.k and constant metric.g configs) carries its
+constant Hessian M.  Its flow is linear, so one RK4 step is exactly the
+transfer matrix T(dt) = I + S, S = a + a^2/2 + a^3/6 + a^4/24 with
+a = dt (-J M), built once per distinct grid step; its orbits march by
+z -> z + S z with no callback, which is RK4 to round-off.  The module
 also carries the canonical-connection machinery: connection
 coefficients from the Hessian blocks, curvature operators of the field
 both by the exact natural-system shortcut and by a generic
@@ -54,7 +60,10 @@ class HamiltonianSystem:
     dH/dy), and the full symmetric Hessian.  ``hxx_rate`` optionally
     supplies the derivative of the xx Hessian block along the flow,
     which the connection solver otherwise acquires by a directional
-    finite difference of the Hessian callback.
+    finite difference of the Hessian callback.  ``constant_hessian`` is
+    the symmetric Hessian M of a quadratic Hamiltonian z^T M z / 2, set
+    by quadratic_system; the integrators then march by the RK4 step
+    matrix and never call ``eval``.
     """
 
     n: int
@@ -62,6 +71,7 @@ class HamiltonianSystem:
                    Tuple[float, np.ndarray, np.ndarray]]
     family: str = "custom"
     hxx_rate: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    constant_hessian: Optional[np.ndarray] = None
 
     def _eval(self, z: np.ndarray):
         z = np.asarray(z, dtype=float)
@@ -100,6 +110,21 @@ class HamiltonianSystem:
         return (self._field_of(grad),
                 self._minus_j(_symmetric(hess)) @ state[1])
 
+    def _increment(self, dt: float) -> np.ndarray:
+        """One RK4 step of the linear flow, z -> z + S z; constant Hessian only.
+
+        RK4 on z' = a z / dt gives exactly S = a + a^2/2 + a^3/6 + a^4/24,
+        a = dt (-J M), summed here in Horner form.  S is kept apart from
+        I: rounded into I + S it would lose digits, by the same amount
+        at every step, and the orbit would drift in energy.
+        """
+        a = dt * self._minus_j(self.constant_hessian)
+        eye = np.eye(len(a))
+        t = eye + a / 4.0
+        for k in (3.0, 2.0):
+            t = eye + a @ t / k
+        return a @ t
+
 
 # ------------------------------------------------------------------ builders
 
@@ -122,15 +147,35 @@ def natural_system(n: int,
                              hxx_rate=lambda x, y: np.zeros((n, n)))
 
 
+def quadratic_system(m: np.ndarray, family: str = "custom") -> HamiltonianSystem:
+    """Quadratic Hamiltonian H = z^T M z / 2 with a constant Hessian M.
+
+    M is symmetry-checked once here, and the system carries it, so every
+    integration of it marches by the RK4 step matrix, with no callback.
+    """
+    m = _symmetric(m)
+    n = m.shape[0] // 2
+    if m.shape != (2 * n, 2 * n):
+        raise ValueError("Hessian must be square of even size")
+
+    def ev(x, y):
+        z = np.concatenate([x, y])
+        grad = m @ z
+        return 0.5 * float(z @ grad), grad, m
+
+    return HamiltonianSystem(n=n, eval=ev, family=family,
+                             hxx_rate=lambda x, y: np.zeros((n, n)),
+                             constant_hessian=m)
+
+
 def quadratic_potential_system(k_mat: np.ndarray) -> HamiltonianSystem:
     """Natural system with U(y) = y^T K y / 2."""
     k_mat = np.asarray(k_mat, dtype=float)
     k_mat = 0.5 * (k_mat + k_mat.T)
     n = k_mat.shape[0]
-    return natural_system(n,
-                          u_value=lambda y: 0.5 * float(y @ k_mat @ y),
-                          u_grad=lambda y: k_mat @ y,
-                          u_hess=lambda y: k_mat)
+    return quadratic_system(np.block([[np.eye(n), np.zeros((n, n))],
+                                      [np.zeros((n, n)), k_mat]]),
+                            family="natural")
 
 
 def metric_system(n: int,
@@ -277,6 +322,9 @@ class Trajectory:
 
     @cached_property
     def energies(self) -> np.ndarray:
+        m = self.sys.constant_hessian
+        if m is not None:
+            return 0.5 * (self.states * (self.states @ m)).sum(axis=1)
         return np.array([self.sys.value(z) for z in self.states])
 
     @property
@@ -288,8 +336,7 @@ class Trajectory:
         k, dt = _checkpoint(self.times, t)
         if dt == 0.0:
             return self.states[k]
-        return _rk4(self.sys._state_rhs, self.times[k], (self.states[k],),
-                    dt)[0]
+        return _step(self.sys, self.times[k], (self.states[k],), dt)[0]
 
 
 def _grid(horizon: float, step: float) -> np.ndarray:
@@ -321,32 +368,81 @@ def _checkpoint(times: np.ndarray, t: float) -> Tuple[int, float]:
     return k, (0.0 if dt <= 1e-14 * (1.0 + span) else dt)
 
 
-def _check_cap(z: np.ndarray, t: float):
-    if not np.all(np.isfinite(z)) or np.abs(z).max() > BLOWUP_CAP:
-        raise BlowUp(f"state left the norm cap near t={t:g}")
+def _past_cap(part: np.ndarray, axis=None):
+    """Some entry past the cap, NaN or infinite, per leading index if
+    axis names the rest.
+
+    Reductions only, so no temporary the size of part; NaN fails both
+    comparisons and so counts as crossing.
+    """
+    return ~((part.max(axis=axis) <= BLOWUP_CAP)
+             & (part.min(axis=axis) >= -BLOWUP_CAP))
 
 
-def _march(rhs, state: Sequence, times: np.ndarray, sign: float = 1.0) -> list:
-    """Cap-checked RK4 states on a time grid, run backwards if sign < 0."""
-    out = [state]
-    for k in range(len(times) - 1):
-        state = _rk4(rhs, sign * times[k], state,
-                     sign * (times[k + 1] - times[k]))
-        for part in state:
-            _check_cap(part, sign * times[k + 1])
-        out.append(state)
-    return out
+def _blowup(t: float) -> BlowUp:
+    return BlowUp(f"state left the norm cap near t={t:g}")
+
+
+def _step(sys: HamiltonianSystem, t: float, parts: Sequence[np.ndarray],
+          dt: float) -> list:
+    """One RK4 step of z, or of z and Phi, from time t."""
+    if sys.constant_hessian is not None:
+        inc = sys._increment(dt)
+        return [inc @ part + part for part in parts]
+    rhs = sys._pair_rhs if len(parts) == 2 else sys._state_rhs
+    return _rk4(rhs, t, parts, dt)
+
+
+def _march(sys: HamiltonianSystem, outs: Sequence[np.ndarray],
+           times: np.ndarray, sign: float = 1.0):
+    """Cap-checked RK4 march on a time grid, run backwards if sign < 0.
+
+    outs holds z, or z and Phi, each stacked along the grid; row 0 is
+    the start and rows 1.. are filled in.  A constant-Hessian system
+    steps by z + S z, one S per distinct grid step, with no callback,
+    and is cap-checked after the march; any other system calls its
+    callback once per RK stage and is checked step by step.  Either
+    way BlowUp names the first grid time past the cap.
+    """
+    dts = sign * np.diff(times)
+    if not len(dts):
+        return
+    if sys.constant_hessian is None:
+        state = [out[0] for out in outs]
+        for k, dt in enumerate(dts):
+            state = _step(sys, sign * times[k], state, dt)
+            if any(_past_cap(part) for part in state):
+                raise _blowup(sign * times[k + 1])
+            for out, part in zip(outs, state):
+                out[k + 1] = part
+        return
+    steps, which = np.unique(dts, return_inverse=True)
+    increments = [sys._increment(dt) for dt in steps]
+    which = which.tolist()
+    with np.errstate(all="ignore"):
+        for out in outs:
+            cur = out[0]
+            for nxt, j in zip(out[1:], which):
+                np.matmul(increments[j], cur, nxt)
+                nxt += cur
+                cur = nxt
+    crossed = [_past_cap(out[1:], tuple(range(1, out.ndim)))
+               for out in outs if _past_cap(out[1:])]
+    if crossed:
+        raise _blowup(sign * times[1 + int(np.logical_or.reduce(crossed)
+                                           .argmax())])
 
 
 def flow(sys: HamiltonianSystem, z0: np.ndarray, horizon: float,
          step: float = DEFAULT_STEP) -> Trajectory:
     """Fixed-step fourth-order integration of the Hamiltonian field."""
     times = _grid(horizon, step)
-    z = np.asarray(z0, dtype=float).copy()
+    z = np.asarray(z0, dtype=float)
     if z.shape != (2 * sys.n,):
         raise ValueError(f"initial state must have shape ({2 * sys.n},)")
-    steps = _march(sys._state_rhs, (z,), times)
-    states = np.array([s[0] for s in steps])
+    states = np.empty((len(times), 2 * sys.n))
+    states[0] = z
+    _march(sys, (states,), times)
     return Trajectory(times=times, states=states, sys=sys)
 
 
@@ -368,24 +464,23 @@ class DenseFlow:
         # default stencils reach 4 fd steps past either endpoint
         margin = max(8.0e-3 * self.horizon, 4.0 * step)
         self.t_lo, self.t_hi = -margin, self.horizon + margin
-        start = (np.asarray(z0, dtype=float).copy(), np.eye(2 * sys.n))
-
-        def march(span, sign):
-            grid = _grid(span, step) if span > 0 else np.array([0.0])
-            return grid, _march(sys._pair_rhs, start, grid, sign)
-
-        fwd_t, fwd = march(self.t_hi, 1.0)
-        bwd_t, bwd = march(-self.t_lo, -1.0)
-        self._origin = len(bwd_t) - 1
+        fwd_t, bwd_t = (_grid(span, step) if span > 0 else np.zeros(1)
+                        for span in (self.t_hi, -self.t_lo))
+        origin = self._origin = len(bwd_t) - 1
         self.times = np.concatenate([-bwd_t[::-1][:-1], fwd_t])
-        steps = bwd[::-1][:-1] + fwd
-        self.states = np.array([z for z, _ in steps])
-        self.phis = np.array([phi for _, phi in steps])
+        dim = 2 * sys.n
+        self.states = np.empty((len(self.times), dim))
+        self.phis = np.empty((len(self.times), dim, dim))
+        self.states[origin] = np.asarray(z0, dtype=float)
+        self.phis[origin] = np.eye(dim)
+        _march(sys, (self.states[origin:], self.phis[origin:]), fwd_t)
+        _march(sys, (self.states[origin::-1], self.phis[origin::-1]),
+               bwd_t, -1.0)
         self._j = core.standard_space(sys.n).form
 
     def _step_from(self, k: int, dt: float):
-        return _rk4(self.sys._pair_rhs, self.times[k],
-                    (self.states[k], self.phis[k]), dt)
+        return _step(self.sys, self.times[k],
+                     (self.states[k], self.phis[k]), dt)
 
     def _at(self, t: float):
         k, dt = _checkpoint(self.times, t)

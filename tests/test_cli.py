@@ -432,6 +432,22 @@ def test_validate_refuses_runs_over_budget():
     assert cli.validate(problem(cli.MAX_DIM_W), "lderiv") == []
 
 
+def test_validate_refuses_callback_work_over_budget():
+    # every axis inside its own budget, but n = 8 with 256 potential terms
+    # over 200,000 RK steps asks for hours of callbacks; validated only
+    n = cli.MAX_N
+    cfg = base_config(initial=[0.1] * (2 * n), horizon=200.0, step=1e-3)
+    cfg["system"] = {"family": "natural", "n": n, "potential": {"terms": [
+        [1.0, [2 if j == k % n else 0 for j in range(n)]]
+        for k in range(cli.MAX_TERMS)]}}
+    work = cli.validate(cfg, "flow")
+    assert len(work) == 1 and "budget" in work[0]
+    assert "table entries" in work[0]
+    # a constant Hessian makes no callback per step: the steps alone bound it
+    cfg["system"]["potential"] = {"k": np.eye(n).tolist()}
+    assert cli.validate(cfg, "flow") == []
+
+
 # -------------------------------------------------------------- determinism
 
 

@@ -11,6 +11,8 @@ Closed forms frozen before implementation:
     [[0.6, 0], [0, 0]] xdot1 + [[0, 0.4], [0.4, 0]] ydot1.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -429,9 +431,43 @@ def test_dense_flow_makes_four_callback_calls_per_step():
     assert len(calls) == 4 * (len(dense.times) - 1)
 
 
-@pytest.mark.parametrize("horizon,on_grid", [(2.0, True), (1.6537, False)])
-def test_dense_window_equals_flow_bit_for_bit(horizon, on_grid):
-    sysn, z0, step = quartic_well(), np.array([0.6, -0.4]), 1e-2
+def test_constant_hessian_dense_flow_makes_no_callback_per_step():
+    sysn = oscillator(2, [[2.0, 0.3], [0.3, -1.0]])
+    calls = []
+    inner = sysn.eval
+
+    def counted(x, y):
+        calls.append(1)
+        return inner(x, y)
+
+    sysn.eval = counted
+    dense = hamflow.DenseFlow(sysn, np.array([0.6, -0.4, 0.2, 0.1]), 2.0,
+                              step=1e-2)
+    assert np.isfinite(dense.window().energy_drift)
+    assert np.isfinite(dense.state(1.2345)).all()
+    assert len(dense.times) > 200 and calls == []
+
+
+def saddle_quadratic():
+    return oscillator(2, [[-1.0, 0.0], [0.0, -1.0]])
+
+
+# the quartic well marches by callbacks, the saddle by its RK4 step matrix
+DENSE_CASES = [
+    pytest.param(quartic_well, np.array([0.6, -0.4]), 2.0, True,
+                 id="2.0-True"),
+    pytest.param(quartic_well, np.array([0.6, -0.4]), 1.6537, False,
+                 id="1.6537-False"),
+    pytest.param(saddle_quadratic, np.array([0.6, -0.4, 0.2, 0.1]), 2.0,
+                 True, id="quadratic-2.0-True"),
+    pytest.param(saddle_quadratic, np.array([0.6, -0.4, 0.2, 0.1]), 1.6537,
+                 False, id="quadratic-1.6537-False"),
+]
+
+
+@pytest.mark.parametrize("make,z0,horizon,on_grid", DENSE_CASES)
+def test_dense_window_equals_flow_bit_for_bit(make, z0, horizon, on_grid):
+    sysn, step = make(), 1e-2
     dense = hamflow.DenseFlow(sysn, z0, horizon, step)
     assert bool((dense.times == horizon).any()) == on_grid
     view = dense.window()
@@ -441,16 +477,68 @@ def test_dense_window_equals_flow_bit_for_bit(horizon, on_grid):
     assert np.array_equal(view.energies, traj.energies)
 
 
-def test_flow_states_read_as_dense_states():
+@pytest.mark.parametrize("make,z0", [
+    pytest.param(quartic_well, np.array([0.6, -0.4]), id="quartic"),
+    pytest.param(saddle_quadratic, np.array([0.6, -0.4, 0.2, 0.1]),
+                 id="quadratic")])
+def test_flow_states_read_as_dense_states(make, z0):
     # same checkpoints, one step from the one below: equal bit for bit
-    sysn, z0, horizon = quartic_well(), np.array([0.6, -0.4]), 1.6537
-    step = 1e-2
+    sysn, horizon, step = make(), 1.6537, 1e-2
     dense = hamflow.DenseFlow(sysn, z0, horizon, step)
     traj = hamflow.flow(sysn, z0, horizon, step)
     for t in np.linspace(0.0, horizon, 17):
         assert np.array_equal(traj.state(t), dense.state(t))
     with pytest.raises(ValueError):
         traj.state(horizon + 0.1)
+
+
+def _relative_gap(a, b):
+    return np.abs(a - b).max() / max(1.0, np.abs(b).max())
+
+
+@st.composite
+def quadratic_cases(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    entry = st.floats(-2.0, 2.0, allow_nan=False)
+    m = np.array(draw(st.lists(entry, min_size=4 * n * n,
+                               max_size=4 * n * n))).reshape(2 * n, 2 * n)
+    z0 = np.array(draw(st.lists(entry, min_size=2 * n, max_size=2 * n)))
+    horizon = draw(st.floats(0.02, 0.2))
+    step = draw(st.sampled_from([1e-3, 7e-3, 2e-2]))
+    reads = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    return m + m.T, z0, horizon, step, reads
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None, database=None)
+@given(quadratic_cases())
+def test_transfer_step_equals_generic_rk4_step(case):
+    # the same quadratic system, once with its stored Hessian and once as
+    # a plain callback bundle that the generic stepper marches
+    m, z0, horizon, step, reads = case
+    fast = hamflow.quadratic_system(m)
+    plain = dataclasses.replace(fast, constant_hessian=None)
+    dense = hamflow.DenseFlow(fast, z0, horizon, step)
+    ref = hamflow.DenseFlow(plain, z0, horizon, step)
+    assert np.array_equal(dense.times, ref.times)
+    assert _relative_gap(dense.states, ref.states) <= 1e-13
+    assert _relative_gap(dense.phis, ref.phis) <= 1e-13
+    for t in [horizon * r for r in reads]:
+        assert _relative_gap(dense.state(t), ref.state(t)) <= 1e-13
+        assert _relative_gap(dense.gamma(t), ref.gamma(t)) <= 1e-13
+    traj, generic = (hamflow.flow(s, z0, horizon, step) for s in (fast, plain))
+    assert _relative_gap(traj.states, generic.states) <= 1e-13
+    assert _relative_gap(traj.energies, generic.energies) <= 1e-13
+
+
+def test_saddle_blowup_time_is_the_same_on_both_paths():
+    # Phi grows like e^t and first crosses the cap at t = 19.114
+    fast = saddle_quadratic()
+    plain = dataclasses.replace(fast, constant_hessian=None)
+    z0 = np.array([-0.8, 0.6, 0.8, -0.6])
+    for sysn in (fast, plain):
+        with pytest.raises(BlowUp, match=r"near t=19\.114$"):
+            hamflow.DenseFlow(sysn, z0, 25.0, 1e-3)
 
 
 # ------------------------------------------------------ compiled polynomials
