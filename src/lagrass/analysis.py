@@ -22,7 +22,7 @@ proofs; the margins and filters below keep the honest failure modes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -369,21 +369,23 @@ def reduction_comparison(sys: HamiltonianSystem, z0: np.ndarray,
     sigma = jc.space.form
     span = horizon - trim
 
-    def shared_forms(t, h):
-        cf = curvature_form(rev_full, t, fd_step=h)
-        cr = curvature_form(rev_red, t, fd_step=h)
-        z = rev_full.eval(t).columns
+    def shared_forms(t, full, reduced):
+        cf = curvature_form(full, t)
+        cr = curvature_form(reduced, t)
+        z = full.eval(t).columns
         row = np.atleast_2d(red.u @ sigma @ z)
         w = z @ np.linalg.svd(row)[2][1:].T
         c_f, *_ = np.linalg.lstsq(cf.basis, w, rcond=None)
         c_r, *_ = np.linalg.lstsq(cr.basis, red.project(w), rcond=None)
         return c_f.T @ cf.form @ c_f, c_r.T @ cr.form @ c_r
 
-    h0 = rev_full.fd_step
+    # rev_red has rev_full's domain, hence its default step
+    half = 0.5 * rev_full.fd_step
+    halved = (replace(rev_full, fd_step=half), replace(rev_red, fd_step=half))
     kept, worst_min, worst_second = [], 0.0, 0.0
     for t in np.linspace(trim + 0.05 * span, horizon - 0.05 * span, 9):
-        mf1, mr1 = shared_forms(t, h0)
-        mf2, mr2 = shared_forms(t, 0.5 * h0)
+        mf1, mr1 = shared_forms(t, rev_full, rev_red)
+        mf2, mr2 = shared_forms(t, *halved)
         scale = 1.0 + max(np.linalg.norm(mf2), np.linalg.norm(mr2))
         drift = (np.linalg.norm(mf1 - mf2)
                  + np.linalg.norm(mr1 - mr2)) / scale

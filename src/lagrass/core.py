@@ -334,8 +334,8 @@ def _graph_candidate(space: SymplecticSpace, s: np.ndarray) -> LagrangianFrame:
     return make_frame(space, cols)
 
 
-def transversal_complement(frame: LagrangianFrame, avoid=(),
-                           seed: int = 0) -> LagrangianFrame:
+def transversal_complement(frame: LagrangianFrame,
+                           avoid=()) -> LagrangianFrame:
     """Deterministic search for a Lagrangian complement.
 
     Schedule: sigma-orthogonal complement J*Lambda, then the graphs
@@ -356,7 +356,7 @@ def transversal_complement(frame: LagrangianFrame, avoid=(),
         cand = _graph_candidate(space, float(k) * np.eye(space.n))
         if ok(cand):
             return cand
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(_RANDOM_TRIES):
         a = rng.standard_normal((space.n, space.n))
         cand = _graph_candidate(space, a + a.T)

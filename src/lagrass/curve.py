@@ -22,7 +22,7 @@ is the main internal consistency check of the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -41,10 +41,25 @@ from .errors import (
 REGULARITY_CAP = 1e8
 FLAT_TOL = 1e-6
 SYM_TOL = 1e-3
+# the default stencil step, of the domain length
+FD_STEP_FRACTION = 1e-3
+# stencil offsets in units of the step; the outer pair serves only the
+# third derivative, whose single 5-point stencil is O(h^2): combining
+# the h and 2h stencils restores O(h^4)
+_OFFSETS = (-4, -2, -1, 0, 1, 2, 4)
+# a stencil at t reads the curve within REACH steps of t
+REACH = max(_OFFSETS)
 
 
 @dataclass
 class GrassmannCurve:
+    """A curve of Lagrangian frames on a domain.
+
+    fd_step is the step of every stencil read from the curve, by default
+    FD_STEP_FRACTION of the domain length; to differentiate with another
+    step h, use the copy dataclasses.replace(curve, fd_step=h).
+    """
+
     space: core.SymplecticSpace
     eval: Callable[[float], core.LagrangianFrame]
     domain: Tuple[float, float]
@@ -55,7 +70,7 @@ class GrassmannCurve:
         if not t1 > t0:
             raise ValueError("domain must be a nondegenerate interval")
         if self.fd_step is None:
-            self.fd_step = 1e-3 * (t1 - t0)
+            self.fd_step = FD_STEP_FRACTION * (t1 - t0)
 
     @property
     def length(self) -> float:
@@ -137,12 +152,6 @@ def _rk4(rhs, t: float, state, dt: float) -> list:
             for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
-# stencil offsets in units of the step; the outer pair serves only the
-# third derivative, whose single 5-point stencil is O(h^2): combining
-# the h and 2h stencils restores O(h^4)
-_OFFSETS = (-4, -2, -1, 0, 1, 2, 4)
-
-
 def _inner(mats):
     return [mats[1], mats[2], mats[3], mats[4], mats[5]]
 
@@ -153,20 +162,30 @@ def _jerk(mats, h):
     return (4.0 * narrow - wide) / 3.0
 
 
-def _chart_and_stencil(curve: GrassmannCurve, t: float,
-                       fd_step: Optional[float] = None):
-    """Darboux chart centered at the curve point holding the full stencil."""
-    h = curve.fd_step if fd_step is None else fd_step
-    frames = [curve.eval(t + k * h) for k in _OFFSETS]
+def _interior(curve: GrassmannCurve, count: int) -> np.ndarray:
+    """count evenly spaced times whose stencils stay inside the domain."""
+    t0, t1 = curve.domain
+    margin = (REACH + 0.5) * curve.fd_step
+    return np.linspace(t0 + margin, t1 - margin, count)
+
+
+def _centered_chart(frames, center: int, t: float, what: str):
+    """Darboux chart centered at frames[center] and transversal to every
+    frame, with the chart matrix of each frame."""
     try:
-        others = frames[:3] + frames[4:]
-        delta = core.transversal_complement(frames[3], avoid=others)
-        chart = core.darboux_chart(frames[3], delta)
-        mats = [core.chart_coords(fr, chart).S for fr in frames]
+        others = frames[:center] + frames[center + 1:]
+        delta = core.transversal_complement(frames[center], avoid=others)
+        chart = core.darboux_chart(frames[center], delta)
+        return chart, [core.chart_coords(fr, chart).S for fr in frames]
     except (SearchExhausted, NotInChart, NotTransversal) as exc:
-        raise ChartFailure(f"no common chart for the stencil at t={t:g}") \
+        raise ChartFailure(f"no common chart for the {what} at t={t:g}") \
             from exc
-    return chart, mats, h
+
+
+def _chart_and_stencil(curve: GrassmannCurve, t: float):
+    """Darboux chart centered at the curve point holding the full stencil."""
+    frames = [curve.eval(t + k * curve.fd_step) for k in _OFFSETS]
+    return _centered_chart(frames, _OFFSETS.index(0), t, "stencil")
 
 
 def _require_regular(sdot: np.ndarray, t: float):
@@ -176,11 +195,11 @@ def _require_regular(sdot: np.ndarray, t: float):
                          f"(smallest singular value {sv[-1]:.3e})")
 
 
-def _stencil_geometry(curve: GrassmannCurve, t: float,
-                      fd_step: Optional[float] = None):
+def _stencil_geometry(curve: GrassmannCurve, t: float):
     """(chart, Sdot, A, R) at t for a regular velocity: the derivative
     curve spans e A + f in the chart basis (e, f), R is the Schwarzian."""
-    chart, mats, h = _chart_and_stencil(curve, t, fd_step)
+    chart, mats = _chart_and_stencil(curve, t)
+    h = curve.fd_step
     sdot = _d1(_inner(mats), h)
     _require_regular(sdot, t)
     sdot_inv = np.linalg.inv(sdot)
@@ -191,10 +210,9 @@ def _stencil_geometry(curve: GrassmannCurve, t: float,
     return chart, sdot, a, r
 
 
-def velocity_form(curve: GrassmannCurve, t: float,
-                  fd_step: Optional[float] = None) -> VelocityForm:
-    chart, mats, h = _chart_and_stencil(curve, t, fd_step)
-    sdot = _sym(_d1(_inner(mats), h))
+def velocity_form(curve: GrassmannCurve, t: float) -> VelocityForm:
+    chart, mats = _chart_and_stencil(curve, t)
+    sdot = _sym(_d1(_inner(mats), curve.fd_step))
     n = chart.n
     return VelocityForm(at=t, form=sdot, basis=chart.basis[:, :n])
 
@@ -217,92 +235,74 @@ def cross_ratio(v0: core.LagrangianFrame, v1: core.LagrangianFrame,
 
 
 def infinitesimal_cross_ratio(c0: GrassmannCurve, c1: GrassmannCurve,
-                              t: float,
-                              fd_step: Optional[float] = None) -> CurveOperator:
+                              t: float) -> CurveOperator:
     """Pairing of the velocities of two curves, as an operator on c1(t).
 
     In a chart centered at c1(t) the matrix is
     (S0 - S1)^-1 Sdot0 (S0 - S1)^-1 Sdot1; it requires the two curve
     points to be transversal at t.
     """
-    h0 = c0.fd_step if fd_step is None else fd_step
-    h1 = c1.fd_step if fd_step is None else fd_step
-    f0 = [c0.eval(t + k * h0) for k in (-2, -1, 0, 1, 2)]
-    f1 = [c1.eval(t + k * h1) for k in (-2, -1, 0, 1, 2)]
-    center = f1[2]
-    try:
-        avoid = f0 + f1[:2] + f1[3:]
-        delta = core.transversal_complement(center, avoid=avoid)
-        chart = core.darboux_chart(center, delta)
-        s0 = [core.chart_coords(fr, chart).S for fr in f0]
-        s1 = [core.chart_coords(fr, chart).S for fr in f1]
-    except (SearchExhausted, NotInChart, NotTransversal) as exc:
-        raise ChartFailure(f"no common chart for the pair at t={t:g}") from exc
+    frames = [c.eval(t + k * c.fd_step)
+              for c in (c0, c1) for k in (-2, -1, 0, 1, 2)]
+    # c1(t) is the center: the third of c1's five frames
+    chart, mats = _centered_chart(frames, 7, t, "pair")
+    s0, s1 = mats[:5], mats[5:]
     gap = s0[2] - s1[2]
     if core.rank(gap) < chart.n:
         raise NotTransversal("curve points coincide at the evaluation time")
     gap_inv = np.linalg.inv(gap)
-    matrix = gap_inv @ _d1(s0, h0) @ gap_inv @ _d1(s1, h1)
+    matrix = gap_inv @ _d1(s0, c0.fd_step) @ gap_inv @ _d1(s1, c1.fd_step)
     n = chart.n
     return CurveOperator(matrix=matrix, basis=chart.basis[:, :n],
                          kind="cross_ratio", at=t)
 
 
-def pair_ratio(curve: GrassmannCurve, tau: float, t: float,
-               fd_step: Optional[float] = None) -> CurveOperator:
+def pair_ratio(curve: GrassmannCurve, tau: float, t: float) -> CurveOperator:
     """Velocity pairing of the same curve at two distinct times.
 
     Blows up like (tau - t)^-2 as the times merge, with the curvature
     over three as the next coefficient; tests exploit that expansion.
     """
     shift = tau - t
-    shifted = GrassmannCurve(
-        space=curve.space,
-        eval=lambda u: curve.eval(u + shift),
-        domain=(curve.domain[0] - shift, curve.domain[1] - shift),
-        fd_step=curve.fd_step)
-    return infinitesimal_cross_ratio(shifted, curve, t, fd_step)
+    shifted = replace(curve, eval=lambda u: curve.eval(u + shift),
+                      domain=(curve.domain[0] - shift,
+                              curve.domain[1] - shift))
+    return infinitesimal_cross_ratio(shifted, curve, t)
 
 
-def derivative_curve(curve: GrassmannCurve, t: float,
-                     fd_step: Optional[float] = None) -> core.LagrangianFrame:
+def derivative_curve(curve: GrassmannCurve, t: float) -> core.LagrangianFrame:
     """The complement point spanned by canonically normalized velocities."""
-    chart, _, a, _ = _stencil_geometry(curve, t, fd_step)
+    chart, _, a, _ = _stencil_geometry(curve, t)
     n = chart.n
     e, f = chart.basis[:, :n], chart.basis[:, n:]
     return core.make_frame(curve.space, e @ a + f)
 
 
-def derivative_family(curve: GrassmannCurve,
-                      fd_step: Optional[float] = None) -> GrassmannCurve:
-    """The derivative curve as a curve; domain shrinks by the stencil margin."""
-    h = curve.fd_step if fd_step is None else fd_step
+def derivative_family(curve: GrassmannCurve) -> GrassmannCurve:
+    """The derivative curve as a curve; domain shrinks by the stencil reach."""
+    reach = REACH * curve.fd_step
     t0, t1 = curve.domain
-    return GrassmannCurve(
-        space=curve.space,
-        eval=lambda tau: derivative_curve(curve, tau, h),
-        domain=(t0 + 4.0 * h, t1 - 4.0 * h),
-        fd_step=curve.fd_step)
+    return replace(curve, eval=lambda tau: derivative_curve(curve, tau),
+                   domain=(t0 + reach, t1 - reach))
 
 
-def curvature(curve: GrassmannCurve, t: float,
-              fd_step: Optional[float] = None) -> CurveOperator:
-    chart, _, _, r = _stencil_geometry(curve, t, fd_step)
+def curvature(curve: GrassmannCurve, t: float) -> CurveOperator:
+    chart, _, _, r = _stencil_geometry(curve, t)
     return CurveOperator(matrix=r, basis=chart.basis[:, :chart.n],
                          kind="curvature", at=t)
 
 
-def curvature_via_cross_ratio(curve: GrassmannCurve, t: float,
-                              fd_step: Optional[float] = None) -> CurveOperator:
+def curvature_via_cross_ratio(curve: GrassmannCurve,
+                              t: float) -> CurveOperator:
     """Independent curvature path through the derivative curve.
 
     The derivative-curve points are sampled with a quarter of the outer
     step: their truncation bias passes through the inverse of the gap
     matrix twice, so it needs more headroom than the outer stencil.
     """
-    h = curve.fd_step if fd_step is None else fd_step
-    return infinitesimal_cross_ratio(derivative_family(curve, 0.25 * h),
-                                     curve, t, h)
+    h = curve.fd_step
+    family = derivative_family(replace(curve, fd_step=0.25 * h))
+    return infinitesimal_cross_ratio(replace(family, fd_step=h), curve, t)
 
 
 def _monotone_sign(sdot: np.ndarray, n: int) -> float:
@@ -314,8 +314,7 @@ def _monotone_sign(sdot: np.ndarray, n: int) -> float:
     raise NotMonotone("velocity form is not definite")
 
 
-def curvature_form(curve: GrassmannCurve, t: float,
-                   fd_step: Optional[float] = None) -> CurvatureForm:
+def curvature_form(curve: GrassmannCurve, t: float) -> CurvatureForm:
     """Curvature paired with the velocity form, for monotone curves.
 
     The reported form is sym(Sdot R); its inertia matches the inertia of
@@ -323,22 +322,21 @@ def curvature_form(curve: GrassmannCurve, t: float,
     the curvature form in the velocity inner product, for a decreasing
     curve its negative.
     """
-    chart, sdot, _, r = _stencil_geometry(curve, t, fd_step)
+    chart, sdot, _, r = _stencil_geometry(curve, t)
     sign = _monotone_sign(_sym(sdot), chart.n)
     form = _sym(sdot @ r)
     n = chart.n
     return CurvatureForm(at=t, form=form, basis=chart.basis[:, :n], sign=sign)
 
 
-def transport_generator(curve: GrassmannCurve, t: float,
-                        fd_step: Optional[float] = None) -> CurveOperator:
+def transport_generator(curve: GrassmannCurve, t: float) -> CurveOperator:
     """Curvature in the velocity-orthonormal gauge at a single time.
 
     The basis is the curve-point frame scaled by (eps Sdot)^(-1/2); in it
     the curvature operator of a monotone curve is symmetric up to the
     finite-difference noise floor.
     """
-    chart, sdot, _, r = _stencil_geometry(curve, t, fd_step)
+    chart, sdot, _, r = _stencil_geometry(curve, t)
     sym_sdot = _sym(sdot)
     sign = _monotone_sign(sym_sdot, chart.n)
     x = core.sym_inv_sqrt(sign * sym_sdot)
@@ -422,12 +420,12 @@ def transport(curve: GrassmannCurve, t0: float,
                            frame1=z, generators=generators, drift=drift)
 
 
-def fundamental_matrix(a_func, t0: float, t1: float,
-                       step: float = 1e-3) -> np.ndarray:
-    """Propagator of x' = -y, y' = A(t) x for a given matrix family."""
+def fundamental_matrix(a_func, t0: float, t1: float) -> np.ndarray:
+    """Propagator of x' = -y, y' = A(t) x for a given matrix family, in
+    RK4 steps of at most 1e-3."""
     a0 = np.atleast_2d(np.asarray(a_func(t0), dtype=float))
     n = a0.shape[0]
-    nsteps = max(1, int(np.ceil((t1 - t0) / step)))
+    nsteps = max(1, int(np.ceil((t1 - t0) / 1e-3)))
     dt = (t1 - t0) / nsteps
 
     def rhs(tau, state):
@@ -452,8 +450,10 @@ def reparametrize(curve: GrassmannCurve, phi, new_domain,
                           domain=tuple(new_domain), fd_step=fd_step)
 
 
-def schwarzian(phi, t: float, h: float = 2e-3) -> float:
-    """Schwarzian-type derivative phi'''/(2 phi') - (3/4)(phi''/phi')^2."""
+def schwarzian(phi, t: float) -> float:
+    """Schwarzian-type derivative phi'''/(2 phi') - (3/4)(phi''/phi')^2,
+    from the curve stencil with step 2e-3."""
+    h = 2e-3
     vals = [phi(t + k * h) for k in _OFFSETS]
     d1 = _d1(_inner(vals), h)
     d2 = _d2(_inner(vals), h)
@@ -479,9 +479,7 @@ def classify(curve: GrassmannCurve) -> CurveClassification:
     Flags that cannot be evaluated (flat/symmetric for irregular or
     non-monotone curves) come back as None.
     """
-    t0, t1 = curve.domain
-    margin = 4.5 * curve.fd_step
-    ts = np.linspace(t0 + margin, t1 - margin, 9)
+    ts = _interior(curve, 9)
     regular = True
     signs = []
     for t in ts:

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import core
-from .curve import GrassmannCurve, _rk4
+from .curve import FD_STEP_FRACTION, REACH, GrassmannCurve, _rk4
 from .errors import (BlowUp, DimensionDefect, NotRegular, ReductionRefused,
                      TangentFiber)
 
@@ -86,9 +86,6 @@ class HamiltonianSystem:
 
     def value(self, z: np.ndarray) -> float:
         return float(self._eval(z)[0])
-
-    def gradient(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(self._eval(z)[1], dtype=float)
 
     def hessian(self, z: np.ndarray) -> np.ndarray:
         return _symmetric(self._eval(z)[2])
@@ -449,9 +446,9 @@ def flow(sys: HamiltonianSystem, z0: np.ndarray, horizon: float,
 class DenseFlow:
     """Checkpointed orbit and fundamental matrix, one RK4 step between.
 
-    Integrates over [-margin, horizon + margin], margin = max(8e-3
-    horizon, 4 step), so stencils on curves declared on [0, horizon]
-    may stick out past the endpoints: the widest default one reaches
+    Integrates over [-margin, horizon + margin], margin = max(2 REACH
+    FD_STEP_FRACTION horizon, 4 step), so stencils on curves declared on
+    [0, horizon] may stick out past the endpoints: a default one reaches
     half the margin. One instance backs the Jacobi curve, state reads
     and, through window(), the trajectory on [0, horizon].
     """
@@ -461,8 +458,8 @@ class DenseFlow:
         self.sys = sys
         self.horizon = float(horizon)
         self.step = step
-        # default stencils reach 4 fd steps past either endpoint
-        margin = max(8.0e-3 * self.horizon, 4.0 * step)
+        margin = max(2 * REACH * FD_STEP_FRACTION * self.horizon,
+                     4.0 * step)
         self.t_lo, self.t_hi = -margin, self.horizon + margin
         fwd_t, bwd_t = (_grid(span, step) if span > 0 else np.zeros(1)
                         for span in (self.t_hi, -self.t_lo))

@@ -265,7 +265,6 @@ def duality_check(data: LDerivData) -> DualityCheck:
 def family_index_delta(family: Callable[[float], LDerivData],
                        tau0: float,
                        tau1: float,
-                       max_gap: float = 0.15,
                        seed: int = 0) -> int:
     """Drop in the restricted-Hessian index across a parameter interval.
 
@@ -288,8 +287,7 @@ def family_index_delta(family: Callable[[float], LDerivData],
     curve = GrassmannCurve(space=space,
                            eval=lambda tau: l_derivative(family(tau)),
                            domain=(tau0, tau1))
-    report = maslov_index(curve, core.vertical_frame(space),
-                          max_gap=max_gap, seed=seed)
+    report = maslov_index(curve, core.vertical_frame(space), seed=seed)
     direct = ends[0] - ends[1]
     if report.value != direct:
         raise ArithmeticError(

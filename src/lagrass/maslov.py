@@ -23,7 +23,7 @@ from typing import List
 import numpy as np
 
 from . import core
-from .curve import GrassmannCurve, _require_regular, velocity_form
+from .curve import GrassmannCurve, _interior, _require_regular, velocity_form
 from .errors import (
     ChartFailure,
     DegenerateEndpoint,
@@ -35,6 +35,7 @@ from .errors import (
 )
 
 MAX_DEPTH = 32
+MAX_GAP = 0.15        # largest subspace gap between neighbouring samples
 _MIN_MARGIN = 1e-2    # acceptable chart transversality at sample frames
 _GOOD_MARGIN = 0.5    # short-circuit score for the candidate search
 _CERT_SAMPLES = 9
@@ -183,11 +184,11 @@ def _nudged_mid(at, train, a, b):
     raise SubdivisionFailure(f"no off-train subdivision point near t={mid:g}")
 
 
-def _pieces(space, train, at, a, b, max_gap, seed, need_train, depth=0):
+def _pieces(space, train, at, a, b, seed, need_train, depth=0):
     """Subdivide [a, b] into chart-covered pieces, recursively.
 
     A piece is accepted when its sample frames march in steps of at
-    most max_gap and a single complement clears every sample; with
+    most MAX_GAP and a single complement clears every sample; with
     need_train the complement must also clear the train (the piece
     chart is centered on it) and split points are nudged off the train
     so per-piece index differences add up.
@@ -198,14 +199,13 @@ def _pieces(space, train, at, a, b, max_gap, seed, need_train, depth=0):
     ts = np.linspace(a, b, _CERT_SAMPLES)
     frames = [at(t) for t in ts]
     delta = None
-    if all(core.subspace_gap(frames[i], frames[i + 1]) <= max_gap
+    if all(core.subspace_gap(frames[i], frames[i + 1]) <= MAX_GAP
            for i in range(len(frames) - 1)):
         delta = _piece_delta(space, train, frames, seed, need_train)
     if delta is None:
         mid = _nudged_mid(at, train, a, b) if need_train else 0.5 * (a + b)
-        return (_pieces(space, train, at, a, mid, max_gap, seed, need_train,
-                        depth + 1)
-                + _pieces(space, train, at, mid, b, max_gap, seed, need_train,
+        return (_pieces(space, train, at, a, mid, seed, need_train, depth + 1)
+                + _pieces(space, train, at, mid, b, seed, need_train,
                           depth + 1))
     chart = core.darboux_chart(train, delta) if need_train else None
     return [(a, b, chart)]
@@ -232,10 +232,8 @@ def _memoized(curve: GrassmannCurve):
 
 def _monotone_direction(curve: GrassmannCurve, strict: bool) -> int:
     """Sign of the velocity form, read at seven interior samples."""
-    t0, t1 = curve.domain
-    margin = 4.5 * curve.fd_step
     signs = set()
-    for t in np.linspace(t0 + margin, t1 - margin, 7):
+    for t in _interior(curve, 7):
         vf = velocity_form(curve, t)
         if strict:
             _require_regular(vf.form, t)
@@ -253,11 +251,18 @@ def _monotone_direction(curve: GrassmannCurve, strict: bool) -> int:
     raise NotMonotone("velocity form has no consistent sign")
 
 
+def _require_off_train(at, train, a, b):
+    for end in (a, b):
+        if core.intersection_dim(at(end), train) > 0:
+            raise EndpointOnTrain(
+                f"curve endpoint t={end:g} meets the reference subspace")
+
+
 # --------------------------------------------------------------- public ops
 
 
 def maslov_index(curve: GrassmannCurve, train: core.LagrangianFrame,
-                 max_gap: float = 0.15, seed: int = 0) -> IndexReport:
+                 seed: int = 0) -> IndexReport:
     """Maslov index of the curve against the train of the reference.
 
     The domain is subdivided until every piece sits inside one chart
@@ -269,11 +274,8 @@ def maslov_index(curve: GrassmannCurve, train: core.LagrangianFrame,
     """
     a, b = curve.domain
     at = _memoized(curve)
-    for end in (a, b):
-        if core.intersection_dim(at(end), train) > 0:
-            raise EndpointOnTrain(
-                f"curve endpoint t={end:g} meets the reference subspace")
-    pieces = _pieces(curve.space, train, at, a, b, max_gap, seed, True)
+    _require_off_train(at, train, a, b)
+    pieces = _pieces(curve.space, train, at, a, b, seed, True)
     value = 0
     subdivision = [a]
     for pa, pb, chart in pieces:
@@ -286,7 +288,7 @@ def maslov_index(curve: GrassmannCurve, train: core.LagrangianFrame,
 
 
 def maslov_index_monotone(curve: GrassmannCurve, train: core.LagrangianFrame,
-                          max_gap: float = 0.15, seed: int = 0) -> IndexReport:
+                          seed: int = 0) -> IndexReport:
     """Maslov index of a monotone curve as a telescoping pair-index sum.
 
     Chart-free alternative to maslov_index: each simple piece of an
@@ -298,12 +300,9 @@ def maslov_index_monotone(curve: GrassmannCurve, train: core.LagrangianFrame,
     """
     a, b = curve.domain
     at = _memoized(curve)
-    for end in (a, b):
-        if core.intersection_dim(at(end), train) > 0:
-            raise EndpointOnTrain(
-                f"curve endpoint t={end:g} meets the reference subspace")
+    _require_off_train(at, train, a, b)
     direction = _monotone_direction(curve, strict=False)
-    pieces = _pieces(curve.space, train, at, a, b, max_gap, seed, False)
+    pieces = _pieces(curve.space, train, at, a, b, seed, False)
     doubled = 0
     for pa, pb, _ in pieces:
         if direction > 0:
@@ -357,7 +356,6 @@ def _locate(indf, tl, tr, il, ir, tol, depth=0):
 
 
 def conjugate_points(curve: GrassmannCurve, train: core.LagrangianFrame,
-                     max_gap: float = 0.15,
                      seed: int = 0) -> List[ConjugatePoint]:
     """Train-crossing times with multiplicities, for regular monotone
     curves.
@@ -374,7 +372,7 @@ def conjugate_points(curve: GrassmannCurve, train: core.LagrangianFrame,
     at = _memoized(curve)
     lo = _trim(at, train, a, b)
     hi = _trim(at, train, b, a)
-    pieces = _pieces(curve.space, train, at, lo, hi, max_gap, seed, True)
+    pieces = _pieces(curve.space, train, at, lo, hi, seed, True)
     tol = _TIME_TOL * curve.length
     found = []
     for pa, pb, chart in pieces:
@@ -404,8 +402,7 @@ def conjugate_points(curve: GrassmannCurve, train: core.LagrangianFrame,
     return merged
 
 
-def morse_index_regular_extremal(jc: GrassmannCurve, max_gap: float = 0.15,
-                                 seed: int = 0) -> int:
+def morse_index_regular_extremal(jc: GrassmannCurve, seed: int = 0) -> int:
     """Morse index of the extremal behind a Jacobi curve.
 
     Equals the total multiplicity of interior conjugate points against
@@ -418,5 +415,5 @@ def morse_index_regular_extremal(jc: GrassmannCurve, max_gap: float = 0.15,
         raise DegenerateEndpoint(
             "endpoint subspace meets the initial subspace; the second "
             "variation is degenerate at this horizon")
-    pts = conjugate_points(jc, train, max_gap=max_gap, seed=seed)
+    pts = conjugate_points(jc, train, seed=seed)
     return int(sum(p.multiplicity for p in pts))

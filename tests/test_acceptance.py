@@ -290,15 +290,16 @@ def test_criterion_05_curvature_cross_validation():
     gaps = np.geomspace(0.005, 0.02, 8)
     for draw in range(20):
         n = 2 + (draw % 2)
-        c = curve.from_chart_family(n, _monotone_draw(rng, n), (-0.3, 0.3))
-        r1 = curve.curvature(c, t0, fd_step=h)
-        r2 = curve.curvature_via_cross_ratio(c, t0, fd_step=h)
+        c = curve.from_chart_family(n, _monotone_draw(rng, n), (-0.3, 0.3),
+                                    fd_step=h)
+        r1 = curve.curvature(c, t0)
+        r2 = curve.curvature_via_cross_ratio(c, t0)
         rel = (np.linalg.norm(r1.matrix - r2.matrix)
                / np.linalg.norm(r1.matrix))
         if rel > 1e-5:
             failures.append(f"paths disagree by {rel:.2e} at draw {draw}")
         res = [np.linalg.norm(
-            g ** 2 * curve.pair_ratio(c, t0 + g, t0, fd_step=h).matrix
+            g ** 2 * curve.pair_ratio(c, t0 + g, t0).matrix
             - np.eye(n) - (g ** 2 / 3.0) * r1.matrix) for g in gaps]
         slope = np.polyfit(np.log(gaps), np.log(res), 1)[0]
         if not 2.8 <= slope <= 3.2:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lagrass
-from lagrass import core, maslov
+from lagrass import core, curve, hamflow, maslov
 from lagrass.errors import NotInChart, NotTransversal, SearchExhausted
 
 
@@ -232,6 +232,23 @@ _DELETED_KNOBS = {
     "lagrass.analysis.decay_rate": {"skip", "floor"},
     "lagrass.lderiv.lagrangian_point": {"tol", "max_iter"},
     "lagrass.core.random_symplectic": {"factors", "scale"},
+    "lagrass.core.transversal_complement": {"seed"},
+    "lagrass.curve.velocity_form": {"fd_step"},
+    "lagrass.curve.infinitesimal_cross_ratio": {"fd_step"},
+    "lagrass.curve.pair_ratio": {"fd_step"},
+    "lagrass.curve.derivative_curve": {"fd_step"},
+    "lagrass.curve.derivative_family": {"fd_step"},
+    "lagrass.curve.curvature": {"fd_step"},
+    "lagrass.curve.curvature_via_cross_ratio": {"fd_step"},
+    "lagrass.curve.curvature_form": {"fd_step"},
+    "lagrass.curve.transport_generator": {"fd_step"},
+    "lagrass.curve.schwarzian": {"h"},
+    "lagrass.curve.fundamental_matrix": {"step"},
+    "lagrass.maslov.maslov_index": {"max_gap"},
+    "lagrass.maslov.maslov_index_monotone": {"max_gap"},
+    "lagrass.maslov.conjugate_points": {"max_gap"},
+    "lagrass.maslov.morse_index_regular_extremal": {"max_gap"},
+    "lagrass.lderiv.family_index_delta": {"max_gap"},
 }
 
 
@@ -244,8 +261,12 @@ def test_deleted_knobs_stay_deleted():
         if knobs:
             back[name] = sorted(knobs)
     assert back == {}
-    assert "samples" not in inspect.signature(
-        maslov._monotone_direction).parameters
+    for private, knob in ((maslov._monotone_direction, "samples"),
+                          (maslov._pieces, "max_gap"),
+                          (curve._chart_and_stencil, "fd_step"),
+                          (curve._stencil_geometry, "fd_step")):
+        assert knob not in inspect.signature(private).parameters
+    assert "gradient" not in vars(hamflow.HamiltonianSystem)
 
 
 def _quadratic(a, b):

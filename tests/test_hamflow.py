@@ -212,6 +212,32 @@ def test_jacobi_curvature_matches_potential_hessian():
     assert np.abs(got - want).max() <= 1e-5 * (1.0 + np.abs(want).max())
 
 
+def test_dense_flow_and_derivative_family_follow_the_stencil_reach():
+    sys = oscillator(2, np.diag([1.0, 2.5]))
+    z0 = np.array([0.3, -0.2, 0.5, 0.1])
+    horizon = 2.0
+    dense = hamflow.DenseFlow(sys, z0, horizon)
+    jc = hamflow.jacobi_curve(sys, z0, horizon, dense=dense)
+    reach = curve.REACH * jc.fd_step
+    assert jc.domain == (0.0, horizon)
+    assert jc.fd_step == curve.FD_STEP_FRACTION * horizon
+    assert dense.t_lo <= -reach and dense.t_hi >= horizon + reach
+    seen = []
+
+    def ev(t):
+        seen.append(t)
+        return jc.eval(t)
+
+    probe = dataclasses.replace(jc, eval=ev)
+    for t in (0.0, horizon):
+        curve.curvature(probe, t)
+    assert min(seen) == -reach and max(seen) == horizon + reach
+    assert dense.t_lo <= min(seen) and max(seen) <= dense.t_hi
+    fam = curve.derivative_family(jc)
+    assert fam.domain == (reach, horizon - reach)
+    assert fam.fd_step == jc.fd_step
+
+
 # ------------------------------------------------------ connection operators
 
 

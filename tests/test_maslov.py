@@ -224,11 +224,12 @@ def test_small_symplectic_conjugation_preserves_index():
         assert maslov.maslov_index(moved, train).value == 2
 
 
-def test_chart_schedule_does_not_change_index():
+def test_chart_schedule_does_not_change_index(monkeypatch):
     train = vertical_train(1)
     c = tan_family(1, sign=+1.0)
-    coarse = maslov.maslov_index(c, train, max_gap=0.15)
-    fine = maslov.maslov_index(c, train, max_gap=0.06, seed=3)
+    coarse = maslov.maslov_index(c, train)
+    monkeypatch.setattr(maslov, "MAX_GAP", 0.06)
+    fine = maslov.maslov_index(c, train, seed=3)
     assert coarse.value == fine.value == 2
     assert fine.charts_used >= coarse.charts_used
 
