@@ -1,18 +1,20 @@
 """Orbit-level analyses assembled from flows, curves and index counts.
 
-Four consumers of the lower layers live here. comparison_check samples
-the curvature operator along an orbit and confronts the conjugate-point
-spacing with the sqrt-of-curvature bounds: spacings are bounded below
-through the largest eigenvalue and a window bound through the mean of
-the trace forces a conjugate time when the latter stays positive.
+Four consumers of the lower layers live here, and each reads the one
+orbit its caller integrated. comparison_check samples the curvature
+operator along an orbit and confronts the conjugate-point spacing with
+the sqrt-of-curvature bounds: spacings are bounded below through the
+largest eigenvalue and a window bound through the mean of the trace
+forces a conjugate time when the latter stays positive.
 certify_negative_curvature issues hyperbolicity certificates, either
-through reduced curvature along one energy level or through full
-curvature plus linearization spectra of any equilibria the orbit lands
-on. morse_pipeline packages the Legendre sign scan, the conjugate-point
-sweep and a trimmed-interval index computation, cross-checking the two
-counts against each other. reduction_comparison measures index and
-curvature-form gaps between a Jacobi curve and its energy-level
-reduction in a shared basis of the common subspace.
+through reduced curvature along one energy level, given a DenseFlow, or
+through full curvature plus linearization spectra of any equilibria the
+orbit lands on, given the Trajectory of flow(). morse_pipeline packages
+the Legendre sign scan, the conjugate-point sweep and a trimmed-interval
+index computation, cross-checking the two counts against each other.
+reduction_comparison measures index and curvature-form gaps between a
+Jacobi curve and its energy-level reduction in a shared basis of the
+common subspace.
 
 All sampled verdicts are certificates about the sample grid, not
 proofs; the margins and filters below keep the honest failure modes
@@ -31,14 +33,11 @@ from . import core, maslov
 from .curve import GrassmannCurve, curvature, curvature_form
 from .errors import DegenerateEndpoint, NotMonotone, TangentFiber
 from .hamflow import (
-    DEFAULT_STEP,
     EQUILIBRIUM_TOL,
     DenseFlow,
-    HamiltonianSystem,
     Trajectory,
     _subsample,
     curvature_operator_field,
-    flow,
     jacobi_curve,
     level_reduction,
     monotonicity_test,
@@ -53,12 +52,13 @@ NOISE_TOL = 1e-5           # step-halving drift that disqualifies a sample
 CONGRUENCE_TOL = 1e-6
 
 
-def _orbit_curvature(sys: HamiltonianSystem, states, count: int):
+def _orbit_curvature(traj: Trajectory, count: int):
     """Extreme eigenvalue and trace statistics over sampled states."""
-    idx = _subsample(len(states), count)
+    sys = traj.sys
+    idx = _subsample(len(traj.states), count)
     eig_hi, tr_lo, hess_hi = -math.inf, math.inf, 0.0
     for k in idx:
-        z = states[k]
+        z = traj.states[k]
         r = curvature_operator_field(sys, (z[:sys.n], z[sys.n:]))
         eigs = np.linalg.eigvals(r).real
         eig_hi = max(eig_hi, float(eigs.max()))
@@ -91,12 +91,10 @@ class ComparisonReport:
     step: float
 
 
-def comparison_check(sys: HamiltonianSystem, z0: np.ndarray, horizon: float,
-                     step: float = DEFAULT_STEP) -> ComparisonReport:
-    dense = DenseFlow(sys, z0, horizon, step)
-    jc = jacobi_curve(sys, z0, horizon, step, dense=dense)
-    eig_hi, tr_lo, _ = _orbit_curvature(sys, dense.window().states,
-                                        CURVATURE_SAMPLES)
+def comparison_check(dense: DenseFlow) -> ComparisonReport:
+    horizon, step = dense.horizon, dense.step
+    jc = jacobi_curve(dense)
+    eig_hi, tr_lo, _ = _orbit_curvature(dense.window(), CURVATURE_SAMPLES)
     pts = maslov.conjugate_points(jc, core.vertical_frame(jc.space))
     times = [p.t for p in pts]
     bound_gap = math.pi / math.sqrt(eig_hi) if eig_hi > 0 else math.inf
@@ -135,8 +133,9 @@ class HyperbolicityCertificate:
     equilibria: Tuple[EquilibriumInfo, ...] = ()
 
 
-def _find_equilibria(sys: HamiltonianSystem, traj: Trajectory):
+def _find_equilibria(traj: Trajectory):
     """Orbit states where the field vanishes, one entry per cluster."""
+    sys = traj.sys
     if len(traj.times) < 2:
         return []
     speeds = np.linalg.norm(np.diff(traj.states, axis=0), axis=1) \
@@ -167,34 +166,28 @@ def _find_equilibria(sys: HamiltonianSystem, traj: Trajectory):
     return out
 
 
-def certify_negative_curvature(sys: HamiltonianSystem, z0: np.ndarray,
-                               horizon: float, step: float = DEFAULT_STEP,
-                               reduced: bool = False,
-                               orbit: Union[DenseFlow, Trajectory,
-                                            None] = None
+def certify_negative_curvature(orbit: Union[DenseFlow, Trajectory]
                                ) -> HyperbolicityCertificate:
     """Negative-curvature certificate along one orbit.
 
-    With reduced=True the eigenvalues come from the energy-level
-    reduction of the Jacobi curve, whose curvature at parameter t is
-    conjugate to the reduced operator at the transported point; without
-    it the full operator is sampled pointwise and any equilibria the
-    orbit reaches must have linearization spectra clear of the
-    imaginary axis. A prebuilt orbit shares the integration: a dense
-    flow in reduced mode, the trajectory of flow() in full mode, which
-    integrates the state alone because the state stays under the norm
-    cap where the fundamental matrix may not.
+    The mode follows the orbit's type. A DenseFlow gives the reduced
+    certificate: the eigenvalues come from the energy-level reduction
+    of the Jacobi curve, whose curvature at parameter t is conjugate to
+    the reduced operator at the transported point. A Trajectory, as
+    flow() returns it, gives the full certificate: the full operator is
+    sampled pointwise and any equilibria the orbit reaches must have
+    linearization spectra clear of the imaginary axis. The full mode
+    reads states only, so flow() integrates the state alone, which
+    stays under the norm cap where the fundamental matrix may not.
     """
     diagnostics = []
     equilibria: Tuple[EquilibriumInfo, ...] = ()
     alpha = math.nan
-    if reduced:
-        dense = orbit if orbit is not None \
-            else DenseFlow(sys, z0, horizon, step)
-        rc = reduced_jacobi_curve(sys, z0, horizon, step, dense=dense)
-        _, _, hess_hi = _orbit_curvature(sys, dense.window().states, 33)
+    if isinstance(orbit, DenseFlow):
+        rc = reduced_jacobi_curve(orbit)
+        _, _, hess_hi = _orbit_curvature(orbit.window(), 33)
         max_eig = -math.inf
-        for t in np.linspace(0.0, horizon, REDUCED_SAMPLES):
+        for t in np.linspace(0.0, orbit.horizon, REDUCED_SAMPLES):
             eigs = np.linalg.eigvals(curvature(rc, t).matrix).real
             max_eig = max(max_eig, float(eigs.max()))
         kind = "reduced_flow"
@@ -203,14 +196,12 @@ def certify_negative_curvature(sys: HamiltonianSystem, z0: np.ndarray,
             f"peaks at {max_eig:.6g}")
         eq_ok = True
     else:
-        traj = orbit if orbit is not None else flow(sys, z0, horizon, step)
-        max_eig, _, hess_hi = _orbit_curvature(sys, traj.states,
-                                               CURVATURE_SAMPLES)
+        max_eig, _, hess_hi = _orbit_curvature(orbit, CURVATURE_SAMPLES)
         kind = "equilibrium_set"
         diagnostics.append(
             f"curvature over {CURVATURE_SAMPLES} samples "
             f"peaks at {max_eig:.6g}")
-        equilibria = tuple(_find_equilibria(sys, traj))
+        equilibria = tuple(_find_equilibria(orbit))
         if equilibria:
             alpha = min(float(np.abs(eq.spectrum.real).min())
                         for eq in equilibria)
@@ -258,8 +249,7 @@ class MorsePipeline:
     trim: float
 
 
-def morse_pipeline(sys: HamiltonianSystem, z0: np.ndarray, horizon: float,
-                   step: float = DEFAULT_STEP,
+def morse_pipeline(dense: DenseFlow,
                    trim: Optional[float] = None) -> MorsePipeline:
     """Morse index of the extremal plus its cross-checks.
 
@@ -269,11 +259,11 @@ def morse_pipeline(sys: HamiltonianSystem, z0: np.ndarray, horizon: float,
     and no conjugate-point machinery. Disagreement raises instead of
     picking a side.
     """
-    dense = DenseFlow(sys, z0, horizon, step)
-    legendre = monotonicity_test(sys, dense.window())
+    horizon = dense.horizon
+    legendre = monotonicity_test(dense.window())
     if not legendre.uniform_definite:
         raise NotMonotone("the fiber Hessian changes type along the orbit")
-    jc = jacobi_curve(sys, z0, horizon, step, dense=dense)
+    jc = jacobi_curve(dense)
     train = core.vertical_frame(jc.space)
     if core.intersection_dim(jc.eval(horizon), train) > 0:
         raise DegenerateEndpoint(
@@ -321,8 +311,7 @@ class ReductionComparison:
     samples: Tuple[float, ...]
 
 
-def reduction_comparison(sys: HamiltonianSystem, z0: np.ndarray,
-                         horizon: float, step: float = DEFAULT_STEP,
+def reduction_comparison(dense: DenseFlow,
                          trim: Optional[float] = None) -> ReductionComparison:
     """Compare a Jacobi curve with its energy-level reduction.
 
@@ -332,11 +321,11 @@ def reduction_comparison(sys: HamiltonianSystem, z0: np.ndarray,
     samples validate themselves by step halving; samples whose forms
     drift are dropped.
     """
+    horizon = dense.horizon
     if trim is None:
         trim = 0.05 * horizon
-    dense = DenseFlow(sys, z0, horizon, step)
-    jc = jacobi_curve(sys, z0, horizon, step, dense=dense)
-    red = level_reduction(sys, z0)
+    jc = jacobi_curve(dense)
+    red = level_reduction(dense.sys, dense.state(0.0))
     uhat = red.u / np.linalg.norm(red.u)
     graze = math.inf
     for t in np.linspace(0.0, horizon, 129):

@@ -407,9 +407,13 @@ def _run_flow(sysn, z0, config, opts, seed):
     return scalars, Series(tuple(cols), rows), []
 
 
+def _dense(sysn, z0, config) -> DenseFlow:
+    return DenseFlow(sysn, z0, config["horizon"], config["step"])
+
+
 def _run_jacobi(sysn, z0, config, opts, seed):
     horizon = float(config["horizon"])
-    jc = jacobi_curve(sysn, z0, horizon, config["step"])
+    jc = jacobi_curve(_dense(sysn, z0, config))
     ts = np.linspace(0.0, horizon, opts["samples"])
     rows = np.array([np.concatenate([[t], _frame_row(jc.eval(t))])
                      for t in ts])
@@ -418,10 +422,10 @@ def _run_jacobi(sysn, z0, config, opts, seed):
     return {"n": sysn.n, "horizon": horizon}, Series(tuple(cols), rows), []
 
 
-def _field_curvatures(sysn, orbit, ts) -> List[np.ndarray]:
+def _field_curvatures(orbit, ts) -> List[np.ndarray]:
     """Curvature operator of the field at the orbit point of each time."""
-    n = sysn.n
-    return [curvature_operator_field(sysn, (z[:n], z[n:]))
+    n = orbit.sys.n
+    return [curvature_operator_field(orbit.sys, (z[:n], z[n:]))
             for z in map(orbit.state, ts)]
 
 
@@ -430,7 +434,7 @@ def _run_curvature(sysn, z0, config, opts, seed):
     orbit = flow(sysn, z0, horizon, config["step"])
     ts = np.linspace(0.0, horizon, opts["samples"])
     n = sysn.n
-    mats = _field_curvatures(sysn, orbit, ts)
+    mats = _field_curvatures(orbit, ts)
     rows = [np.concatenate([[t], r.ravel()]) for t, r in zip(ts, mats)]
     eigs = np.sort(np.linalg.eigvals(mats[0]).real)
     cols = ["t"] + _mat_headers("r", (n, n))
@@ -445,7 +449,7 @@ def _conjugate_series(pts) -> Series:
 
 
 def _run_conjugate(sysn, z0, config, opts, seed):
-    jc = jacobi_curve(sysn, z0, config["horizon"], config["step"])
+    jc = jacobi_curve(_dense(sysn, z0, config))
     pts = maslov.conjugate_points(jc, core.vertical_frame(jc.space),
                                   seed=seed)
     scalars = {"count": len(pts),
@@ -454,8 +458,8 @@ def _run_conjugate(sysn, z0, config, opts, seed):
 
 
 def _run_morse(sysn, z0, config, opts, seed):
-    out = analysis.morse_pipeline(sysn, z0, config["horizon"],
-                                  config["step"], trim=opts["trim"])
+    out = analysis.morse_pipeline(_dense(sysn, z0, config),
+                                  trim=opts["trim"])
     scalars = {"index": out.index, "trimmed_maslov": out.trimmed_maslov,
                "trim": out.trim, "legendre_sign": out.legendre.sign}
     return scalars, _conjugate_series(out.conjugate_points), []
@@ -463,7 +467,7 @@ def _run_morse(sysn, z0, config, opts, seed):
 
 def _run_maslov(sysn, z0, config, opts, seed):
     horizon = float(config["horizon"])
-    jc = jacobi_curve(sysn, z0, horizon, config["step"])
+    jc = jacobi_curve(_dense(sysn, z0, config))
     t0, t1 = map(float, _maslov_window(horizon, opts))
     sub = GrassmannCurve(space=jc.space, eval=jc.eval, domain=(t0, t1))
     rep = maslov.maslov_index(sub, core.vertical_frame(jc.space), seed=seed)
@@ -475,8 +479,7 @@ def _run_maslov(sysn, z0, config, opts, seed):
 
 
 def _run_reduce(sysn, z0, config, opts, seed):
-    rep = analysis.reduction_comparison(sysn, z0, config["horizon"],
-                                        config["step"],
+    rep = analysis.reduction_comparison(_dense(sysn, z0, config),
                                         trim=opts["trim"])
     rows = np.asarray(rep.samples, dtype=float).reshape(-1, 1)
     scalars = {"mu_full": rep.mu_full, "mu_reduced": rep.mu_reduced,
@@ -487,8 +490,7 @@ def _run_reduce(sysn, z0, config, opts, seed):
 
 
 def _run_compare(sysn, z0, config, opts, seed):
-    rep = analysis.comparison_check(sysn, z0, config["horizon"],
-                                    config["step"])
+    rep = analysis.comparison_check(_dense(sysn, z0, config))
     rows = np.column_stack([rep.conjugate_times,
                             np.asarray(rep.multiplicities, dtype=float)]) \
         if rep.conjugate_times else np.zeros((0, 2))
@@ -504,18 +506,15 @@ def _run_hyperbolic(sysn, z0, config, opts, seed):
     horizon = float(config["horizon"])
     reduced = opts["reduced"]
     # the full mode reads states only, so it integrates the state alone
-    orbit = DenseFlow(sysn, z0, horizon, config["step"]) if reduced \
+    orbit = _dense(sysn, z0, config) if reduced \
         else flow(sysn, z0, horizon, config["step"])
-    cert = analysis.certify_negative_curvature(sysn, z0, horizon,
-                                               config["step"],
-                                               reduced=reduced, orbit=orbit)
+    cert = analysis.certify_negative_curvature(orbit)
     ts = np.linspace(0.0, horizon, opts["samples"])
     if reduced:
-        rc = reduced_jacobi_curve(sysn, z0, horizon, config["step"],
-                                  dense=orbit)
+        rc = reduced_jacobi_curve(orbit)
         mats = [curve_curvature(rc, t).matrix for t in ts]
     else:
-        mats = _field_curvatures(sysn, orbit, ts)
+        mats = _field_curvatures(orbit, ts)
     tops = [float(np.linalg.eigvals(r).real.max()) for r in mats]
     rows = np.column_stack([ts, tops])
     scalars = {"kind": cert.kind, "max_eig": cert.max_eig,

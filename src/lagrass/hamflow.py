@@ -5,9 +5,12 @@ x' = -dH/dy, y' = dH/dx.  The variational flow transports tangent frames
 backwards along a trajectory, so pushing the fiber through it traces the
 Jacobi curve of the initial point as a curve in the Lagrange
 Grassmannian.  Every integration marches the package's one RK4 stepper
-through one cap-checked loop; a DenseFlow is the single trajectory
-object of an orbit, and its in-window view is the trajectory flow()
-would return, so an analysis integrates each orbit once.  A polynomial
+through one cap-checked loop, and only flow() and DenseFlow() integrate:
+the caller builds the orbit, and readers take it.  A DenseFlow is the
+single trajectory object of an orbit, and its in-window view is the
+trajectory flow() would return; jacobi_curve, reduced_jacobi_curve,
+monotonicity_test and the analyses read the system, horizon, step and
+z0 from the one DenseFlow or Trajectory they are given.  A polynomial
 Hamiltonian is compiled once into term tables, and each callback call
 evaluates all of its monomials in one vectorized pass.  A quadratic
 Hamiltonian (quadratic_system: quadratic_potential_system, and the
@@ -506,24 +509,19 @@ class DenseFlow:
         return Trajectory(times, states, self.sys)
 
 
-def jacobi_curve(sys: HamiltonianSystem, z0: np.ndarray, horizon: float,
-                 step: float = DEFAULT_STEP,
-                 dense: Optional[DenseFlow] = None) -> GrassmannCurve:
-    """Curve traced by the fiber under backward transport from z0.
+def jacobi_curve(dense: DenseFlow) -> GrassmannCurve:
+    """Curve traced by the fiber under backward transport along the orbit.
 
     Monotone decreasing whenever the xx Hessian block stays positive
-    definite along the orbit. Pass a prebuilt dense flow to share the
-    integration with other orbit consumers.
+    definite along the orbit.
     """
-    if dense is None:
-        dense = DenseFlow(sys, z0, horizon, step)
-    space = core.standard_space(sys.n)
+    space = core.standard_space(dense.sys.n)
     vert = core.vertical_frame(space).columns
 
     def ev(t):
         return core.make_frame(space, dense.gamma(t) @ vert)
 
-    return GrassmannCurve(space=space, eval=ev, domain=(0.0, float(horizon)))
+    return GrassmannCurve(space=space, eval=ev, domain=(0.0, dense.horizon))
 
 
 # --------------------------------------------------------- level reduction
@@ -605,18 +603,15 @@ def level_reduction(sys: HamiltonianSystem, z0: np.ndarray) -> LevelReduction:
     return LevelReduction(space=space, u=u, v=v, basis=basis, _proj=proj)
 
 
-def reduced_jacobi_curve(sys: HamiltonianSystem, z0: np.ndarray,
-                         horizon: float, step: float = DEFAULT_STEP,
-                         dense: Optional[DenseFlow] = None) -> GrassmannCurve:
-    """Jacobi curve pushed to the quotient along the energy level."""
-    red = level_reduction(sys, z0)
-    full = jacobi_curve(sys, z0, horizon, step, dense=dense)
+def reduced_jacobi_curve(dense: DenseFlow) -> GrassmannCurve:
+    """Jacobi curve pushed to the quotient along the energy level of z0."""
+    red = level_reduction(dense.sys, dense.state(0.0))
+    full = jacobi_curve(dense)
 
     def ev(t):
         return red.reduce_frame(full.eval(t))
 
-    return GrassmannCurve(space=red.space, eval=ev,
-                          domain=(0.0, float(horizon)))
+    return GrassmannCurve(space=red.space, eval=ev, domain=full.domain)
 
 
 # -------------------------------------------------- connection and curvature
@@ -751,10 +746,10 @@ class MonotonicityReport:
     sign: int
 
 
-def monotonicity_test(sys: HamiltonianSystem,
-                      traj: Trajectory) -> MonotonicityReport:
+def monotonicity_test(traj: Trajectory) -> MonotonicityReport:
     """Inertia scan of the xx Hessian block at up to 201 trajectory
     samples."""
+    sys = traj.sys
     idx = _subsample(len(traj.times), 201)
     inertias = []
     for k in idx:

@@ -119,7 +119,7 @@ def test_criterion_01_natural_curvature_spectrum():
         rel = np.abs(got - want).max() / scale
         if rel > 1e-5:
             failures.append(f"field spectrum off by {rel:.2e} at n={n}")
-        jc = hamflow.jacobi_curve(sysn, z0, 0.5)
+        jc = hamflow.jacobi_curve(hamflow.DenseFlow(sysn, z0, 0.5))
         got = np.sort(np.linalg.eigvals(curve.curvature(jc, 0.0).matrix).real)
         rel = np.abs(got - want).max() / scale
         if rel > 1e-5:
@@ -141,7 +141,7 @@ def test_criterion_02_conjugate_point_sharpness():
 
     sys2 = oscillator(2)
     z2 = np.array([0.7, -0.4, 1.1, 0.5])
-    jc = hamflow.jacobi_curve(sys2, z2, 10.0, step=step)
+    jc = hamflow.jacobi_curve(hamflow.DenseFlow(sys2, z2, 10.0, step))
     pts = maslov.conjugate_points(jc, jc.eval(0.0))
     want = [np.pi, 2.0 * np.pi, 3.0 * np.pi]
     if len(pts) != 3:
@@ -155,7 +155,7 @@ def test_criterion_02_conjugate_point_sharpness():
     sysi = oscillator(1, [[-1.0]])
     zi = np.array([0.7, 1.1])
     dense = hamflow.DenseFlow(sysi, zi, 10.0, step)
-    jci = hamflow.jacobi_curve(sysi, zi, 10.0, dense=dense)
+    jci = hamflow.jacobi_curve(dense)
     # velocity decays like the squared secant of t; cap the sweep where
     # the curve is still numerically regular and corroborate the full
     # horizon with the index, which needs no derivatives
@@ -181,13 +181,15 @@ def test_criterion_03_morse_index_ladder():
     z1 = np.array([0.8, -0.3])
     for horizon, want in ((0.5 * np.pi, 0), (1.5 * np.pi, 1),
                           (2.5 * np.pi, 2)):
-        pipe = analysis.morse_pipeline(oscillator(1), z1, horizon)
+        pipe = analysis.morse_pipeline(
+            hamflow.DenseFlow(oscillator(1), z1, horizon))
         if pipe.index != want:
             failures.append(f"index {pipe.index} != {want} "
                             f"at horizon {horizon:.4f}")
     for n in (1, 2, 3):
         z0 = 0.3 + 0.1 * np.arange(2 * n)
-        jc = hamflow.jacobi_curve(oscillator(n), z0, 1.5 * np.pi)
+        jc = hamflow.jacobi_curve(
+            hamflow.DenseFlow(oscillator(n), z0, 1.5 * np.pi))
         idx = maslov.morse_index_regular_extremal(jc)
         if idx != n:
             failures.append(f"isotropic index {idx} != {n} at n={n}")
@@ -357,7 +359,7 @@ def test_criterion_07_symplectic_integrity():
                      for g in map(dense.gamma, dense.window().times))
         if defect > 1e-8:
             failures.append(f"{name}: variational defect {defect:.2e}")
-        jc = hamflow.jacobi_curve(sysn, z0, 2.0)
+        jc = hamflow.jacobi_curve(hamflow.DenseFlow(sysn, z0, 2.0))
         res = curve.transport(jc, 0.3, 1.2)
         tdef = core.symplectic_defect(space, res.matrix)
         if tdef > 1e-8:
@@ -552,7 +554,8 @@ def test_criterion_10_reduction_bounds():
     failures = []
     for (seed, n), want in frozen.items():
         sysn, z0 = seeded_well(seed, n)
-        rep = analysis.reduction_comparison(sysn, z0, horizon=4.0, step=1e-3)
+        rep = analysis.reduction_comparison(
+            hamflow.DenseFlow(sysn, z0, horizon=4.0, step=1e-3))
         got = (rep.mu_full, rep.mu_reduced)
         if got != want:
             failures.append(f"seed {seed}: index pair {got} != {want}")
@@ -578,7 +581,7 @@ def test_criterion_11_hyperbolicity_certificate():
     failures = []
     inv = oscillator(2, -np.eye(2))
     cert = analysis.certify_negative_curvature(
-        inv, np.array([-0.8, 0.6, 0.8, -0.6]), horizon=25.0)
+        hamflow.flow(inv, np.array([-0.8, 0.6, 0.8, -0.6]), horizon=25.0))
     if not cert.verdict:
         failures.append("certificate verdict is False")
     if cert.kind != "equilibrium_set":

@@ -54,8 +54,9 @@ def seeded_well(seed, n):
 
 
 def test_comparison_isotropic_sharp():
-    rep = analysis.comparison_check(oscillator(2), np.array([0.7, -0.4, 1.1, 0.5]),
-                                    horizon=7.0, step=1e-3)
+    rep = analysis.comparison_check(hamflow.DenseFlow(
+        oscillator(2), np.array([0.7, -0.4, 1.1, 0.5]), horizon=7.0,
+        step=1e-3))
     assert rep.eig_upper == pytest.approx(1.0, abs=1e-12)
     assert rep.trace_lower == pytest.approx(1.0, abs=1e-12)
     assert rep.bound_gap == pytest.approx(np.pi, abs=1e-12)
@@ -67,9 +68,9 @@ def test_comparison_isotropic_sharp():
 
 
 def test_comparison_inverted_no_conjugates():
-    rep = analysis.comparison_check(oscillator(2, -np.eye(2)),
-                                    np.array([0.7, -0.4, 1.1, 0.5]),
-                                    horizon=8.0, step=1e-3)
+    rep = analysis.comparison_check(hamflow.DenseFlow(
+        oscillator(2, -np.eye(2)), np.array([0.7, -0.4, 1.1, 0.5]),
+        horizon=8.0, step=1e-3))
     assert rep.conjugate_times == ()
     assert rep.eig_upper == pytest.approx(-1.0, abs=1e-12)
     assert math.isinf(rep.min_gap)
@@ -79,9 +80,9 @@ def test_comparison_inverted_no_conjugates():
 
 
 def test_comparison_anisotropic_trace_window():
-    rep = analysis.comparison_check(oscillator(2, np.diag([4.0, 1.0])),
-                                    np.array([0.7, -0.4, 1.1, 0.5]),
-                                    horizon=7.0, step=1e-3)
+    rep = analysis.comparison_check(hamflow.DenseFlow(
+        oscillator(2, np.diag([4.0, 1.0])), np.array([0.7, -0.4, 1.1, 0.5]),
+        horizon=7.0, step=1e-3))
     assert rep.bound_gap == pytest.approx(np.pi / 2.0, abs=1e-12)
     assert rep.bound_hit == pytest.approx(np.pi / np.sqrt(2.5), abs=1e-12)
     assert abs(rep.min_gap - np.pi / 2.0) <= 1e-6
@@ -92,9 +93,11 @@ def test_comparison_anisotropic_trace_window():
 
 
 def test_comparison_requires_monotone_curve():
+    dense = hamflow.DenseFlow(saddle_system(),
+                              np.array([0.4, 0.3, 0.2, 0.1]),
+                              horizon=1.0, step=1e-3)
     with pytest.raises(NotMonotone):
-        analysis.comparison_check(saddle_system(), np.array([0.4, 0.3, 0.2, 0.1]),
-                                  horizon=1.0, step=1e-3)
+        analysis.comparison_check(dense)
 
 
 def test_comparison_samples_the_states_flow_returns():
@@ -103,10 +106,9 @@ def test_comparison_samples_the_states_flow_returns():
     sysn = hamflow.polynomial_system(
         1, [(0.5, (2, 0)), (1.0, (0, 2)), (0.3, (0, 4))], family="natural")
     z0, horizon, step = np.array([0.4, 0.9]), 1.005, 1e-2
-    rep = analysis.comparison_check(sysn, z0, horizon, step)
-    states = hamflow.flow(sysn, z0, horizon, step).states
+    rep = analysis.comparison_check(hamflow.DenseFlow(sysn, z0, horizon, step))
     eig_hi, tr_lo, _ = analysis._orbit_curvature(
-        sysn, states, analysis.CURVATURE_SAMPLES)
+        hamflow.flow(sysn, z0, horizon, step), analysis.CURVATURE_SAMPLES)
     assert (rep.eig_upper, rep.trace_lower) == (eig_hi, tr_lo)
 
 
@@ -114,9 +116,9 @@ def test_comparison_samples_the_states_flow_returns():
 
 
 def test_certificate_stable_orbit_finds_hyperbolic_equilibrium():
-    cert = analysis.certify_negative_curvature(
+    cert = analysis.certify_negative_curvature(hamflow.flow(
         oscillator(2, -np.eye(2)), np.array([-0.8, 0.6, 0.8, -0.6]),
-        horizon=25.0, step=1e-3, reduced=False)
+        horizon=25.0, step=1e-3))
     assert cert.kind == "equilibrium_set"
     assert cert.verdict
     assert cert.max_eig == pytest.approx(-1.0, abs=1e-12)
@@ -132,9 +134,9 @@ def test_certificate_stable_orbit_finds_hyperbolic_equilibrium():
 
 
 def test_certificate_positive_curvature_rejected():
-    cert = analysis.certify_negative_curvature(
+    cert = analysis.certify_negative_curvature(hamflow.flow(
         oscillator(2), np.array([1.0, 0.0, 0.0, 1.0]),
-        horizon=1.0, step=1e-3, reduced=False)
+        horizon=1.0, step=1e-3))
     assert not cert.verdict
     assert cert.max_eig == pytest.approx(1.0, abs=1e-12)
     assert cert.equilibria == ()
@@ -142,9 +144,9 @@ def test_certificate_positive_curvature_rejected():
 
 
 def test_certificate_reduced_inverted_oscillator():
-    cert = analysis.certify_negative_curvature(
+    cert = analysis.certify_negative_curvature(hamflow.DenseFlow(
         oscillator(2, -np.eye(2)), np.array([1.0, 0.3, 0.2, -0.4]),
-        horizon=2.0, step=1e-3, reduced=True)
+        horizon=2.0, step=1e-3))
     assert cert.kind == "reduced_flow"
     assert cert.verdict
     assert -1.0 - 1e-4 <= cert.max_eig <= -0.3
@@ -152,18 +154,39 @@ def test_certificate_reduced_inverted_oscillator():
 
 
 def test_certificate_reduced_oscillator_fails():
-    cert = analysis.certify_negative_curvature(
+    cert = analysis.certify_negative_curvature(hamflow.DenseFlow(
         oscillator(2), np.array([1.0, 0.3, 0.2, -0.4]),
-        horizon=2.0, step=1e-3, reduced=True)
+        horizon=2.0, step=1e-3))
     assert not cert.verdict
     assert cert.max_eig >= 0.5
 
 
+def test_certificate_mode_follows_the_orbit():
+    # a DenseFlow can only give the reduced certificate and a flow()
+    # trajectory the full one; the full certificate of the dense flow's
+    # window, the same states bit for bit, is the same certificate
+    sysn = oscillator(2, -np.eye(2))
+    z0 = np.array([1.0, 0.3, 0.2, -0.4])
+    dense = hamflow.DenseFlow(sysn, z0, horizon=2.005, step=1e-2)
+    assert analysis.certify_negative_curvature(dense).kind == "reduced_flow"
+    full = analysis.certify_negative_curvature(
+        hamflow.flow(sysn, z0, 2.005, 1e-2))
+    window = analysis.certify_negative_curvature(dense.window())
+    assert full.kind == window.kind == "equilibrium_set"
+
+    def fields(cert):
+        return (cert.max_eig, cert.verdict, cert.margin, cert.diagnostics,
+                cert.equilibria)
+
+    assert fields(window) == fields(full)
+    assert math.isnan(window.alpha_estimate) and math.isnan(full.alpha_estimate)
+
+
 def test_certificate_reduced_refuses_one_degree():
+    dense = hamflow.DenseFlow(oscillator(1, [[-1.0]]), np.array([1.0, 0.5]),
+                              horizon=1.0, step=1e-3)
     with pytest.raises(ReductionRefused):
-        analysis.certify_negative_curvature(
-            oscillator(1, [[-1.0]]), np.array([1.0, 0.5]),
-            horizon=1.0, step=1e-3, reduced=True)
+        analysis.certify_negative_curvature(dense)
 
 
 # ----------------------------------------------------------------- decay rate
@@ -194,9 +217,9 @@ def test_decay_rate_needs_enough_samples():
 
 
 def test_morse_pipeline_free_particle():
-    out = analysis.morse_pipeline(oscillator(2, np.zeros((2, 2))),
-                                  np.array([0.4, -1.1, 0.2, 0.9]),
-                                  horizon=3.0, step=1e-3)
+    out = analysis.morse_pipeline(hamflow.DenseFlow(
+        oscillator(2, np.zeros((2, 2))), np.array([0.4, -1.1, 0.2, 0.9]),
+        horizon=3.0, step=1e-3))
     assert out.index == 0
     assert out.conjugate_points == ()
     assert out.trimmed_maslov == 0
@@ -204,8 +227,8 @@ def test_morse_pipeline_free_particle():
 
 
 def test_morse_pipeline_oscillator_ladder():
-    out = analysis.morse_pipeline(oscillator(), np.array([0.8, -0.3]),
-                                  horizon=2.5 * np.pi, step=1e-3)
+    out = analysis.morse_pipeline(hamflow.DenseFlow(
+        oscillator(), np.array([0.8, -0.3]), horizon=2.5 * np.pi, step=1e-3))
     assert out.index == 2
     assert out.trimmed_maslov == -2
     times = [p.t for p in out.conjugate_points]
@@ -228,29 +251,34 @@ def test_morse_pipeline_integrates_the_orbit_once(monkeypatch):
 
     flow = hamflow.flow
     monkeypatch.setattr(hamflow.DenseFlow, "__init__", counted_init)
-    for mod in (hamflow, analysis):
-        monkeypatch.setattr(mod, "flow", counted_flow)
-    out = analysis.morse_pipeline(oscillator(), np.array([0.8, -0.3]),
-                                  horizon=4.0, step=1e-2)
+    monkeypatch.setattr(hamflow, "flow", counted_flow)
+    # analysis binds no flow() that could integrate past the count
+    assert not hasattr(analysis, "flow")
+    out = analysis.morse_pipeline(hamflow.DenseFlow(
+        oscillator(), np.array([0.8, -0.3]), horizon=4.0, step=1e-2))
     assert out.index == 1
     assert len(built) == 1 and flows == []
 
 
 def test_morse_pipeline_degenerate_horizon():
+    dense = hamflow.DenseFlow(oscillator(), np.array([0.8, -0.3]),
+                              horizon=np.pi, step=1e-3)
     with pytest.raises(DegenerateEndpoint):
-        analysis.morse_pipeline(oscillator(), np.array([0.8, -0.3]),
-                                horizon=np.pi, step=1e-3)
+        analysis.morse_pipeline(dense)
 
 
 def test_morse_pipeline_requires_legendre():
+    dense = hamflow.DenseFlow(saddle_system(),
+                              np.array([0.4, 0.3, 0.2, 0.1]),
+                              horizon=1.0, step=1e-3)
     with pytest.raises(NotMonotone):
-        analysis.morse_pipeline(saddle_system(), np.array([0.4, 0.3, 0.2, 0.1]),
-                                horizon=1.0, step=1e-3)
+        analysis.morse_pipeline(dense)
 
 
 def test_morse_pipeline_trim_stable_over_decade():
-    runs = [analysis.morse_pipeline(oscillator(), np.array([0.8, -0.3]),
-                                    horizon=2.5 * np.pi, step=1e-3, trim=trim)
+    dense = hamflow.DenseFlow(oscillator(), np.array([0.8, -0.3]),
+                              horizon=2.5 * np.pi, step=1e-3)
+    runs = [analysis.morse_pipeline(dense, trim=trim)
             for trim in (0.04, 0.126, 0.4)]
     assert all(r.index == 2 and r.trimmed_maslov == -2 for r in runs)
     base = [p.t for p in runs[0].conjugate_points]
@@ -265,7 +293,8 @@ def test_reduction_comparison_seeded_wells():
     frozen = {(7, 2): (1, 1), (11, 3): (3, 4)}
     for (seed, n), mu in frozen.items():
         sysn, z0 = seeded_well(seed, n)
-        rep = analysis.reduction_comparison(sysn, z0, horizon=4.0, step=1e-3)
+        rep = analysis.reduction_comparison(
+            hamflow.DenseFlow(sysn, z0, horizon=4.0, step=1e-3))
         assert (rep.mu_full, rep.mu_reduced) == mu
         assert 0 <= rep.mu_reduced - rep.mu_full <= 1
         assert rep.dominance_defect >= -analysis.CONGRUENCE_TOL
@@ -276,5 +305,6 @@ def test_reduction_comparison_seeded_wells():
 
 def test_reduction_comparison_refuses_grazing_direction():
     sysn, z0 = seeded_well(67, 2)
+    dense = hamflow.DenseFlow(sysn, z0, horizon=4.0, step=1e-3)
     with pytest.raises(TangentFiber):
-        analysis.reduction_comparison(sysn, z0, horizon=4.0, step=1e-3)
+        analysis.reduction_comparison(dense)

@@ -310,8 +310,10 @@ def test_hyperbolic_integrates_the_orbit_once(tmp_path, monkeypatch, reduced):
 
     flow = hamflow.flow
     monkeypatch.setattr(hamflow.DenseFlow, "__init__", counted_init)
-    for mod in (hamflow, analysis, cli):
+    for mod in (hamflow, cli):
         monkeypatch.setattr(mod, "flow", counted_flow)
+    # analysis binds no flow() that could integrate past the count
+    assert not hasattr(analysis, "flow")
     cfg = well_config(horizon=1.0, step=1e-2,
                       options={"reduced": reduced, "samples": 5})
     out = tmp_path / "out"
@@ -345,8 +347,8 @@ def test_hyperbolic_certifies_an_orbit_whose_fundamental_matrix_blows_up(
     path = write_config(tmp_path, cfg)
     assert cli.main(["hyperbolic", "--config", str(path),
                      "--out", str(out)]) == 0
-    cert = analysis.certify_negative_curvature(
-        cli.build_system(cfg), np.array(cfg["initial"]), 25.0, 1e-3)
+    cert = analysis.certify_negative_curvature(hamflow.flow(
+        cli.build_system(cfg), np.array(cfg["initial"]), 25.0, 1e-3))
     scalars = read_json(out / "hyperbolic.json")["scalars"]
     assert cert.verdict
     assert scalars["verdict"] == cert.verdict

@@ -1,12 +1,14 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lagrass
-from lagrass import core, curve, hamflow, maslov
+from lagrass import analysis, core, curve, hamflow, maslov
 from lagrass.errors import NotInChart, NotTransversal, SearchExhausted
 
 
@@ -267,6 +269,48 @@ def test_deleted_knobs_stay_deleted():
                           (curve._stencil_geometry, "fd_step")):
         assert knob not in inspect.signature(private).parameters
     assert "gradient" not in vars(hamflow.HamiltonianSystem)
+
+
+def test_only_the_integrators_take_an_orbit_span():
+    # a reader of an orbit takes the DenseFlow or Trajectory its caller
+    # built and reads the horizon, step and z0 from it
+    spans = []
+    for name, obj in _public_callables():
+        if not name.startswith(("lagrass.hamflow.", "lagrass.analysis.")) \
+                or not inspect.isfunction(obj):
+            continue
+        params = inspect.signature(obj).parameters
+        if {"horizon", "step"} & set(params):
+            spans.append(name)
+        for orbit in ("dense", "orbit", "traj"):
+            assert orbit not in params \
+                or params[orbit].default is inspect.Parameter.empty, name
+    assert spans == ["lagrass.hamflow.flow"]
+    # the certificate's mode follows the type of the orbit it is given
+    assert list(inspect.signature(
+        analysis.certify_negative_curvature).parameters) == ["orbit"]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__ re-exports the error types without reading them
+    unused = []
+    for path in sorted(Path(lagrass.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 def _quadratic(a, b):

@@ -179,7 +179,8 @@ def test_energy_and_symplecticity_invariants_on_builtins():
 
 def test_jacobi_free_particle_chart():
     sys = hamflow.quadratic_potential_system(np.zeros((2, 2)))
-    jc = hamflow.jacobi_curve(sys, np.array([0.3, -0.7, 0.1, 0.4]), 3.0)
+    jc = hamflow.jacobi_curve(
+        hamflow.DenseFlow(sys, np.array([0.3, -0.7, 0.1, 0.4]), 3.0))
     chart = core.standard_chart(jc.space)
     for t in (0.5, 1.25, 2.8):
         rep = core.chart_coords(jc.eval(t), chart)
@@ -188,7 +189,7 @@ def test_jacobi_free_particle_chart():
 
 def test_jacobi_oscillator_conjugate_times_and_morse():
     sys = oscillator()
-    jc = hamflow.jacobi_curve(sys, np.array([0.9, 0.2]), 10.0)
+    jc = hamflow.jacobi_curve(hamflow.DenseFlow(sys, np.array([0.9, 0.2]), 10.0))
     assert maslov.morse_index_regular_extremal(jc) == 3
     pts = maslov.conjugate_points(jc, core.vertical_frame(jc.space))
     assert [p.multiplicity for p in pts] == [1, 1, 1]
@@ -204,7 +205,7 @@ def test_jacobi_curvature_matches_potential_hessian():
     z0 = rng.standard_normal(4)
     field_r = hamflow.curvature_operator_field(sys, (z0[:2], z0[2:]))
     assert np.allclose(field_r, k, atol=1e-12)
-    jc = hamflow.jacobi_curve(sys, z0, 2.0)
+    jc = hamflow.jacobi_curve(hamflow.DenseFlow(sys, z0, 2.0))
     curve_r = curve.curvature(jc, 0.0).matrix
     want = np.sort(np.linalg.eigvalsh(k))
     got = np.sort(np.linalg.eigvals(curve_r).real)
@@ -213,13 +214,22 @@ def test_jacobi_curvature_matches_potential_hessian():
 
 
 def test_dense_flow_and_derivative_family_follow_the_stencil_reach():
+    # the curves read the system, horizon and z0 from the one dense flow
+    # they are given; the horizon is off the step grid
     sys = oscillator(2, np.diag([1.0, 2.5]))
     z0 = np.array([0.3, -0.2, 0.5, 0.1])
-    horizon = 2.0
+    horizon = 2.0004
     dense = hamflow.DenseFlow(sys, z0, horizon)
-    jc = hamflow.jacobi_curve(sys, z0, horizon, dense=dense)
+    assert np.array_equal(dense.state(0.0), z0)
+    jc = hamflow.jacobi_curve(dense)
     reach = curve.REACH * jc.fd_step
-    assert jc.domain == (0.0, horizon)
+    assert jc.domain == (0.0, dense.horizon) == (0.0, horizon)
+    red = hamflow.level_reduction(sys, z0)
+    rc = hamflow.reduced_jacobi_curve(dense)
+    assert rc.domain == jc.domain
+    for t in (0.0, 0.7, horizon):
+        assert np.array_equal(rc.eval(t).columns,
+                              red.reduce_frame(jc.eval(t)).columns)
     assert jc.fd_step == curve.FD_STEP_FRACTION * horizon
     assert dense.t_lo <= -reach and dense.t_hi >= horizon + reach
     seen = []
@@ -369,7 +379,7 @@ def test_curved_metric_curvature_consistent_with_jacobi_curve():
     sys = curved_metric(False)
     z0 = np.array([0.5, -0.4, 0.3, 0.6])
     field_r = hamflow.curvature_operator_field(sys, (z0[:2], z0[2:]))
-    jc = hamflow.jacobi_curve(sys, z0, 2.0)
+    jc = hamflow.jacobi_curve(hamflow.DenseFlow(sys, z0, 2.0))
     curve_r = curve.curvature(jc, 0.0).matrix
     want = np.sort(np.linalg.eigvals(field_r).real)
     got = np.sort(np.linalg.eigvals(curve_r).real)
@@ -406,8 +416,8 @@ def test_reduction_basis_is_darboux():
 
 def test_reduced_free_particle_is_flat():
     sys = hamflow.quadratic_potential_system(np.zeros((2, 2)))
-    rc = hamflow.reduced_jacobi_curve(sys, np.array([1.0, 0.3, 0.2, -0.5]),
-                                      horizon=2.0)
+    rc = hamflow.reduced_jacobi_curve(
+        hamflow.DenseFlow(sys, np.array([1.0, 0.3, 0.2, -0.5]), horizon=2.0))
     for t in (0.7, 1.3):
         assert np.abs(curve.curvature(rc, t).matrix).max() <= 1e-6
 
@@ -418,14 +428,14 @@ def test_reduced_free_particle_is_flat():
 def test_monotonicity_reports():
     traj = hamflow.flow(oscillator(2), np.array([0.4, -0.2, 1.0, 0.5]),
                         horizon=1.0, step=1e-2)
-    rep = hamflow.monotonicity_test(oscillator(2), traj)
+    rep = hamflow.monotonicity_test(traj)
     assert rep.uniform_definite and rep.sign == 1
 
     saddle = hamflow.polynomial_system(
         2, [(1.0, (1, 1, 0, 0)), (0.5, (0, 0, 2, 0)), (0.5, (0, 0, 0, 2))])
     traj = hamflow.flow(saddle, np.array([0.3, 0.2, 0.1, -0.4]),
                         horizon=1.0, step=1e-2)
-    rep = hamflow.monotonicity_test(saddle, traj)
+    rep = hamflow.monotonicity_test(traj)
     assert not rep.uniform_definite and rep.sign == 0
 
     lorentz = hamflow.metric_system(
@@ -434,7 +444,7 @@ def test_monotonicity_reports():
         d2g=lambda y: np.zeros((2, 2, 2, 2)))
     traj = hamflow.flow(lorentz, np.array([0.3, 0.2, 0.1, -0.4]),
                         horizon=1.0, step=1e-2)
-    rep = hamflow.monotonicity_test(lorentz, traj)
+    rep = hamflow.monotonicity_test(traj)
     assert not rep.uniform_definite and rep.sign == 0
 
 
