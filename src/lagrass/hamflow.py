@@ -12,18 +12,24 @@ trajectory flow() would return; jacobi_curve, reduced_jacobi_curve,
 monotonicity_test and the analyses read the system, horizon, step and
 z0 from the one DenseFlow or Trajectory they are given.  A polynomial
 Hamiltonian is compiled once into term tables, and each callback call
-evaluates all of its monomials in one vectorized pass.  A quadratic
-Hamiltonian (quadratic_system: quadratic_potential_system, and the
-CLI's natural potential.k and constant metric.g configs) carries its
-constant Hessian M.  Its flow is linear, so one RK4 step is exactly the
-transfer matrix T(dt) = I + S, S = a + a^2/2 + a^3/6 + a^4/24 with
-a = dt (-J M), built once per distinct grid step; its orbits march by
-z -> z + S z with no callback, which is RK4 to round-off.  The module
-also carries the canonical-connection machinery: connection
-coefficients from the Hessian blocks, curvature operators of the field
-both by the exact natural-system shortcut and by a generic
-double-bracket evaluation, level-set reduction to a quotient symplectic
-space, and the Legendre-type monotonicity scan.
+evaluates all of its monomials in one vectorized pass.  A polynomial
+or hand-written system still calls eval once per RK stage, and the
+fundamental matrix Phi is built afterwards: a march steps the state
+alone, as flow() does, keeping the four stage Hessians of each step,
+and then turns them into Phi in batched numpy passes, one block of
+STAGE_BLOCK steps at a time, so no more than one block of stage
+Hessians is ever held.  A quadratic Hamiltonian (quadratic_system:
+quadratic_potential_system, and the CLI's natural potential.k and
+constant metric.g configs) carries its constant Hessian M.  Its flow
+is linear, so one RK4 step is exactly the transfer matrix T(dt) =
+I + S, S = a + a^2/2 + a^3/6 + a^4/24 with a = dt (-J M), built once
+per distinct grid step; its orbits march by z -> z + S z with no
+callback, which is RK4 to round-off.  The module also carries the
+canonical-connection machinery: connection coefficients from the
+Hessian blocks, curvature operators of the field both by the exact
+natural-system shortcut and by a generic double-bracket evaluation,
+level-set reduction to a quotient symplectic space, and the
+Legendre-type monotonicity scan.
 """
 
 from __future__ import annotations
@@ -45,14 +51,35 @@ DEFAULT_STEP = 1e-3
 FD_STEP = 1e-6
 THIRD_FD_STEP = 1e-4
 EQUILIBRIUM_TOL = 1e-8
+STAGE_BLOCK = 128    # RK4 steps whose stage Hessians a march holds at once
+SYMMETRY_TOL = 1e-6  # a Hessian may have |H - H^T| <= SYMMETRY_TOL (1 + |H|)
+
+
+def _asymmetric(defect: float) -> ValueError:
+    return ValueError(f"Hessian callback asymmetric, defect {defect:.3e}")
 
 
 def _symmetric(mat) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     defect = np.linalg.norm(mat - mat.T)
-    if defect > 1e-6 * (1.0 + np.linalg.norm(mat)):
-        raise ValueError(f"Hessian callback asymmetric, defect {defect:.3e}")
+    if defect > SYMMETRY_TOL * (1.0 + np.linalg.norm(mat)):
+        raise _asymmetric(defect)
     return 0.5 * (mat + mat.T)
+
+
+def _symmetrized(mats: np.ndarray) -> Tuple[np.ndarray, Optional[ValueError]]:
+    """Symmetric parts of a stack of Hessians, cut before the first one
+    that fails _symmetric's check (Frobenius norms), and the ValueError
+    for that one, or None when every one passes."""
+    skew = mats - mats.swapaxes(-1, -2)
+    defect = np.sqrt(np.square(skew).sum(axis=(-2, -1)))
+    size = np.sqrt(np.square(mats).sum(axis=(-2, -1)))
+    bad = np.flatnonzero(defect > SYMMETRY_TOL * (1.0 + size))
+    error = None
+    if len(bad):
+        mats = mats[:bad[0]]
+        error = _asymmetric(defect[bad[0]])
+    return 0.5 * (mats + mats.swapaxes(-1, -2)), error
 
 
 @dataclass
@@ -80,12 +107,20 @@ class HamiltonianSystem:
         z = np.asarray(z, dtype=float)
         return self.eval(z[:self.n], z[self.n:])
 
+    @cached_property
+    def _swap(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows and signs of -J: (-J v)_i = sign_i v_{rows_i}."""
+        n = self.n
+        return np.r_[n:2 * n, :n], np.r_[-np.ones(n), np.ones(n)]
+
     def _field_of(self, grad) -> np.ndarray:
-        g = np.asarray(grad, dtype=float)
-        return np.concatenate([-g[self.n:], g[:self.n]])
+        rows, sign = self._swap
+        return np.asarray(grad, dtype=float)[rows] * sign
 
     def _minus_j(self, h2: np.ndarray) -> np.ndarray:
-        return np.concatenate([-h2[self.n:], h2[:self.n]])
+        """-J h2, for a matrix or a stack of matrices."""
+        rows, sign = self._swap
+        return h2[..., rows, :] * sign[:, None]
 
     def value(self, z: np.ndarray) -> float:
         return float(self._eval(z)[0])
@@ -104,19 +139,11 @@ class HamiltonianSystem:
         """z' = field, the state alone."""
         return (self.field(state[0]),)
 
-    def _pair_rhs(self, t: float, state: Sequence) -> tuple:
-        """(z, Phi)' = (field, -J Hess Phi) from one callback call."""
-        _, grad, hess = self._eval(state[0])
-        return (self._field_of(grad),
-                self._minus_j(_symmetric(hess)) @ state[1])
-
     def _increment(self, dt: float) -> np.ndarray:
         """One RK4 step of the linear flow, z -> z + S z; constant Hessian only.
 
         RK4 on z' = a z / dt gives exactly S = a + a^2/2 + a^3/6 + a^4/24,
-        a = dt (-J M), summed here in Horner form.  S is kept apart from
-        I: rounded into I + S it would lose digits, by the same amount
-        at every step, and the orbit would drift in energy.
+        a = dt (-J M), summed here in Horner form.
         """
         a = dt * self._minus_j(self.constant_hessian)
         eye = np.eye(len(a))
@@ -233,13 +260,12 @@ def _poly_diff(terms, k):
 def _left_sum(terms: np.ndarray) -> np.ndarray:
     """Sum over the last axis from 0.0, one term after the other.
 
-    This is the left-to-right order of a Python loop, bit for bit;
-    np.sum, add.reduceat and BLAS dots reassociate and move last bits.
+    This is the left-to-right order of a Python loop, bit for bit:
+    add.accumulate adds in that order, and the closing + 0.0 turns the
+    -0.0 of all -0.0 terms into the loop's 0.0.  np.sum, add.reduceat
+    and BLAS dots reassociate and move last bits.
     """
-    total = np.zeros(terms.shape[:-1])
-    for k in range(terms.shape[-1]):
-        total = total + terms[..., k]
-    return total
+    return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
 
 
 class PolynomialTable:
@@ -350,6 +376,15 @@ def _grid(horizon: float, step: float) -> np.ndarray:
     return times
 
 
+def _padded_grid(t_lo: float, t_hi: float,
+                 step: float) -> Tuple[np.ndarray, int]:
+    """The grids of flow() from 0 up to t_hi and down to t_lo, joined,
+    and the index of 0 in them."""
+    fwd_t, bwd_t = (_grid(span, step) if span > 0 else np.zeros(1)
+                    for span in (t_hi, -t_lo))
+    return np.concatenate([-bwd_t[:0:-1], fwd_t]), len(bwd_t) - 1
+
+
 def _checkpoint(times: np.ndarray, t: float) -> Tuple[int, float]:
     """Index of the checkpoint at or below t and the step left from it.
 
@@ -383,54 +418,158 @@ def _blowup(t: float) -> BlowUp:
     return BlowUp(f"state left the norm cap near t={t:g}")
 
 
-def _step(sys: HamiltonianSystem, t: float, parts: Sequence[np.ndarray],
-          dt: float) -> list:
-    """One RK4 step of z, or of z and Phi, from time t."""
-    if sys.constant_hessian is not None:
-        inc = sys._increment(dt)
-        return [inc @ part + part for part in parts]
-    rhs = sys._pair_rhs if len(parts) == 2 else sys._state_rhs
-    return _rk4(rhs, t, parts, dt)
-
-
-def _march(sys: HamiltonianSystem, outs: Sequence[np.ndarray],
-           times: np.ndarray, sign: float = 1.0):
-    """Cap-checked RK4 march on a time grid, run backwards if sign < 0.
-
-    outs holds z, or z and Phi, each stacked along the grid; row 0 is
-    the start and rows 1.. are filled in.  A constant-Hessian system
-    steps by z + S z, one S per distinct grid step, with no callback,
-    and is cap-checked after the march; any other system calls its
-    callback once per RK stage and is checked step by step.  Either
-    way BlowUp names the first grid time past the cap.
-    """
-    dts = sign * np.diff(times)
-    if not len(dts):
-        return
-    if sys.constant_hessian is None:
-        state = [out[0] for out in outs]
-        for k, dt in enumerate(dts):
-            state = _step(sys, sign * times[k], state, dt)
-            if any(_past_cap(part) for part in state):
-                raise _blowup(sign * times[k + 1])
-            for out, part in zip(outs, state):
-                out[k + 1] = part
-        return
-    steps, which = np.unique(dts, return_inverse=True)
-    increments = [sys._increment(dt) for dt in steps]
-    which = which.tolist()
-    with np.errstate(all="ignore"):
-        for out in outs:
-            cur = out[0]
-            for nxt, j in zip(out[1:], which):
-                np.matmul(increments[j], cur, nxt)
-                nxt += cur
-                cur = nxt
+def _raise_past_cap(outs: Sequence[np.ndarray], times: np.ndarray):
+    """BlowUp at times[k] for the first row k >= 1 of some out past the
+    cap."""
     crossed = [_past_cap(out[1:], tuple(range(1, out.ndim)))
                for out in outs if _past_cap(out[1:])]
     if crossed:
-        raise _blowup(sign * times[1 + int(np.logical_or.reduce(crossed)
-                                           .argmax())])
+        raise _blowup(times[1 + int(np.logical_or.reduce(crossed).argmax())])
+
+
+def _propagate(out: np.ndarray, increments: Sequence[np.ndarray]):
+    """out[k + 1] = out[k] + S_k out[k] down the rows, S_k = increments[k].
+
+    S_k is kept apart from I: rounded into I + S_k it would lose digits,
+    by the same amount at every step, and the orbit would drift in
+    energy.  Rows past the cap are left for _raise_past_cap.
+    """
+    cur = out[0]
+    with np.errstate(all="ignore"):
+        for nxt, inc in zip(out[1:], increments):
+            np.matmul(inc, cur, nxt)
+            nxt += cur
+            cur = nxt
+
+
+def _stage_increments(sys: HamiltonianSystem, sym: np.ndarray,
+                      dts: np.ndarray) -> np.ndarray:
+    """RK4 increments S_k of Phi' = -J H Phi, one per step, from the
+    symmetric Hessians of the four stages of each step.
+
+    With A_s = -J H_s, B1 = A1, B2 = A2 (I + dt/2 B1),
+    B3 = A3 (I + dt/2 B2), B4 = A4 (I + dt B3) and
+    S = dt/6 (B1 + 2 B2 + 2 B3 + B4), Phi + S Phi is the RK4 step of
+    Phi whose stage states are those of the z step.
+    """
+    a = sys._minus_j(sym).reshape(len(dts), 4, *sym.shape[1:])
+    dt = dts[:, None, None]
+    half = 0.5 * dt
+    b2 = a[:, 1] + half * (a[:, 1] @ a[:, 0])
+    b3 = a[:, 2] + half * (a[:, 2] @ b2)
+    b4 = a[:, 3] + dt * (a[:, 3] @ b3)
+    return dt / 6.0 * (a[:, 0] + 2.0 * b2 + 2.0 * b3 + b4)
+
+
+class _StageHessians:
+    """RK4 right side z' = field, one callback call per stage, that
+    copies each stage's Hessian into the next row of a buffer."""
+
+    def __init__(self, sys: HamiltonianSystem, steps: int):
+        self.sys, self.count = sys, 0
+        self.buf = np.empty((4 * steps, 2 * sys.n, 2 * sys.n))
+
+    def __call__(self, t: float, state: Sequence) -> tuple:
+        _, grad, hess = self.sys._eval(state[0])
+        if np.shape(hess) != self.buf.shape[1:]:
+            raise ValueError(f"Hessian callback must return a "
+                             f"{self.buf.shape[1:]} matrix")
+        self.buf[self.count] = hess
+        self.count += 1
+        return (self.sys._field_of(grad),)
+
+
+def _state_march(rhs, states: np.ndarray,
+                 times: np.ndarray) -> Tuple[int, Optional[BlowUp]]:
+    """RK4 of z alone down the rows of states, cap-checked step by step.
+
+    Returns the number of steps taken and the BlowUp that stopped the
+    march, or None; rows past the stop are left unfilled.
+    """
+    for k in range(len(times) - 1):
+        z = _rk4(rhs, times[k], (states[k],), times[k + 1] - times[k])[0]
+        if _past_cap(z):
+            return k, _blowup(times[k + 1])
+        states[k + 1] = z
+    return len(times) - 1, None
+
+
+def _pair_march(sys: HamiltonianSystem, states: np.ndarray,
+                phis: np.ndarray, times: np.ndarray):
+    """Two-phase RK4 march of z and Phi, STAGE_BLOCK steps at a time.
+
+    Phase 1 steps z as flow() does, one callback call per stage, and
+    copies each stage's Hessian into a buffer that every block reuses
+    (_StageHessians).  Phase 2 symmetry-checks the block's Hessians,
+    builds its increments S_k in one batched pass and steps Phi into
+    phis, cap-checked once per block.  Failures come out in the order a
+    stage-by-stage march meets them: a Phi row past the cap, then an
+    asymmetric Hessian, then the state past the cap.
+    """
+    stages = _StageHessians(sys, min(STAGE_BLOCK, len(times) - 1))
+    for lo in range(0, len(times) - 1, STAGE_BLOCK):
+        block = times[lo:lo + STAGE_BLOCK + 1]
+        stages.count = 0
+        done, failure = _state_march(stages, states[lo:], block)
+        sym, asymmetric = _symmetrized(stages.buf[:stages.count])
+        steps = min(done, len(sym) // 4)
+        if steps:
+            rows = phis[lo:lo + steps + 1]
+            _propagate(rows, _stage_increments(sys, sym[:4 * steps],
+                                               np.diff(block[:steps + 1])))
+            _raise_past_cap((rows,), block)
+        for error in (asymmetric, failure):
+            if error is not None:
+                raise error
+
+
+def _march(sys: HamiltonianSystem, outs: Sequence[np.ndarray],
+           times: np.ndarray):
+    """Cap-checked RK4 march of z, or of z and Phi, down a time grid.
+
+    outs holds z, or z and Phi, each stacked along the grid; row 0 is
+    the start at times[0] and rows 1.. are filled in.  The grid may run
+    backwards.  A constant-Hessian system steps by z + S z, one S per
+    distinct grid step, with no callback, and is cap-checked after the
+    march; any other system calls its callback once per RK stage,
+    cap-checks z step by step, and builds Phi afterwards from the stage
+    Hessians (_pair_march).  Either way BlowUp names the first grid
+    time past the cap.
+    """
+    if len(times) < 2:
+        return
+    if sys.constant_hessian is not None:
+        steps, which = np.unique(np.diff(times), return_inverse=True)
+        increments = [sys._increment(dt) for dt in steps]
+        for out in outs:
+            _propagate(out, [increments[j] for j in which.tolist()])
+        _raise_past_cap(outs, times)
+    elif len(outs) == 2:
+        _pair_march(sys, *outs, times)
+    else:
+        failure = _state_march(sys._state_rhs, outs[0], times)[1]
+        if failure is not None:
+            raise failure
+
+
+def _step(sys: HamiltonianSystem, t: float, parts: Sequence[np.ndarray],
+          dt: float) -> list:
+    """One RK4 step of z, or of z and Phi, from time t, with no cap check.
+
+    Phi takes the two phases of _pair_march for a single step.
+    """
+    if sys.constant_hessian is not None:
+        inc = sys._increment(dt)
+        return [inc @ part + part for part in parts]
+    if len(parts) == 1:
+        return _rk4(sys._state_rhs, t, parts, dt)
+    stages = _StageHessians(sys, 1)
+    z = _rk4(stages, t, parts[:1], dt)[0]
+    sym, asymmetric = _symmetrized(stages.buf)
+    if asymmetric is not None:
+        raise asymmetric
+    inc = _stage_increments(sys, sym, np.array([dt]))[0]
+    return [z, inc @ parts[1] + parts[1]]
 
 
 def flow(sys: HamiltonianSystem, z0: np.ndarray, horizon: float,
@@ -464,29 +603,24 @@ class DenseFlow:
         margin = max(2 * REACH * FD_STEP_FRACTION * self.horizon,
                      4.0 * step)
         self.t_lo, self.t_hi = -margin, self.horizon + margin
-        fwd_t, bwd_t = (_grid(span, step) if span > 0 else np.zeros(1)
-                        for span in (self.t_hi, -self.t_lo))
-        origin = self._origin = len(bwd_t) - 1
-        self.times = np.concatenate([-bwd_t[::-1][:-1], fwd_t])
+        self.times, origin = _padded_grid(self.t_lo, self.t_hi, step)
+        self._origin = origin
         dim = 2 * sys.n
         self.states = np.empty((len(self.times), dim))
         self.phis = np.empty((len(self.times), dim, dim))
         self.states[origin] = np.asarray(z0, dtype=float)
         self.phis[origin] = np.eye(dim)
-        _march(sys, (self.states[origin:], self.phis[origin:]), fwd_t)
-        _march(sys, (self.states[origin::-1], self.phis[origin::-1]),
-               bwd_t, -1.0)
+        for rows in (slice(origin, None), slice(origin, None, -1)):
+            _march(sys, (self.states[rows], self.phis[rows]),
+                   self.times[rows])
         self._j = core.standard_space(sys.n).form
-
-    def _step_from(self, k: int, dt: float):
-        return _step(self.sys, self.times[k],
-                     (self.states[k], self.phis[k]), dt)
 
     def _at(self, t: float):
         k, dt = _checkpoint(self.times, t)
         if dt == 0.0:
             return self.states[k], self.phis[k]
-        return self._step_from(k, dt)
+        return _step(self.sys, self.times[k],
+                     (self.states[k], self.phis[k]), dt)
 
     def state(self, t: float) -> np.ndarray:
         return self._at(t)[0]
@@ -505,7 +639,8 @@ class DenseFlow:
         last = self._origin + len(times) - 1
         states = self.states[self._origin:last + 1].copy()
         if self.times[last] != self.horizon:
-            states[-1] = self._step_from(last - 1, times[-1] - times[-2])[0]
+            states[-1] = _step(self.sys, times[-2], (states[-2],),
+                               times[-1] - times[-2])[0]
         return Trajectory(times, states, self.sys)
 
 

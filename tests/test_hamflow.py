@@ -12,6 +12,7 @@ Closed forms frozen before implementation:
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,8 +464,13 @@ def test_dense_flow_makes_four_callback_calls_per_step():
         return inner(x, y)
 
     sysn.eval = counted
-    dense = hamflow.DenseFlow(sysn, np.array([0.6, -0.4]), 0.5, step=1e-2)
+    dense = hamflow.DenseFlow(sysn, np.array([0.6, -0.4]), 0.5031, step=1e-2)
     assert len(calls) == 4 * (len(dense.times) - 1)
+    # an off-grid read and window()'s off-grid last step: one RK4 step each
+    for read in (lambda: dense.gamma(0.1234), dense.window):
+        calls.clear()
+        read()
+        assert len(calls) == 4
 
 
 def test_constant_hessian_dense_flow_makes_no_callback_per_step():
@@ -568,13 +574,112 @@ def test_transfer_step_equals_generic_rk4_step(case):
 
 
 def test_saddle_blowup_time_is_the_same_on_both_paths():
-    # Phi grows like e^t and first crosses the cap at t = 19.114
+    # Phi grows like e^t and first crosses the cap at t = 19.114; the
+    # state decays, so only the per-block Phi check can find the time
     fast = saddle_quadratic()
     plain = dataclasses.replace(fast, constant_hessian=None)
+    poly = hamflow.polynomial_system(2, [
+        (0.5, (2, 0, 0, 0)), (0.5, (0, 2, 0, 0)),
+        (-0.5, (0, 0, 2, 0)), (-0.5, (0, 0, 0, 2))])
     z0 = np.array([-0.8, 0.6, 0.8, -0.6])
-    for sysn in (fast, plain):
+    for sysn in (fast, plain, poly):
         with pytest.raises(BlowUp, match=r"near t=19\.114$"):
             hamflow.DenseFlow(sysn, z0, 25.0, 1e-3)
+
+
+def _reference_pair_step(sysn, z, phi, dt):
+    """One RK4 step of (z, Phi)' = (field, -J Hess Phi), one callback
+    call per stage, the stage-by-stage march the two phases replace."""
+    n = sysn.n
+
+    def minus_j(a):
+        return np.concatenate([-a[n:], a[:n]])
+
+    def rhs(t, state):
+        _, grad, hess = sysn.eval(state[0][:n], state[0][n:])
+        return minus_j(grad), minus_j(0.5 * (hess + hess.T)) @ state[1]
+
+    return curve._rk4(rhs, 0.0, (z, phi), dt)
+
+
+def _reference_dense(sysn, dense):
+    """States and Phis of dense.times, marched out from the origin."""
+    origin = int(np.flatnonzero(dense.times == 0.0)[0])
+    states = np.empty_like(dense.states)
+    phis = np.empty_like(dense.phis)
+    states[origin], phis[origin] = dense.states[origin], np.eye(2 * sysn.n)
+    for rows in (range(origin, len(dense.times) - 1), range(origin, 0, -1)):
+        for k in rows:
+            nxt = k + 1 if rows.step == 1 else k - 1
+            states[nxt], phis[nxt] = _reference_pair_step(
+                sysn, states[k], phis[k], dense.times[nxt] - dense.times[k])
+    return states, phis
+
+
+def custom_coupling():
+    return hamflow.polynomial_system(
+        1, [(0.5, (2, 0)), (0.4, (1, 1)), (1.0, (0, 2)), (0.1, (1, 3))])
+
+
+def natural_poly():
+    return hamflow.polynomial_system(
+        2, [(0.5, (2, 0, 0, 0)), (0.5, (0, 2, 0, 0)), (1.0, (0, 0, 2, 0)),
+            (1.5, (0, 0, 0, 2)), (0.3, (0, 0, 2, 2)), (0.1, (0, 0, 4, 0))],
+        family="natural")
+
+
+@pytest.mark.parametrize("block", [7, hamflow.STAGE_BLOCK])
+@pytest.mark.parametrize("make,z0", [
+    pytest.param(quartic_well, np.array([0.6, -0.4]), id="quartic"),
+    pytest.param(custom_coupling, np.array([0.5, 0.3]), id="coupling"),
+    pytest.param(natural_poly, np.array([0.3, -0.2, 0.5, 0.1]),
+                 id="natural-n2")])
+def test_two_phase_march_matches_the_stage_by_stage_reference(
+        make, z0, block, monkeypatch):
+    monkeypatch.setattr(hamflow, "STAGE_BLOCK", block)
+    sysn, horizon, step = make(), 1.3037, 2e-3
+    dense = hamflow.DenseFlow(sysn, z0, horizon, step)
+    states, phis = _reference_dense(sysn, dense)
+    assert np.array_equal(dense.states, states)
+    assert _relative_gap(dense.phis, phis) <= 1e-13
+    traj = hamflow.flow(sysn, z0, horizon, step)
+    assert np.array_equal(dense.window().states, traj.states)
+    j = core.standard_space(sysn.n).form
+    for t in (-0.0031, 0.4567, horizon, horizon + 0.0029):
+        k, dt = hamflow._checkpoint(dense.times, t)
+        z, phi = _reference_pair_step(sysn, states[k], phis[k], dt)
+        assert np.array_equal(dense.state(t), z)
+        assert _relative_gap(dense.gamma(t), -j @ phi.T @ j) <= 1e-13
+
+
+def test_asymmetric_hessian_is_refused_by_build_and_read():
+    sysn = quartic_well()
+    dense = hamflow.DenseFlow(sysn, np.array([0.6, -0.4]), 0.5, step=1e-2)
+    inner = sysn.eval
+
+    def skewed(x, y):
+        h, grad, hess = inner(x, y)
+        return h, grad, hess + np.array([[0.0, 1e-3], [0.0, 0.0]])
+
+    sysn.eval = skewed
+    match = r"^Hessian callback asymmetric, defect 1\.414e-03$"
+    with pytest.raises(ValueError, match=match):
+        dense.gamma(0.1234)
+    with pytest.raises(ValueError, match=match):
+        hamflow.DenseFlow(sysn, np.array([0.6, -0.4]), 0.5, step=1e-2)
+
+
+def test_stage_hessians_stay_within_one_block():
+    # a buffer of all the march's stage Hessians would be 4x phis
+    sysn = quartic_well()
+    tracemalloc.start()
+    try:
+        dense = hamflow.DenseFlow(sysn, np.array([0.6, -0.4]), 20.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dense.times) > 20_000
+    assert peak < 2 * dense.phis.nbytes
 
 
 # ------------------------------------------------------ compiled polynomials
@@ -608,7 +713,16 @@ def polynomials(draw):
     points = draw(st.lists(
         st.lists(st.floats(-3.0, 3.0), min_size=2 * n, max_size=2 * n),
         min_size=1, max_size=3))
+    # zero coordinates make -0.0 terms of the negative coefficients
+    zeros = draw(st.lists(st.booleans(), min_size=2 * n, max_size=2 * n))
+    points.append(np.where(zeros, 0.0, points[0]))
     return n, terms, [np.array(z) for z in points]
+
+
+def _same_bits(a, b):
+    """Equal values and equal signs of zero."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @seed(20261018)
@@ -625,13 +739,13 @@ def test_compiled_polynomial_equals_term_by_term_sum(case):
     table = hamflow.PolynomialTable([raw], dim)
     for z in points:
         h, grad, hess = sysn.eval(z[:n], z[n:])
-        assert h == _ref_eval(terms, z)
-        assert table(z)[0] == _ref_eval(raw, z)
-        assert np.array_equal(grad, [_ref_eval(g, z) for g in grads])
-        assert np.array_equal(hess, [[_ref_eval(hkl, z) for hkl in row]
-                                     for row in hesses])
+        assert _same_bits(h, _ref_eval(terms, z))
+        assert _same_bits(table(z)[0], _ref_eval(raw, z))
+        assert _same_bits(grad, [_ref_eval(g, z) for g in grads])
+        assert _same_bits(hess, [[_ref_eval(hkl, z) for hkl in row]
+                                 for row in hesses])
         zdot = np.concatenate([-grad[n:], grad[:n]])
         rate = [[sum(_ref_eval(_ref_diff(hesses[i][j], k), z) * zdot[k]
                      for k in range(dim)) for j in range(n)]
                 for i in range(n)]
-        assert np.array_equal(sysn.hxx_rate(z[:n], z[n:]), rate)
+        assert _same_bits(sysn.hxx_rate(z[:n], z[n:]), rate)
