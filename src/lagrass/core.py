@@ -11,9 +11,14 @@ All rank and transversality decisions are relative with the fixed
 tolerance RANK_TOL = 1e-9: a singular value counts when it exceeds
 RANK_TOL times the largest. That rule lives in one place, the helpers
 rank, span and nullspace below; every module decides ranks, spans,
-kernels and transversality through them. Frames are
-column-orthonormalized on construction; subspace identity is always
-tested through principal angles, never through raw matrix comparison.
+kernels and transversality through them. Charts are chosen by a
+stricter rule: transversal_complement is the one chart search, and it
+accepts a complement only when its margin (the smallest singular value
+of [complement | other]) is at least MIN_MARGIN = 1e-2 against every
+subspace in play, so no chart is transversal by round-off alone.
+Frames are column-orthonormalized on construction; subspace identity
+is always tested through principal angles, never through raw matrix
+comparison.
 Numerical derivatives likewise share one central-difference rule, the
 helpers _central_difference and _mixed_difference below; callers
 choose only the step.
@@ -30,11 +35,14 @@ from .errors import NotInChart, NotTransversal, SearchExhausted
 RANK_TOL = 1e-9
 ISOTROPY_TOL = 1e-8
 
-# deterministic schedule for transversal_complement: canonical complement,
-# graphs k*I, then this many seeded random symmetric graphs
-_GRAPH_KS = (1, -1, 2, -2, 3, -3, 4, -4)
-_RANDOM_TRIES = 23
-MAX_CANDIDATES = 1 + len(_GRAPH_KS) + _RANDOM_TRIES
+# transversal_complement: a chart is accepted when the smallest singular
+# value of [candidate | other] is at least MIN_MARGIN against every
+# subspace in play; GOOD_MARGIN ends the search early
+MIN_MARGIN = 1e-2
+GOOD_MARGIN = 0.5
+# seeded random graphs after the two sigma-complements
+_RANDOM_TRIES = 16
+MAX_CANDIDATES = 2 + _RANDOM_TRIES
 
 
 @dataclass(frozen=True)
@@ -329,41 +337,60 @@ def inertia(q) -> Inertia:
     return Inertia(neg=neg, zero=m.shape[0] - neg - pos, pos=pos)
 
 
-def _graph_candidate(space: SymplecticSpace, s: np.ndarray) -> LagrangianFrame:
-    cols = np.vstack([np.eye(space.n), s])
-    return make_frame(space, cols)
+def _margin(f0: LagrangianFrame, f1: LagrangianFrame) -> float:
+    """Transversality margin: smallest singular value of [Z0 | Z1]."""
+    stacked = np.hstack([f0.columns, f1.columns])
+    return float(np.linalg.svd(stacked, compute_uv=False)[-1])
 
 
-def transversal_complement(frame: LagrangianFrame,
-                           avoid=()) -> LagrangianFrame:
-    """Deterministic search for a Lagrangian complement.
-
-    Schedule: sigma-orthogonal complement J*Lambda, then the graphs
-    {(z, k z)} for small integers k, then seeded random symmetric
-    graphs. The first candidate transversal to the frame and to every
-    member of `avoid` wins; SearchExhausted after MAX_CANDIDATES.
-    """
+def _candidates(frame: LagrangianFrame, avoid, seed: int):
+    """Columns of the chart-search candidates, in schedule order."""
     space = frame.space
-    must_miss = [frame, *avoid]
-
-    def ok(candidate: LagrangianFrame) -> bool:
-        return all(is_transversal(candidate, other) for other in must_miss)
-
-    cand = make_frame(space, space.form @ frame.columns)
-    if ok(cand):
-        return cand
-    for k in _GRAPH_KS:
-        cand = _graph_candidate(space, float(k) * np.eye(space.n))
-        if ok(cand):
-            return cand
-    rng = np.random.default_rng(0)
+    yield space.form @ frame.columns
+    if avoid:
+        yield space.form @ avoid[len(avoid) // 2].columns
+    try:
+        base = darboux_chart(frame,
+                             make_frame(space, space.form @ frame.columns))
+    except (ValueError, NotTransversal):
+        return
+    n = space.n
+    e, f = base.basis[:, :n], base.basis[:, n:]
+    rng = np.random.default_rng(seed)
     for _ in range(_RANDOM_TRIES):
-        a = rng.standard_normal((space.n, space.n))
-        cand = _graph_candidate(space, a + a.T)
-        if ok(cand):
-            return cand
-    raise SearchExhausted(
-        f"no transversal complement among {MAX_CANDIDATES} candidates")
+        a = rng.standard_normal((n, n))
+        yield f + e @ (a + a.T)
+
+
+def transversal_complement(frame: LagrangianFrame, avoid=(),
+                           seed: int = 0) -> LagrangianFrame:
+    """Deterministic, margin-scored search for a Lagrangian complement.
+
+    Candidates, in order: sigma*frame, sigma*(the middle member of
+    avoid), then _RANDOM_TRIES symmetric graphs f + e(a + a^T) over the
+    chart (frame, sigma*frame), drawn from default_rng(seed), which are
+    transversal to the frame by construction. A candidate scores its
+    worst margin against the frame and every member of avoid. The first
+    score of GOOD_MARGIN or more wins, else the best score of MIN_MARGIN
+    or more; SearchExhausted when no candidate reaches MIN_MARGIN.
+    """
+    must_miss = [frame, *avoid]
+    best, best_score = None, -np.inf
+    for cols in _candidates(frame, avoid, seed):
+        try:
+            cand = make_frame(frame.space, cols)
+        except ValueError:
+            continue
+        score = min(_margin(cand, other) for other in must_miss)
+        if score >= best_score:
+            best, best_score = cand, score
+        if best_score >= GOOD_MARGIN:
+            return best
+    if best_score < MIN_MARGIN:
+        raise SearchExhausted(
+            f"best transversality margin {best_score:.3e} of "
+            f"{MAX_CANDIDATES} candidates is below MIN_MARGIN {MIN_MARGIN:g}")
+    return best
 
 
 def random_symplectic(space: SymplecticSpace, rng) -> np.ndarray:

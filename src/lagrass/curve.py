@@ -178,8 +178,8 @@ def _centered_chart(frames, center: int, t: float, what: str):
         chart = core.darboux_chart(frames[center], delta)
         return chart, [core.chart_coords(fr, chart).S for fr in frames]
     except (SearchExhausted, NotInChart, NotTransversal) as exc:
-        raise ChartFailure(f"no common chart for the {what} at t={t:g}") \
-            from exc
+        raise ChartFailure(
+            f"no common chart for the {what} at t={t:g}: {exc}") from exc
 
 
 def _chart_and_stencil(curve: GrassmannCurve, t: float):

@@ -264,8 +264,7 @@ def duality_check(data: LDerivData) -> DualityCheck:
 
 def family_index_delta(family: Callable[[float], LDerivData],
                        tau0: float,
-                       tau1: float,
-                       seed: int = 0) -> int:
+                       tau1: float) -> int:
     """Drop in the restricted-Hessian index across a parameter interval.
 
     The family is mapped to a curve of Lagrangian subspaces and the
@@ -287,7 +286,7 @@ def family_index_delta(family: Callable[[float], LDerivData],
     curve = GrassmannCurve(space=space,
                            eval=lambda tau: l_derivative(family(tau)),
                            domain=(tau0, tau1))
-    report = maslov_index(curve, core.vertical_frame(space), seed=seed)
+    report = maslov_index(curve, core.vertical_frame(space))
     direct = ends[0] - ends[1]
     if report.value != direct:
         raise ArithmeticError(

@@ -5,7 +5,8 @@ meeting Pi nontrivially. Crossings of the train are counted three ways:
 the pair index of an endpoint pair (inertia of a chart-free quadratic
 form, degenerate configurations welcome), the Maslov index of a
 piecewise-smooth curve (adaptive chart subdivision, one inertia
-difference per piece), and conjugate-point lists with multiplicities
+difference per piece, each piece chart from the margin-scored search
+core.transversal_complement), and conjugate-point lists with multiplicities
 for regular monotone curves (bisection on the chart-matrix inertia).
 The Morse index of a regular extremal is the multiplicity sum of its
 Jacobi curve against the initial subspace.
@@ -30,14 +31,12 @@ from .errors import (
     EndpointOnTrain,
     NotInChart,
     NotMonotone,
-    NotTransversal,
+    SearchExhausted,
     SubdivisionFailure,
 )
 
 MAX_DEPTH = 32
 MAX_GAP = 0.15        # largest subspace gap between neighbouring samples
-_MIN_MARGIN = 1e-2    # acceptable chart transversality at sample frames
-_GOOD_MARGIN = 0.5    # short-circuit score for the candidate search
 _CERT_SAMPLES = 9
 _SCAN_SAMPLES = 33
 _TIME_TOL = 1e-10     # of the domain length, crossing localization
@@ -118,60 +117,6 @@ def pair_index(train: core.LagrangianFrame, lam0: core.LagrangianFrame,
 # --------------------------------------------------------- piece subdivision
 
 
-def _margin(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.svd(np.hstack([a, b]), compute_uv=False)[-1])
-
-
-def _piece_delta(space, train, frames, seed, need_train):
-    """Best complement covering every sample frame (and maybe the train).
-
-    Candidates: the sigma-orthogonal complements of the middle sample
-    and of the train, then seeded graphs over the train's canonical
-    chart, which are transversal to the train by construction. The
-    score of a candidate is its worst transversality margin; a score
-    above _GOOD_MARGIN wins immediately.
-    """
-    sigma = space.form
-    mid = frames[len(frames) // 2]
-    musts = list(frames) + ([train] if need_train else [])
-
-    def score(cand):
-        return min(_margin(cand.columns, fr.columns) for fr in musts)
-
-    best, best_score = None, _MIN_MARGIN
-
-    def consider(cols):
-        nonlocal best, best_score
-        try:
-            cand = core.make_frame(space, cols)
-        except ValueError:
-            return None
-        sc = score(cand)
-        if sc >= best_score:
-            best, best_score = cand, sc
-        return best if best_score >= _GOOD_MARGIN else None
-
-    for cols in (sigma @ mid.columns, sigma @ train.columns):
-        hit = consider(cols)
-        if hit is not None:
-            return hit
-    try:
-        jtrain = core.make_frame(space, sigma @ train.columns)
-        base = core.darboux_chart(train, jtrain)
-    except (ValueError, NotTransversal):
-        base = None
-    if base is not None:
-        n = space.n
-        e, f = base.basis[:, :n], base.basis[:, n:]
-        rng = np.random.default_rng(seed)
-        for _ in range(16):
-            a = rng.standard_normal((n, n))
-            hit = consider(f + e @ (a + a.T))
-            if hit is not None:
-                return hit
-    return best
-
-
 def _nudged_mid(at, train, a, b):
     mid = 0.5 * (a + b)
     if core.intersection_dim(at(mid), train) == 0:
@@ -184,14 +129,15 @@ def _nudged_mid(at, train, a, b):
     raise SubdivisionFailure(f"no off-train subdivision point near t={mid:g}")
 
 
-def _pieces(space, train, at, a, b, seed, need_train, depth=0):
+def _pieces(train, at, a, b, seed, need_train, depth=0):
     """Subdivide [a, b] into chart-covered pieces, recursively.
 
     A piece is accepted when its sample frames march in steps of at
-    most MAX_GAP and a single complement clears every sample; with
-    need_train the complement must also clear the train (the piece
-    chart is centered on it) and split points are nudged off the train
-    so per-piece index differences add up.
+    most MAX_GAP and core.transversal_complement finds one complement
+    clearing every sample by core.MIN_MARGIN; with need_train the
+    complement must also clear the train (the piece chart is centered
+    on it) and split points are nudged off the train so per-piece index
+    differences add up. A piece without such a complement is split.
     """
     if depth > MAX_DEPTH:
         raise SubdivisionFailure(
@@ -201,12 +147,16 @@ def _pieces(space, train, at, a, b, seed, need_train, depth=0):
     delta = None
     if all(core.subspace_gap(frames[i], frames[i + 1]) <= MAX_GAP
            for i in range(len(frames) - 1)):
-        delta = _piece_delta(space, train, frames, seed, need_train)
+        center = train if need_train else frames[len(frames) // 2]
+        try:
+            delta = core.transversal_complement(center, avoid=frames,
+                                                seed=seed)
+        except SearchExhausted:
+            pass
     if delta is None:
         mid = _nudged_mid(at, train, a, b) if need_train else 0.5 * (a + b)
-        return (_pieces(space, train, at, a, mid, seed, need_train, depth + 1)
-                + _pieces(space, train, at, mid, b, seed, need_train,
-                          depth + 1))
+        return (_pieces(train, at, a, mid, seed, need_train, depth + 1)
+                + _pieces(train, at, mid, b, seed, need_train, depth + 1))
     chart = core.darboux_chart(train, delta) if need_train else None
     return [(a, b, chart)]
 
@@ -275,7 +225,7 @@ def maslov_index(curve: GrassmannCurve, train: core.LagrangianFrame,
     a, b = curve.domain
     at = _memoized(curve)
     _require_off_train(at, train, a, b)
-    pieces = _pieces(curve.space, train, at, a, b, seed, True)
+    pieces = _pieces(train, at, a, b, seed, True)
     value = 0
     subdivision = [a]
     for pa, pb, chart in pieces:
@@ -287,8 +237,8 @@ def maslov_index(curve: GrassmannCurve, train: core.LagrangianFrame,
                        charts_used=len(pieces), endpoint_transversal=True)
 
 
-def maslov_index_monotone(curve: GrassmannCurve, train: core.LagrangianFrame,
-                          seed: int = 0) -> IndexReport:
+def maslov_index_monotone(curve: GrassmannCurve,
+                          train: core.LagrangianFrame) -> IndexReport:
     """Maslov index of a monotone curve as a telescoping pair-index sum.
 
     Chart-free alternative to maslov_index: each simple piece of an
@@ -302,7 +252,7 @@ def maslov_index_monotone(curve: GrassmannCurve, train: core.LagrangianFrame,
     at = _memoized(curve)
     _require_off_train(at, train, a, b)
     direction = _monotone_direction(curve, strict=False)
-    pieces = _pieces(curve.space, train, at, a, b, seed, False)
+    pieces = _pieces(train, at, a, b, 0, False)
     doubled = 0
     for pa, pb, _ in pieces:
         if direction > 0:
@@ -372,7 +322,7 @@ def conjugate_points(curve: GrassmannCurve, train: core.LagrangianFrame,
     at = _memoized(curve)
     lo = _trim(at, train, a, b)
     hi = _trim(at, train, b, a)
-    pieces = _pieces(curve.space, train, at, lo, hi, seed, True)
+    pieces = _pieces(train, at, lo, hi, seed, True)
     tol = _TIME_TOL * curve.length
     found = []
     for pa, pb, chart in pieces:
@@ -402,7 +352,7 @@ def conjugate_points(curve: GrassmannCurve, train: core.LagrangianFrame,
     return merged
 
 
-def morse_index_regular_extremal(jc: GrassmannCurve, seed: int = 0) -> int:
+def morse_index_regular_extremal(jc: GrassmannCurve) -> int:
     """Morse index of the extremal behind a Jacobi curve.
 
     Equals the total multiplicity of interior conjugate points against
@@ -415,5 +365,5 @@ def morse_index_regular_extremal(jc: GrassmannCurve, seed: int = 0) -> int:
         raise DegenerateEndpoint(
             "endpoint subspace meets the initial subspace; the second "
             "variation is degenerate at this horizon")
-    pts = conjugate_points(jc, train, seed=seed)
+    pts = conjugate_points(jc, train)
     return int(sum(p.multiplicity for p in pts))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lagrass import analysis, cli, hamflow
+from lagrass import analysis, cli, core, hamflow
 
 
 def base_config(**overrides):
@@ -384,6 +384,22 @@ def test_exit_three_on_unexpected_exception(tmp_path, monkeypatch):
     assert record["exit_code"] == 3
     assert record["error"] == {"type": "RuntimeError", "detail": "runner bug"}
     assert not (out / "flow.csv").exists()
+
+
+def test_refused_stencil_names_the_margin(tmp_path, monkeypatch):
+    # no margin reaches 1.5: [Z | W] has unit columns, so its smallest
+    # singular value is at most 1 and every stencil chart is refused
+    monkeypatch.setattr(core, "MIN_MARGIN", 1.5)
+    monkeypatch.setattr(core, "GOOD_MARGIN", 1.5)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config())
+    assert cli.main(["conjugate", "--config", str(path),
+                     "--out", str(out)]) == 3
+    error = read_json(out / "error.json")["error"]
+    assert error["type"] == "ChartFailure"
+    assert "no common chart for the stencil" in error["detail"]
+    assert "below MIN_MARGIN 1.5" in error["detail"]
+    assert "best transversality margin" in error["detail"]
 
 
 def test_validate_refuses_runs_over_budget():

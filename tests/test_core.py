@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import lagrass
 from lagrass import analysis, core, curve, hamflow, maslov
@@ -234,7 +236,6 @@ _DELETED_KNOBS = {
     "lagrass.analysis.decay_rate": {"skip", "floor"},
     "lagrass.lderiv.lagrangian_point": {"tol", "max_iter"},
     "lagrass.core.random_symplectic": {"factors", "scale"},
-    "lagrass.core.transversal_complement": {"seed"},
     "lagrass.curve.velocity_form": {"fd_step"},
     "lagrass.curve.infinitesimal_cross_ratio": {"fd_step"},
     "lagrass.curve.pair_ratio": {"fd_step"},
@@ -247,10 +248,10 @@ _DELETED_KNOBS = {
     "lagrass.curve.schwarzian": {"h"},
     "lagrass.curve.fundamental_matrix": {"step"},
     "lagrass.maslov.maslov_index": {"max_gap"},
-    "lagrass.maslov.maslov_index_monotone": {"max_gap"},
+    "lagrass.maslov.maslov_index_monotone": {"max_gap", "seed"},
     "lagrass.maslov.conjugate_points": {"max_gap"},
-    "lagrass.maslov.morse_index_regular_extremal": {"max_gap"},
-    "lagrass.lderiv.family_index_delta": {"max_gap"},
+    "lagrass.maslov.morse_index_regular_extremal": {"max_gap", "seed"},
+    "lagrass.lderiv.family_index_delta": {"max_gap", "seed"},
 }
 
 
@@ -380,14 +381,44 @@ def test_transversal_complement_schedule():
     sp = core.standard_space(2)
     v = core.vertical_frame(sp)
     h = core.horizontal_frame(sp)
-    # sigma-rotation of the vertical is the horizontal: first candidate
+    # sigma*frame comes first and clears the frame by margin 1
     assert core.same_subspace(core.transversal_complement(v), h)
-    # blocking it forces the next candidate, the graph of the identity
+    # avoiding h blocks it and the second sigma-complement sigma*h = v;
+    # a seeded graph over the chart (v, h) clears both by the floor
     got = core.transversal_complement(v, avoid=[h])
-    graph1 = core.make_frame(sp, np.vstack([np.eye(2), np.eye(2)]))
-    assert core.same_subspace(got, graph1)
-    assert core.is_transversal(got, v)
-    assert core.is_transversal(got, h)
+    assert not core.same_subspace(got, h)
+    assert core._margin(got, v) >= core.MIN_MARGIN
+    assert core._margin(got, h) >= core.MIN_MARGIN
+
+
+def test_transversal_complement_seeds_pick_different_graphs():
+    # with both sigma-complements blocked the seed decides the chart, so
+    # a cross-check under a second seed reads a different chart
+    sp = core.standard_space(2)
+    v = core.vertical_frame(sp)
+    h = core.horizontal_frame(sp)
+    got0 = core.transversal_complement(v, avoid=[h], seed=0)
+    got1 = core.transversal_complement(v, avoid=[h], seed=1)
+    assert not core.same_subspace(got0, got1)
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.integers(0, 3),
+       st.integers(0, 1))
+def test_transversal_complement_clears_the_floor_in_any_frame(
+        n, draw, extra, search_seed):
+    rng = np.random.default_rng(draw)
+    sp = core.standard_space(n)
+    t = core.random_symplectic(sp, rng)
+    frame = core.make_frame(sp, t @ core.vertical_frame(sp).columns)
+    avoid = [core.make_frame(sp, t @ core.horizontal_frame(sp).columns)]
+    avoid += [core.make_frame(sp, t @ core.random_lagrangian(sp, rng).columns)
+              for _ in range(extra)]
+    comp = core.transversal_complement(frame, avoid=avoid, seed=search_seed)
+    assert np.linalg.norm(comp.columns.T @ sp.form @ comp.columns) < 1e-9
+    for other in (frame, *avoid):
+        assert core._margin(comp, other) >= core.MIN_MARGIN
 
 
 def test_transversal_complement_random_inputs():
@@ -400,14 +431,13 @@ def test_transversal_complement_random_inputs():
 
 
 def test_transversal_complement_exhaustion_is_detectable():
-    # the schedule is deterministic, so feeding every candidate back into
-    # the avoid list must dry it up after exactly MAX_CANDIDATES rounds
+    # lines every pi/200 leave no line of the plane more than pi/400 from
+    # one of them, a margin below 0.006: every candidate is blocked
     sp = core.standard_space(1)
     v = core.vertical_frame(sp)
-    avoid = []
-    for _ in range(core.MAX_CANDIDATES):
-        avoid.append(core.transversal_complement(v, avoid=avoid))
-    with pytest.raises(SearchExhausted):
+    avoid = [core.make_frame(sp, np.array([[np.cos(a)], [np.sin(a)]]))
+             for a in np.arange(200) * np.pi / 200]
+    with pytest.raises(SearchExhausted, match="below MIN_MARGIN 0.01"):
         core.transversal_complement(v, avoid=avoid)
 
 

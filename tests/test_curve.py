@@ -193,6 +193,21 @@ def test_curvature_two_paths_agree():
             assert np.linalg.norm(r1.matrix - r2.matrix) <= 1e-5 * scale
 
 
+def test_cross_ratio_curvature_of_a_plain_rotating_curve():
+    # at these times J*c1(t) nearly equals the derivative curve and a
+    # graph {(z, +-z)} nearly equals c1(t): a chart transversal only up
+    # to round-off made S0 huge there, a margin-scored chart does not
+    om = 1.3
+    sp = core.standard_space(1)
+    c = curve.GrassmannCurve(
+        space=sp, domain=(0.0, 4.0),
+        eval=lambda t: core.make_frame(
+            sp, np.array([[np.cos(om * t)], [np.sin(om * t)]])))
+    for phase in (0.775, 2.35):
+        r = curve.curvature_via_cross_ratio(c, phase / om).matrix
+        assert abs(r[0, 0] - om ** 2) <= 1e-6
+
+
 def test_curvature_self_adjoint_in_velocity_gauge():
     rng = np.random.default_rng(21)
     for _ in range(5):
