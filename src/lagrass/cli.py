@@ -136,8 +136,7 @@ def _check_terms(terms, nvars: int, label: str, out: List[str]) -> int:
     return len(terms)
 
 
-def _check_matrix(mat, n: int, label: str, out: List[str],
-                  symmetric: bool = True):
+def _check_matrix(mat, n: int, label: str, out: List[str]):
     try:
         arr = np.asarray(mat, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -149,7 +148,7 @@ def _check_matrix(mat, n: int, label: str, out: List[str],
     if not np.all(np.isfinite(arr)):
         out.append(f"{label} has non-finite entries")
         return
-    if symmetric and np.abs(arr - arr.T).max(initial=0.0) > 1e-12:
+    if np.abs(arr - arr.T).max(initial=0.0) > 1e-12:
         out.append(f"{label} must be symmetric")
 
 
@@ -473,8 +472,7 @@ def _run_maslov(sysn, z0, config, opts, seed):
     rep = maslov.maslov_index(sub, core.vertical_frame(jc.space), seed=seed)
     rows = np.asarray(rep.subdivision, dtype=float).reshape(-1, 1)
     scalars = {"value": rep.value, "charts_used": rep.charts_used,
-               "pieces": len(rep.subdivision) - 1,
-               "endpoint_transversal": rep.endpoint_transversal}
+               "pieces": len(rep.subdivision) - 1}
     return scalars, Series(("t",), rows), []
 
 

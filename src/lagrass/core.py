@@ -3,7 +3,8 @@
 Conventions (fixed here, inherited everywhere else):
   * phase vectors are stacked (p, q) with the fiber block p first,
   * the standard form is sigma((p,q),(p',q')) = p.q' - p'.q, i.e. the
-    matrix J = [[0, I], [-I, 0]],
+    matrix J = [[0, I], [-I, 0]]; every space is the standard one,
+    SymplecticSpace builds J from n, and no caller's form is taken,
   * graph subspaces are over the first factor: {(z, S z)} with frame
     [I; S], so the vertical fiber is [I; 0] and the horizontal is [0; I].
 
@@ -47,19 +48,17 @@ MAX_CANDIDATES = 2 + _RANDOM_TRIES
 
 @dataclass(frozen=True)
 class SymplecticSpace:
+    """The standard space (R^2n, J); J is built here from n, nowhere else."""
+
     n: int
-    form: np.ndarray
+    form: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        f = np.asarray(self.form, dtype=float)
-        if f.shape != (2 * self.n, 2 * self.n):
-            raise ValueError("form must be 2n x 2n")
-        scale = np.linalg.norm(f)
-        if np.linalg.norm(f + f.T) > 1e-12 * max(scale, 1.0):
-            raise ValueError("form must be skew-symmetric")
-        if np.linalg.svd(f, compute_uv=False)[-1] <= 1e-12 * max(scale, 1.0):
-            raise ValueError("form must be nondegenerate")
-        object.__setattr__(self, "form", f)
+        if self.n < 1:
+            raise ValueError("n must be positive")
+        dim = 2 * self.n
+        object.__setattr__(self, "form", np.eye(dim, k=self.n)
+                           - np.eye(dim, k=-self.n))
 
     @property
     def dim(self) -> int:
@@ -89,7 +88,7 @@ class Chart:
     pi_frame: LagrangianFrame
     delta_frame: LagrangianFrame
     basis: np.ndarray
-    basis_inv: np.ndarray = field(repr=False, default=None)
+    basis_inv: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -134,12 +133,7 @@ class Inertia:
 
 def standard_space(n: int) -> SymplecticSpace:
     """Standard 2n-dimensional symplectic space with form [[0, I], [-I, 0]]."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    form = np.block([[zero, eye], [-eye, zero]])
-    return SymplecticSpace(n=n, form=form)
+    return SymplecticSpace(n)
 
 
 def vertical_frame(space: SymplecticSpace) -> LagrangianFrame:
@@ -279,9 +273,8 @@ def darboux_chart(pi_frame: LagrangianFrame,
         raise NotTransversal("Pi and Delta intersect nontrivially")
     f = delta_frame.columns @ np.linalg.inv(g)
     basis = np.hstack([e, f])
-    # sigma-orthogonality makes the inverse explicit: M^T sigma M = J
-    jstd = standard_space(space.n).form
-    basis_inv = -jstd @ basis.T @ sigma
+    # sigma-orthogonality makes the inverse explicit: M^T J M = J
+    basis_inv = -sigma @ basis.T @ sigma
     return Chart(pi_frame=pi_frame, delta_frame=delta_frame,
                  basis=basis, basis_inv=basis_inv)
 
@@ -399,7 +392,6 @@ def random_symplectic(space: SymplecticSpace, rng) -> np.ndarray:
     scale = 0.5
     eye = np.eye(n)
     zero = np.zeros((n, n))
-    jstd = np.block([[zero, eye], [-eye, zero]])
     t = np.eye(2 * n)
     for _ in range(4):
         kind = rng.integers(0, 4)
@@ -413,7 +405,7 @@ def random_symplectic(space: SymplecticSpace, rng) -> np.ndarray:
             c = rng.standard_normal((n, n)) * scale
             fac = np.block([[eye, zero], [c + c.T, eye]])
         else:
-            fac = jstd
+            fac = space.form
         t = t @ fac
     return t
 

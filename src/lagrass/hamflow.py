@@ -678,7 +678,7 @@ class LevelReduction:
     def reduce_frame(self,
                      frame: core.LagrangianFrame) -> core.LagrangianFrame:
         z = frame.columns
-        sigma = core.standard_space(z.shape[0] // 2).form
+        sigma = frame.space.form
         r = np.atleast_2d(self.u @ sigma @ z)
         scale = max(np.abs(r).max(), 1.0)
         if np.abs(r).max() <= core.RANK_TOL * scale:

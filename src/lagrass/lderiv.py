@@ -113,23 +113,20 @@ def stationarity_residual(problem: FiniteProblem,
 def lagrangian_point(problem: FiniteProblem,
                      w0: np.ndarray,
                      zeta0: np.ndarray,
-                     target: Optional[np.ndarray] = None) -> LagrangianPoint:
-    """Damped Newton refinement of the multiplier equations.
+                     target: np.ndarray) -> LagrangianPoint:
+    """Damped Newton refinement of the multiplier equations, with the
+    constraint value pinned at ``target``.
 
-    With ``target`` given the constraint value is pinned as well,
-    otherwise only stationarity is solved and the constraint level
-    floats.  Raises ValueError when the residual fails to reach
-    ``NEWTON_TOL`` within ``NEWTON_MAX_ITER`` iterations.
+    Raises ValueError when the residual fails to reach ``NEWTON_TOL``
+    within ``NEWTON_MAX_ITER`` iterations.
     """
     w = np.asarray(w0, dtype=float).copy()
     zeta = np.asarray(zeta0, dtype=float).copy()
 
     def residual(w_, zeta_):
         r = zeta_ @ problem.jac_phi(w_) - problem.grad_j(w_)
-        if target is not None:
-            r = np.concatenate([r, np.asarray(problem.phi_value(w_),
-                                              dtype=float) - target])
-        return r
+        return np.concatenate([r, np.asarray(problem.phi_value(w_),
+                                             dtype=float) - target])
 
     r = residual(w, zeta)
     for _ in range(NEWTON_MAX_ITER):
@@ -138,12 +135,8 @@ def lagrangian_point(problem: FiniteProblem,
             return LagrangianPoint(w=w, zeta=zeta)
         a = problem.jac_phi(w)
         q = problem.corrected_hessian(w, zeta)
-        top = np.hstack([-q, a.T])
-        if target is None:
-            jac = top
-        else:
-            jac = np.vstack([top,
-                             np.hstack([a, np.zeros((problem.m, problem.m))])])
+        jac = np.vstack([np.hstack([-q, a.T]),
+                         np.hstack([a, np.zeros((problem.m, problem.m))])])
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         lam = 1.0
         while True:

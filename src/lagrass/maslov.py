@@ -76,7 +76,6 @@ class IndexReport:
     value: int
     subdivision: List[float]
     charts_used: int
-    endpoint_transversal: bool
 
 
 def _meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -234,7 +233,7 @@ def maslov_index(curve: GrassmannCurve, train: core.LagrangianFrame,
         value += core.inertia(sa).neg - core.inertia(sb).neg
         subdivision.append(pb)
     return IndexReport(value=value, subdivision=subdivision,
-                       charts_used=len(pieces), endpoint_transversal=True)
+                       charts_used=len(pieces))
 
 
 def maslov_index_monotone(curve: GrassmannCurve,
@@ -265,7 +264,7 @@ def maslov_index_monotone(curve: GrassmannCurve,
     value = doubled // 2 if direction > 0 else -(doubled // 2)
     return IndexReport(value=value,
                        subdivision=[a] + [pb for _, pb, _ in pieces],
-                       charts_used=len(pieces), endpoint_transversal=True)
+                       charts_used=len(pieces))
 
 
 def _trim(at, train, end, other):

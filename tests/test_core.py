@@ -10,7 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import lagrass
-from lagrass import analysis, core, curve, hamflow, maslov
+from lagrass import analysis, cli, core, curve, hamflow, maslov
 from lagrass.errors import NotInChart, NotTransversal, SearchExhausted
 
 
@@ -22,11 +22,20 @@ def test_standard_space_form():
     assert u @ sp.form @ u == 0.0
 
 
-def test_standard_space_rejects_degenerate():
+def test_standard_space_is_the_block_form():
+    # J is built from n alone and equals [[0, I], [-I, 0]] exactly
+    for n in range(1, 5):
+        eye, zero = np.eye(n), np.zeros((n, n))
+        form = core.standard_space(n).form
+        assert form.dtype == np.float64
+        assert np.array_equal(form, np.block([[zero, eye], [-eye, zero]]))
+
+
+def test_space_refuses_nonpositive_dimension():
     with pytest.raises(ValueError):
-        core.SymplecticSpace(n=1, form=np.zeros((2, 2)))
+        core.SymplecticSpace(0)
     with pytest.raises(ValueError):
-        core.SymplecticSpace(n=1, form=np.eye(2))
+        core.standard_space(0)
 
 
 def test_make_frame_orthonormalizes():
@@ -236,6 +245,7 @@ _DELETED_KNOBS = {
     "lagrass.analysis.decay_rate": {"skip", "floor"},
     "lagrass.lderiv.lagrangian_point": {"tol", "max_iter"},
     "lagrass.core.random_symplectic": {"factors", "scale"},
+    "lagrass.core.SymplecticSpace": {"form"},
     "lagrass.curve.velocity_form": {"fd_step"},
     "lagrass.curve.infinitesimal_cross_ratio": {"fd_step"},
     "lagrass.curve.pair_ratio": {"fd_step"},
@@ -267,7 +277,8 @@ def test_deleted_knobs_stay_deleted():
     for private, knob in ((maslov._monotone_direction, "samples"),
                           (maslov._pieces, "max_gap"),
                           (curve._chart_and_stencil, "fd_step"),
-                          (curve._stencil_geometry, "fd_step")):
+                          (curve._stencil_geometry, "fd_step"),
+                          (cli._check_matrix, "symmetric")):
         assert knob not in inspect.signature(private).parameters
     assert "gradient" not in vars(hamflow.HamiltonianSystem)
 

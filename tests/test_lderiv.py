@@ -12,6 +12,8 @@ Hand oracles frozen before implementation:
     index 1 to index 0.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,11 @@ def test_newton_refines_nonlinear_point():
                                     target=np.array([0.7]))
     assert lderiv.stationarity_residual(problem, point) <= 1e-10
     assert abs(problem.phi_value(point.w)[0] - 0.7) <= 1e-10
+
+
+def test_newton_always_pins_the_constraint_level():
+    target = inspect.signature(lderiv.lagrangian_point).parameters["target"]
+    assert target.default is inspect.Parameter.empty
 
 
 def test_finite_difference_fallback_is_flagged_and_close():

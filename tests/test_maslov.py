@@ -140,7 +140,6 @@ def test_diagonal_family_counts_one_per_eigenvalue():
         c = diag_family(n)
         report = maslov.maslov_index(c, vertical_train(n))
         assert report.value == n
-        assert report.endpoint_transversal
         assert report.charts_used >= 1
         assert report.subdivision[0] == c.domain[0]
         assert report.subdivision[-1] == c.domain[1]
