@@ -36,6 +36,7 @@ from .hamflow import (
     DenseFlow,
     HamiltonianSystem,
     PolynomialTable,
+    _poly_diff,
     _subsample,
     curvature_operator_field,
     flow,
@@ -73,10 +74,14 @@ MAX_SAMPLES = 100_000      # options.samples, the sampled rows of a series
 MAX_N = 8                  # system.n; keeps a DenseFlow under 0.4 GB
 MAX_EXPONENT = 32          # of a polynomial term; sizes the table of powers
 MAX_TERMS = 256            # per term list; sizes the compiled term tables
-MAX_DIM_W = 64             # problem.dim_w; fd Hessians cost O(dim_w^2) calls
+MAX_DIM_W = 64             # problem.dim_w
 # RK steps x compiled-table entries of a polynomial Hamiltonian: each RK
 # stage evaluates every entry of the (1 + 2n + 4n^2) x terms x 2n table
 MAX_CALLBACK_WORK = 2_000_000_000
+# entries of an lderiv problem's compiled value, gradient and Hessian
+# tables: (1 + m) x (1 + dim_w + dim_w^2) polynomials x terms x dim_w
+# variables at most, two integers each; keeps the tables under 0.2 GB
+MAX_TABLE_ENTRIES = 10_000_000
 
 
 class ValidationFailure(Exception):
@@ -242,11 +247,12 @@ def _validate_problem(config: dict, out: List[str]):
         out.append(f"problem.dim_w = {dim_w} is over the budget of "
                    f"{MAX_DIM_W}")
         return
+    width = 0  # the most terms of any polynomial of the problem
     obj = prob.get("objective")
     if not isinstance(obj, dict) or "terms" not in obj:
         out.append("problem.objective.terms is required")
     else:
-        _check_terms(obj["terms"], dim_w, "objective.terms", out)
+        width = _check_terms(obj["terms"], dim_w, "objective.terms", out)
     cons = prob.get("constraints")
     if not isinstance(cons, list) or len(cons) != m:
         out.append(f"problem.constraints must list m = {m} term tables")
@@ -255,8 +261,12 @@ def _validate_problem(config: dict, out: List[str]):
             if not isinstance(con, dict) or "terms" not in con:
                 out.append(f"constraints[{k}].terms is required")
             else:
-                _check_terms(con["terms"], dim_w,
-                             f"constraints[{k}].terms", out)
+                width = max(width, _check_terms(
+                    con["terms"], dim_w, f"constraints[{k}].terms", out))
+    entries = (1 + m) * (1 + dim_w + dim_w * dim_w) * width * dim_w
+    if entries > MAX_TABLE_ENTRIES:
+        out.append(f"the problem's derivative tables ask for {entries} "
+                   f"entries, over the budget of {MAX_TABLE_ENTRIES}")
     point = config.get("point")
     if not isinstance(point, dict):
         out.append("lderiv needs a point table with w and zeta")
@@ -367,15 +377,28 @@ def build_system(config: dict) -> HamiltonianSystem:
     return polynomial_system(n, terms)
 
 
+def _tables(polys, nvars: int):
+    """Tables of the polynomials, their gradients and their Hessians, the
+    derivatives taken term by term as polynomial_system takes them."""
+    grads = [_poly_diff(p, k) for p in polys for k in range(nvars)]
+    hesses = [_poly_diff(g, k) for g in grads for k in range(nvars)]
+    return (PolynomialTable(polys, nvars), PolynomialTable(grads, nvars),
+            PolynomialTable(hesses, nvars))
+
+
 def build_problem(config: dict):
+    """The problem with exact derivatives from its term tables."""
     prob = config["problem"]
     dim_w, m = int(prob["dim_w"]), int(prob["m"])
-    objective = PolynomialTable([prob["objective"]["terms"]], dim_w)
-    constraints = PolynomialTable(
-        [con["terms"] for con in prob["constraints"]], dim_w)
+    obj, obj_grad, obj_hess = _tables([prob["objective"]["terms"]], dim_w)
+    con, con_jac, con_hess = _tables(
+        [c["terms"] for c in prob["constraints"]], dim_w)
     problem = lderiv.FiniteProblem(
-        dim_w=dim_w, m=m, j_value=lambda w: float(objective(w)[0]),
-        phi_value=constraints)
+        dim_w=dim_w, m=m, j_value=lambda w: float(obj(w)[0]),
+        phi_value=con, j_grad=obj_grad,
+        j_hess=lambda w: obj_hess(w).reshape(dim_w, dim_w),
+        phi_jac=lambda w: con_jac(w).reshape(m, dim_w),
+        phi_hess=lambda w: con_hess(w).reshape(m, dim_w, dim_w))
     point = lderiv.LagrangianPoint(
         w=np.asarray(config["point"]["w"], dtype=float),
         zeta=np.asarray(config["point"]["zeta"], dtype=float))

@@ -17,6 +17,15 @@ stricter rule: transversal_complement is the one chart search, and it
 accepts a complement only when its margin (the smallest singular value
 of [complement | other]) is at least MIN_MARGIN = 1e-2 against every
 subspace in play, so no chart is transversal by round-off alone.
+The chart kernel and the margin read stacks: graph_coords and
+chart_matrices take the columns of many subspaces, shape (..., 2n, n),
+in one matrix product, one singular-value pass for the rank rule and
+one solve, _margin scores a candidate against a whole stack in one
+singular-value pass, and _gaps takes the subspace gaps of two stacks
+pairwise in one stacked 2-norm; chart_coords and subspace_gap are the
+one-frame forms of the same code. numpy's stacked svd, solve and matmul
+give the same bits as one call per matrix, so a stack and a loop of
+single calls agree exactly.
 Frames are column-orthonormalized on construction; subspace identity
 is always tested through principal angles, never through raw matrix
 comparison.
@@ -148,15 +157,16 @@ def horizontal_frame(space: SymplecticSpace) -> LagrangianFrame:
     return make_frame(space, cols)
 
 
-def _kept(sv: np.ndarray) -> int:
-    """How many singular values (in descending order) the rank rule keeps."""
-    top = sv[0] if sv.size else 0.0
-    return int((sv > RANK_TOL * max(top, 1e-300)).sum())
+def _kept(sv: np.ndarray):
+    """How many singular values (descending along the last axis) the rank
+    rule keeps, for each matrix of a stack."""
+    top = sv[..., :1]
+    return (sv > RANK_TOL * np.maximum(top, 1e-300)).sum(axis=-1)
 
 
 def rank(mat: np.ndarray) -> int:
     """Numerical rank under the relative rule."""
-    return _kept(np.linalg.svd(mat, compute_uv=False))
+    return int(_kept(np.linalg.svd(mat, compute_uv=False)))
 
 
 def span(cols: np.ndarray) -> np.ndarray:
@@ -231,9 +241,15 @@ def subspace_gap(f0: LagrangianFrame, f1: LagrangianFrame) -> float:
     projectors, which stays accurate near zero where sqrt(1 - cos^2)
     would lose half the digits.
     """
-    p0 = f0.columns @ f0.columns.T
-    p1 = f1.columns @ f1.columns.T
-    return float(np.linalg.norm(p0 - p1, 2))
+    return float(_gaps(f0.columns, f1.columns))
+
+
+def _gaps(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """subspace_gap between the orthonormal columns c0 and c1, pairwise
+    over stacks of shape (..., 2n, n), in one stacked 2-norm."""
+    p0 = c0 @ np.swapaxes(c0, -1, -2)
+    p1 = c1 @ np.swapaxes(c1, -1, -2)
+    return np.linalg.norm(p0 - p1, 2, axis=(-2, -1))
 
 
 def same_subspace(f0: LagrangianFrame, f1: LagrangianFrame,
@@ -283,27 +299,59 @@ def standard_chart(space: SymplecticSpace) -> Chart:
     return darboux_chart(vertical_frame(space), horizontal_frame(space))
 
 
-def graph_coords(chart: Chart, columns: np.ndarray) -> np.ndarray:
-    """Raw graph matrix of an n-dim subspace in the chart, no symmetry check.
-
-    Non-Lagrangian subspaces are welcome here; they come out with an
-    asymmetric matrix, which is exactly how tests detect them.
-    """
-    w = chart.basis_inv @ np.asarray(columns, dtype=float)
+def _graphs(chart: Chart, columns: np.ndarray):
+    """Graph matrices of the stack columns (..., 2n, n), flattened to
+    (k, n, n) and cut before its first member meeting Delta, and whether
+    a member met it."""
+    cols = np.asarray(columns, dtype=float)
+    w = chart.basis_inv @ cols.reshape((-1,) + cols.shape[-2:])
     n = chart.n
-    top, bottom = w[:n], w[n:]
-    if rank(top) < min(top.shape):
+    top, bottom = w[:, :n], w[:, n:]
+    miss = np.flatnonzero(_kept(np.linalg.svd(top, compute_uv=False)) < n)
+    if len(miss):
+        top, bottom = top[:miss[0]], bottom[:miss[0]]
+    s = np.linalg.solve(np.swapaxes(top, -1, -2), np.swapaxes(bottom, -1, -2))
+    return np.swapaxes(s, -1, -2), len(miss) > 0
+
+
+def graph_coords(chart: Chart, columns: np.ndarray) -> np.ndarray:
+    """Raw graph matrices of n-dim subspaces in the chart, no symmetry check.
+
+    columns is one 2n x n matrix or a stack of them, shape (..., 2n, n);
+    the result has shape (..., n, n). Non-Lagrangian subspaces are
+    welcome here; they come out with an asymmetric matrix, which is
+    exactly how tests detect them.
+    """
+    s, missed = _graphs(chart, columns)
+    if missed:
         raise NotInChart("subspace meets the chart complement Delta")
-    return np.linalg.solve(top.T, bottom.T).T
+    return s.reshape(np.shape(columns)[:-2] + s.shape[-2:])
+
+
+def chart_matrices(chart: Chart, columns: np.ndarray) -> np.ndarray:
+    """Symmetric chart matrices of Lagrangian subspaces, shape (..., n, n),
+    from their columns, shape (..., 2n, n).
+
+    The first subspace in stack order that fails refuses the stack: with
+    NotInChart when it meets Delta, with ValueError naming its defect
+    when its chart matrix is asymmetric (it is not Lagrangian).
+    """
+    s, missed = _graphs(chart, columns)
+    asym = np.linalg.norm(s - np.swapaxes(s, -1, -2), axis=(-2, -1))
+    bad = np.flatnonzero(
+        asym > 1e-6 * (1.0 + np.linalg.norm(s, axis=(-2, -1))))
+    if len(bad):
+        raise ValueError(f"chart matrix asymmetric ({asym[bad[0]]:.3e}); "
+                         "input subspace is not Lagrangian")
+    if missed:
+        raise NotInChart("subspace meets the chart complement Delta")
+    sym = 0.5 * (s + np.swapaxes(s, -1, -2))
+    return sym.reshape(np.shape(columns)[:-2] + s.shape[-2:])
 
 
 def chart_coords(frame: LagrangianFrame, chart: Chart) -> ChartRep:
-    s = graph_coords(chart, frame.columns)
-    asym = np.linalg.norm(s - s.T)
-    if asym > 1e-6 * (1.0 + np.linalg.norm(s)):
-        raise ValueError(f"chart matrix asymmetric ({asym:.3e}); "
-                         "input subspace is not Lagrangian")
-    return ChartRep(chart=chart, S=0.5 * (s + s.T))
+    """The chart matrix of one frame: chart_matrices of a stack of one."""
+    return ChartRep(chart=chart, S=chart_matrices(chart, frame.columns))
 
 
 def frame_from_chart(rep: ChartRep) -> LagrangianFrame:
@@ -330,10 +378,13 @@ def inertia(q) -> Inertia:
     return Inertia(neg=neg, zero=m.shape[0] - neg - pos, pos=pos)
 
 
-def _margin(f0: LagrangianFrame, f1: LagrangianFrame) -> float:
-    """Transversality margin: smallest singular value of [Z0 | Z1]."""
-    stacked = np.hstack([f0.columns, f1.columns])
-    return float(np.linalg.svd(stacked, compute_uv=False)[-1])
+def _margin(columns: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Transversality margins: the smallest singular value of
+    [columns | other] for each other of the stack others (..., 2n, n),
+    in one stacked singular-value pass."""
+    pairs = np.concatenate(
+        [np.broadcast_to(columns, np.shape(others)), others], axis=-1)
+    return np.linalg.svd(pairs, compute_uv=False)[..., -1]
 
 
 def _candidates(frame: LagrangianFrame, avoid, seed: int):
@@ -363,18 +414,19 @@ def transversal_complement(frame: LagrangianFrame, avoid=(),
     avoid), then _RANDOM_TRIES symmetric graphs f + e(a + a^T) over the
     chart (frame, sigma*frame), drawn from default_rng(seed), which are
     transversal to the frame by construction. A candidate scores its
-    worst margin against the frame and every member of avoid. The first
-    score of GOOD_MARGIN or more wins, else the best score of MIN_MARGIN
-    or more; SearchExhausted when no candidate reaches MIN_MARGIN.
+    worst margin against the frame and every member of avoid, all read
+    in one stacked _margin call. The first score of GOOD_MARGIN or more
+    wins, else the best score of MIN_MARGIN or more; SearchExhausted
+    when no candidate reaches MIN_MARGIN.
     """
-    must_miss = [frame, *avoid]
+    must_miss = np.stack([frame.columns] + [fr.columns for fr in avoid])
     best, best_score = None, -np.inf
     for cols in _candidates(frame, avoid, seed):
         try:
             cand = make_frame(frame.space, cols)
         except ValueError:
             continue
-        score = min(_margin(cand, other) for other in must_miss)
+        score = float(_margin(cand.columns, must_miss).min())
         if score >= best_score:
             best, best_score = cand, score
         if best_score >= GOOD_MARGIN:

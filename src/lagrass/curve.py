@@ -171,12 +171,13 @@ def _interior(curve: GrassmannCurve, count: int) -> np.ndarray:
 
 def _centered_chart(frames, center: int, t: float, what: str):
     """Darboux chart centered at frames[center] and transversal to every
-    frame, with the chart matrix of each frame."""
+    frame, with the chart matrices of the frames, read in one call."""
     try:
         others = frames[:center] + frames[center + 1:]
         delta = core.transversal_complement(frames[center], avoid=others)
         chart = core.darboux_chart(frames[center], delta)
-        return chart, [core.chart_coords(fr, chart).S for fr in frames]
+        return chart, core.chart_matrices(
+            chart, np.stack([fr.columns for fr in frames]))
     except (SearchExhausted, NotInChart, NotTransversal) as exc:
         raise ChartFailure(
             f"no common chart for the {what} at t={t:g}: {exc}") from exc
@@ -346,6 +347,14 @@ def transport_generator(curve: GrassmannCurve, t: float) -> CurveOperator:
                          kind="transport_generator", at=t)
 
 
+def _generator(n: int) -> np.ndarray:
+    """[[0, -I], [A, 0]] of x' = -y, y' = A x with A still zero; a march
+    allocates it once and each stage writes its A into the lower left."""
+    gen = np.zeros((2 * n, 2 * n))
+    gen[:n, n:] = -np.eye(n)
+    return gen
+
+
 @dataclass(frozen=True)
 class TransportResult:
     t0: float
@@ -400,12 +409,13 @@ def transport(curve: GrassmannCurve, t0: float,
         x = (chart.basis_inv @ z_s)[:n]
         return chart, r, x, _sym(np.linalg.solve(x, r @ x))
 
+    gen = _generator(n)
+
     def rhs(tau, state):
         z_s, w_s, g_s = state
         chart, r, x, amat = coefficients(tau, z_s)
-        k = np.block([[np.zeros((n, n)), -np.eye(n)],
-                      [amat, np.zeros((n, n))]])
-        return w_s, -chart.basis[:, :n] @ (r @ x), k @ g_s
+        gen[n:, :n] = amat
+        return w_s, -chart.basis[:, :n] @ (r @ x), gen @ g_s
 
     t = t0
     for _ in range(nsteps):
@@ -427,12 +437,11 @@ def fundamental_matrix(a_func, t0: float, t1: float) -> np.ndarray:
     n = a0.shape[0]
     nsteps = max(1, int(np.ceil((t1 - t0) / 1e-3)))
     dt = (t1 - t0) / nsteps
+    gen = _generator(n)
 
     def rhs(tau, state):
-        a = np.atleast_2d(np.asarray(a_func(tau), dtype=float))
-        k = np.block([[np.zeros((n, n)), -np.eye(n)],
-                      [a, np.zeros((n, n))]])
-        return (k @ state[0],)
+        gen[n:, :n] = np.atleast_2d(np.asarray(a_func(tau), dtype=float))
+        return (gen @ state[0],)
 
     gamma = (np.eye(2 * n),)
     t = t0

@@ -774,12 +774,17 @@ def _regular_or_raise(hxx: np.ndarray):
         raise NotRegular("xx Hessian block is singular at the point")
 
 
-def _hxx_rate(sys: HamiltonianSystem, z: np.ndarray,
+def _point(sys: HamiltonianSystem, z: np.ndarray):
+    """Field and symmetric Hessian at z, from one eval."""
+    _, grad, hess = sys._eval(z)
+    return sys._field_of(grad), _symmetric(hess)
+
+
+def _hxx_rate(sys: HamiltonianSystem, z: np.ndarray, zeta: np.ndarray,
               fd_step: float) -> np.ndarray:
     n = sys.n
     if sys.hxx_rate is not None:
         return np.asarray(sys.hxx_rate(z[:n], z[n:]), dtype=float)
-    zeta = sys.field(z)
     speed = np.linalg.norm(zeta)
     if speed == 0.0:
         return np.zeros((n, n))
@@ -798,12 +803,17 @@ def connection_hamiltonian(sys: HamiltonianSystem,
     """
     z = np.concatenate([np.asarray(at[0], dtype=float),
                         np.asarray(at[1], dtype=float)])
+    return _connection(sys, z, *_point(sys, z))
+
+
+def _connection(sys: HamiltonianSystem, z: np.ndarray, zeta: np.ndarray,
+                h2: np.ndarray) -> np.ndarray:
+    """connection_hamiltonian at z, given the field and Hessian there."""
     n = sys.n
-    h2 = sys.hessian(z)
     hxx = h2[:n, :n]
     hxy = h2[:n, n:]
     _regular_or_raise(hxx)
-    rhs = _hxx_rate(sys, z, THIRD_FD_STEP) - hxy @ hxx - hxx @ hxy.T
+    rhs = _hxx_rate(sys, z, zeta, THIRD_FD_STEP) - hxy @ hxx - hxx @ hxy.T
     half = np.linalg.solve(hxx, rhs)
     c = 0.5 * np.linalg.solve(hxx, half.T).T
     defect = np.linalg.norm(c - c.T)
@@ -821,25 +831,35 @@ def curvature_via_brackets(sys: HamiltonianSystem,
     derivatives of the horizontal field are acquired by a directional
     finite difference along the flow.
     """
-    n = sys.n
     z0 = np.concatenate([np.asarray(at[0], dtype=float),
                          np.asarray(at[1], dtype=float)])
-    c0 = connection_hamiltonian(sys, at)
-    dzeta0 = sys.linearization(z0)
-    zeta0 = sys.field(z0)
+    return _brackets(sys, z0, *_point(sys, z0))
+
+
+def _brackets(sys: HamiltonianSystem, z0: np.ndarray, zeta0: np.ndarray,
+              h2: np.ndarray) -> np.ndarray:
+    """curvature_via_brackets at z0, given the field and Hessian there;
+    each finite-difference point costs one more eval."""
+    n = sys.n
+    c0 = _connection(sys, z0, zeta0, h2)
+    dzeta0 = sys._minus_j(h2)
     speed = np.linalg.norm(zeta0)
 
-    def phi_fields(z):
-        """Row i: the horizontal field over vertical direction i."""
-        b = -sys.hessian(z)[:n, :n]    # symmetric, so row i is column i
-        cz = connection_hamiltonian(sys, (z[:n], z[n:]))
+    def phi_fields(hess, cz):
+        """Row i: the horizontal field over vertical direction i, from
+        the Hessian and the connection at a point."""
+        b = -hess[:n, :n]    # symmetric, so row i is column i
         return np.array([np.concatenate([cz.T @ row, row]) for row in b])
 
-    phi0 = phi_fields(z0)
+    def phi_at(z):
+        zeta, hess = _point(sys, z)
+        return phi_fields(hess, _connection(sys, z, zeta, hess))
+
+    phi0 = phi_fields(h2, c0)
     dphi = np.zeros_like(phi0)
     if speed != 0.0:
         d = THIRD_FD_STEP * (1.0 + np.abs(z0).max())
-        dphi = core._central_difference(phi_fields, z0, d,
+        dphi = core._central_difference(phi_at, z0, d,
                                         [zeta0 / speed])[..., 0] * speed
     rmat = np.empty((n, n))
     for i in range(n):
@@ -855,13 +875,13 @@ def curvature_operator_field(sys: HamiltonianSystem,
     z = np.concatenate([np.asarray(at[0], dtype=float),
                         np.asarray(at[1], dtype=float)])
     n = sys.n
-    h2 = sys.hessian(z)
+    zeta, h2 = _point(sys, z)
     _regular_or_raise(h2[:n, :n])
     if sys.family == "natural":
         if np.linalg.norm(h2[:n, :n] - np.eye(n)) > 1e-8:
             raise ValueError("natural system must have identity xx block")
         return h2[n:, n:].copy()
-    return curvature_via_brackets(sys, at)
+    return _brackets(sys, z, zeta, h2)
 
 
 # ------------------------------------------------------------- monotonicity

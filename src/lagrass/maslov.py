@@ -144,8 +144,8 @@ def _pieces(train, at, a, b, seed, need_train, depth=0):
     ts = np.linspace(a, b, _CERT_SAMPLES)
     frames = [at(t) for t in ts]
     delta = None
-    if all(core.subspace_gap(frames[i], frames[i + 1]) <= MAX_GAP
-           for i in range(len(frames) - 1)):
+    cols = np.stack([fr.columns for fr in frames])
+    if (core._gaps(cols[:-1], cols[1:]) <= MAX_GAP).all():
         center = train if need_train else frames[len(frames) // 2]
         try:
             delta = core.transversal_complement(center, avoid=frames,

@@ -152,6 +152,31 @@ def test_lderiv_sphere_problem(tmp_path):
     assert scalars["hessian_nondegenerate"] and scalars["transversal_to_fiber"]
 
 
+def test_lderiv_derivatives_are_exact(tmp_path):
+    # the same sphere problem at the critical point e2 with zeta = 3:
+    # central differences left a residual of 2.78e-11 there
+    cfg = {
+        "problem": {
+            "dim_w": 3, "m": 1,
+            "objective": {"terms": [[1.0, [2, 0, 0]], [2.0, [0, 2, 0]],
+                                    [3.0, [0, 0, 2]]]},
+            "constraints": [{"terms": [[1.0, [2, 0, 0]], [1.0, [0, 2, 0]],
+                                       [1.0, [0, 0, 2]],
+                                       [-1.0, [0, 0, 0]]]}],
+        },
+        "point": {"w": [0.0, 0.0, 1.0], "zeta": [3.0]},
+        "seed": 0,
+    }
+    out = tmp_path / "out"
+    assert cli.main(["lderiv", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+    scalars = read_json(out / "lderiv.json")["scalars"]
+    assert scalars["fd_fallback"] is False
+    assert scalars["residual"] < 2.7755575615628914e-11
+    assert (scalars["kernel_pos"], scalars["kernel_neg"],
+            scalars["kernel_zero"]) == (0, 2, 0)
+
+
 def test_seed_override_keeps_value_changes_hash(tmp_path):
     cfg = write_config(tmp_path, base_config())
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -448,6 +473,12 @@ def test_validate_refuses_runs_over_budget():
     wide = cli.validate(problem(cli.MAX_DIM_W + 1), "lderiv")
     assert len(wide) == 1 and "budget" in wide[0]
     assert cli.validate(problem(cli.MAX_DIM_W), "lderiv") == []
+    # each axis inside its budget, but 64^2 Hessian entries of 256 terms
+    # over 64 variables would not fit in memory
+    full = problem(cli.MAX_DIM_W)
+    full["problem"]["objective"]["terms"] *= cli.MAX_TERMS
+    tables = cli.validate(full, "lderiv")
+    assert len(tables) == 1 and "derivative tables" in tables[0]
 
 
 def test_validate_refuses_callback_work_over_budget():

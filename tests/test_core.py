@@ -178,6 +178,78 @@ def test_graph_coords_non_lagrangian_is_asymmetric():
     assert np.linalg.norm(got - got.T) > 0.5
 
 
+def test_chart_matrices_refuse_with_the_first_failing_frame():
+    # stack order decides: a non-Lagrangian frame ahead of a frame off
+    # the chart refuses with its own defect, not the largest in the stack
+    sp = core.standard_space(2)
+    chart = core.standard_chart(sp)
+
+    def graph(s):
+        return np.vstack([np.eye(2), s])
+
+    good = graph(np.eye(2))
+    small = graph([[0.0, 0.1], [0.0, 0.0]])   # defect 0.1 sqrt(2)
+    large = graph([[0.0, 3.0], [0.0, 0.0]])   # defect 3 sqrt(2)
+    off = core.horizontal_frame(sp).columns
+    with pytest.raises(ValueError, match=r"asymmetric \(1\.414e-01\)"):
+        core.chart_matrices(chart, np.stack([good, small, off, large]))
+    with pytest.raises(NotInChart):
+        core.chart_matrices(chart, np.stack([good, off, small, large]))
+    with pytest.raises(NotInChart):
+        core.graph_coords(chart, np.stack([good, small, off]))
+    with pytest.raises(ValueError, match=r"asymmetric \(4\.243e\+00\)"):
+        core.chart_matrices(chart, large)
+
+
+def _reference_search(frame, avoid, seed):
+    """transversal_complement's rule, scored one [candidate | other] pair
+    at a time; None where the search is exhausted."""
+    best, best_score = None, -np.inf
+    for cols in core._candidates(frame, avoid, seed):
+        try:
+            cand = core.make_frame(frame.space, cols)
+        except ValueError:
+            continue
+        score = min(float(core._margin(cand.columns, other.columns))
+                    for other in (frame, *avoid))
+        if score >= best_score:
+            best, best_score = cand, score
+        if best_score >= core.GOOD_MARGIN:
+            return best
+    return best if best_score >= core.MIN_MARGIN else None
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.integers(1, 9),
+       st.integers(0, 1))
+def test_stacked_chart_kernel_equals_one_frame_at_a_time(
+        n, draw, count, search_seed):
+    rng = np.random.default_rng(draw)
+    sp = core.standard_space(n)
+    t = core.random_symplectic(sp, rng)
+    center = core.make_frame(sp, t @ core.vertical_frame(sp).columns)
+    frames = [core.make_frame(sp, t @ core.random_lagrangian(sp, rng).columns)
+              for _ in range(count)]
+    want = _reference_search(center, frames, search_seed)
+    if want is None:
+        with pytest.raises(SearchExhausted):
+            core.transversal_complement(center, frames, search_seed)
+        return
+    delta = core.transversal_complement(center, frames, search_seed)
+    assert np.array_equal(delta.columns, want.columns)
+    chart = core.darboux_chart(center, delta)
+    stack = np.stack([fr.columns for fr in frames])
+    graphs = core.graph_coords(chart, stack)
+    mats = core.chart_matrices(chart, stack)
+    assert graphs.shape == mats.shape == (count, n, n)
+    for fr, g, s in zip(frames, graphs, mats):
+        w = chart.basis_inv @ fr.columns
+        assert np.array_equal(g, np.linalg.solve(w[:n].T, w[n:].T).T)
+        assert np.array_equal(s, core.chart_coords(fr, chart).S)
+        assert np.array_equal(s, 0.5 * (g + g.T))
+
+
 @pytest.mark.parametrize("shape, k", [((6, 4), 2), ((4, 6), 3), ((5, 5), 1),
                                       ((3, 5), 3)])
 def test_rank_span_nullspace_share_one_rule(shape, k):
@@ -398,8 +470,8 @@ def test_transversal_complement_schedule():
     # a seeded graph over the chart (v, h) clears both by the floor
     got = core.transversal_complement(v, avoid=[h])
     assert not core.same_subspace(got, h)
-    assert core._margin(got, v) >= core.MIN_MARGIN
-    assert core._margin(got, h) >= core.MIN_MARGIN
+    assert (core._margin(got.columns, np.stack([v.columns, h.columns]))
+            >= core.MIN_MARGIN).all()
 
 
 def test_transversal_complement_seeds_pick_different_graphs():
@@ -429,7 +501,7 @@ def test_transversal_complement_clears_the_floor_in_any_frame(
     comp = core.transversal_complement(frame, avoid=avoid, seed=search_seed)
     assert np.linalg.norm(comp.columns.T @ sp.form @ comp.columns) < 1e-9
     for other in (frame, *avoid):
-        assert core._margin(comp, other) >= core.MIN_MARGIN
+        assert core._margin(comp.columns, other.columns) >= core.MIN_MARGIN
 
 
 def test_transversal_complement_random_inputs():

@@ -208,6 +208,31 @@ def test_cross_ratio_curvature_of_a_plain_rotating_curve():
         assert abs(r[0, 0] - om ** 2) <= 1e-6
 
 
+def test_stencil_reads_its_frames_in_one_call_each(monkeypatch):
+    # one stencil on a plain rotating curve, whose first candidate wins:
+    # svd once for that candidate's margins against all seven frames,
+    # once for darboux_chart's rank, once for the rank rule over the
+    # seven chart matrices and once for the regularity check; one solve
+    # gives the seven chart matrices
+    om = np.array([1.0, 1.7])
+    sp = core.standard_space(2)
+    c = curve.GrassmannCurve(
+        space=sp, domain=(0.0, 3.0),
+        eval=lambda t: core.make_frame(
+            sp, np.vstack([np.diag(np.cos(om * t)), np.diag(np.sin(om * t))])))
+    calls = {"svd": 0, "solve": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    curve._stencil_geometry(c, 1.1)
+    assert calls == {"svd": 4, "solve": 1}
+
+
 def test_curvature_self_adjoint_in_velocity_gauge():
     rng = np.random.default_rng(21)
     for _ in range(5):

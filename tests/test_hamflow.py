@@ -292,7 +292,7 @@ def test_cubic_hessian_rate_hand_oracle():
     assert np.allclose(sys.hxx_rate(x, y), want, atol=1e-12)
     fd_sys = hamflow.HamiltonianSystem(n=2, eval=sys.eval)
     z = np.concatenate([x, y])
-    got = hamflow._hxx_rate(fd_sys, z, hamflow.THIRD_FD_STEP)
+    got = hamflow._hxx_rate(fd_sys, z, fd_sys.field(z), hamflow.THIRD_FD_STEP)
     assert np.allclose(got, want, atol=1e-7)
     c = hamflow.connection_hamiltonian(sys, (x, y))
     assert np.allclose(c, c.T, atol=1e-12)
@@ -359,6 +359,24 @@ def test_curvature_brackets_match_natural_shortcut():
                                        hxx_rate=sys.hxx_rate)
     assert np.allclose(hamflow.curvature_via_brackets(custom, at), want,
                        atol=1e-8)
+
+
+def test_field_curvature_evaluates_each_point_once():
+    # the point itself and the two finite-difference points along the
+    # flow: one eval each, every quantity at a point read from that eval
+    sys = cubic_poly_system()
+    seen = []
+
+    def counted(x, y):
+        seen.append(np.concatenate([x, y]))
+        return sys.eval(x, y)
+
+    at = (np.array([0.3, -0.2]), np.array([0.5, 0.1]))
+    got = hamflow.curvature_operator_field(
+        dataclasses.replace(sys, eval=counted), at)
+    assert len(seen) == 3
+    assert len({z.tobytes() for z in seen}) == 3
+    assert np.array_equal(got, hamflow.curvature_via_brackets(sys, at))
 
 
 def test_flat_metric_with_potential_reduces_to_natural():
