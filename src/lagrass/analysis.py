@@ -36,8 +36,9 @@ from .hamflow import (
     EQUILIBRIUM_TOL,
     DenseFlow,
     Trajectory,
+    _field_curvature,
+    _point,
     _subsample,
-    curvature_operator_field,
     jacobi_curve,
     level_reduction,
     monotonicity_test,
@@ -59,11 +60,12 @@ def _orbit_curvature(traj: Trajectory, count: int):
     eig_hi, tr_lo, hess_hi = -math.inf, math.inf, 0.0
     for k in idx:
         z = traj.states[k]
-        r = curvature_operator_field(sys, (z[:sys.n], z[sys.n:]))
+        zeta, h2 = _point(sys, z)
+        r = _field_curvature(sys, z, zeta, h2)
         eigs = np.linalg.eigvals(r).real
         eig_hi = max(eig_hi, float(eigs.max()))
         tr_lo = min(tr_lo, float(np.trace(r)) / sys.n)
-        hess_hi = max(hess_hi, float(np.linalg.norm(sys.hessian(z), 2)))
+        hess_hi = max(hess_hi, float(np.linalg.norm(h2, 2)))
     return eig_hi, tr_lo, hess_hi
 
 
@@ -358,15 +360,13 @@ def reduction_comparison(dense: DenseFlow,
             f"reduced index unstable across chart schedules "
             f"({mu_red} vs {check})")
 
-    sigma = jc.space.form
     span = horizon - trim
 
     def shared_forms(t, full, reduced):
         cf = curvature_form(full, t)
         cr = curvature_form(reduced, t)
-        z = full.eval(t).columns
-        row = np.atleast_2d(red.u @ sigma @ z)
-        w = z @ np.linalg.svd(row)[2][1:].T
+        frame = full.eval(t)
+        w = frame.columns @ red.level_kernel(frame)
         c_f, *_ = np.linalg.lstsq(cf.basis, w, rcond=None)
         c_r, *_ = np.linalg.lstsq(cr.basis, red.project(w), rcond=None)
         return c_f.T @ cf.form @ c_f, c_r.T @ cr.form @ c_r

@@ -363,15 +363,14 @@ def build_system(config: dict) -> HamiltonianSystem:
         for coeff, exps in pot["terms"]:
             terms.append((float(coeff),
                           tuple([0] * n + [int(e) for e in exps])))
-        return polynomial_system(n, terms, family="natural")
+        return polynomial_system(n, terms)
     if family == "metric":
         g_mat = np.asarray(sys_cfg["metric"]["g"], dtype=float)
         pot = sys_cfg.get("potential")
         k_mat = (np.zeros((n, n)) if pot is None
                  else np.asarray(pot["k"], dtype=float))
         return quadratic_system(np.block([[g_mat, np.zeros((n, n))],
-                                          [np.zeros((n, n)), k_mat]]),
-                                family="metric")
+                                          [np.zeros((n, n)), k_mat]]))
     terms = [(float(c), tuple(int(e) for e in exps))
              for c, exps in sys_cfg["hamiltonian"]["terms"]]
     return polynomial_system(n, terms)

@@ -55,15 +55,15 @@ STAGE_BLOCK = 128    # RK4 steps whose stage Hessians a march holds at once
 SYMMETRY_TOL = 1e-6  # a Hessian may have |H - H^T| <= SYMMETRY_TOL (1 + |H|)
 
 
-def _asymmetric(defect: float) -> ValueError:
-    return ValueError(f"Hessian callback asymmetric, defect {defect:.3e}")
+def _asymmetric(defect: float, what: str = "Hessian callback") -> ValueError:
+    return ValueError(f"{what} asymmetric, defect {defect:.3e}")
 
 
-def _symmetric(mat) -> np.ndarray:
+def _symmetric(mat, what: str = "Hessian callback") -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     defect = np.linalg.norm(mat - mat.T)
     if defect > SYMMETRY_TOL * (1.0 + np.linalg.norm(mat)):
-        raise _asymmetric(defect)
+        raise _asymmetric(defect, what)
     return 0.5 * (mat + mat.T)
 
 
@@ -87,19 +87,19 @@ class HamiltonianSystem:
     """Callback bundle for one Hamiltonian.
 
     ``eval(x, y)`` returns the value, the gradient stacked as (dH/dx,
-    dH/dy), and the full symmetric Hessian.  ``hxx_rate`` optionally
-    supplies the derivative of the xx Hessian block along the flow,
-    which the connection solver otherwise acquires by a directional
-    finite difference of the Hessian callback.  ``constant_hessian`` is
-    the symmetric Hessian M of a quadratic Hamiltonian z^T M z / 2, set
-    by quadratic_system; the integrators then march by the RK4 step
-    matrix and never call ``eval``.
+    dH/dy), and the full symmetric Hessian.  ``natural`` marks H =
+    |x|^2/2 + U(y), set by the builders from their input's structure.
+    ``hxx_rate`` optionally supplies the derivative of the xx Hessian
+    block along the flow, else taken by a directional finite difference
+    of the Hessian callback.  ``constant_hessian`` is the symmetric
+    Hessian M of z^T M z / 2, set by quadratic_system; the integrators
+    then march by the RK4 step matrix and never call ``eval``.
     """
 
     n: int
     eval: Callable[[np.ndarray, np.ndarray],
                    Tuple[float, np.ndarray, np.ndarray]]
-    family: str = "custom"
+    natural: bool = False
     hxx_rate: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     constant_hessian: Optional[np.ndarray] = None
 
@@ -170,15 +170,16 @@ def natural_system(n: int,
         hess[n:, n:] = np.asarray(u_hess(y), dtype=float)
         return h, grad, hess
 
-    return HamiltonianSystem(n=n, eval=ev, family="natural",
+    return HamiltonianSystem(n=n, eval=ev, natural=True,
                              hxx_rate=lambda x, y: np.zeros((n, n)))
 
 
-def quadratic_system(m: np.ndarray, family: str = "custom") -> HamiltonianSystem:
+def quadratic_system(m: np.ndarray) -> HamiltonianSystem:
     """Quadratic Hamiltonian H = z^T M z / 2 with a constant Hessian M.
 
     M is symmetry-checked once here, and the system carries it, so every
     integration of it marches by the RK4 step matrix, with no callback.
+    The system is natural when the x rows of M are exactly [I | 0].
     """
     m = _symmetric(m)
     n = m.shape[0] // 2
@@ -190,7 +191,8 @@ def quadratic_system(m: np.ndarray, family: str = "custom") -> HamiltonianSystem
         grad = m @ z
         return 0.5 * float(z @ grad), grad, m
 
-    return HamiltonianSystem(n=n, eval=ev, family=family,
+    return HamiltonianSystem(n=n, eval=ev,
+                             natural=np.array_equal(m[:n], np.eye(n, 2 * n)),
                              hxx_rate=lambda x, y: np.zeros((n, n)),
                              constant_hessian=m)
 
@@ -201,8 +203,7 @@ def quadratic_potential_system(k_mat: np.ndarray) -> HamiltonianSystem:
     k_mat = 0.5 * (k_mat + k_mat.T)
     n = k_mat.shape[0]
     return quadratic_system(np.block([[np.eye(n), np.zeros((n, n))],
-                                      [np.zeros((n, n)), k_mat]]),
-                            family="natural")
+                                      [np.zeros((n, n)), k_mat]]))
 
 
 def metric_system(n: int,
@@ -244,7 +245,7 @@ def metric_system(n: int,
         ydot = np.asarray(g(y), dtype=float) @ x
         return np.einsum("kij,k->ij", dgm, ydot)
 
-    return HamiltonianSystem(n=n, eval=ev, family="metric", hxx_rate=rate)
+    return HamiltonianSystem(n=n, eval=ev, hxx_rate=rate)
 
 
 def _poly_diff(terms, k):
@@ -301,13 +302,14 @@ class PolynomialTable:
         return _left_sum(self.coeffs * powers[self._index].prod(axis=-1))
 
 
-def polynomial_system(n: int, terms: Sequence, family: str = "custom") -> HamiltonianSystem:
+def polynomial_system(n: int, terms: Sequence) -> HamiltonianSystem:
     """Hamiltonian given by monomial terms (coeff, exponents over (x, y)).
 
     All derivatives, including the third-order rate the connection
     needs, come from exact term-by-term differentiation, compiled once
     into one table for the value, gradient and Hessian and one for the
-    rate.
+    rate.  It is natural when its x Hessian rows are constant rows of
+    [I | 0]: zero-exponent terms summing exactly to the identity's.
     """
     base = [(float(c), tuple(int(e) for e in exps)) for c, exps in terms]
     dim = 2 * n
@@ -321,6 +323,9 @@ def polynomial_system(n: int, terms: Sequence, family: str = "custom") -> Hamilt
              for i in range(n) for j in range(n) for k in range(dim)]
     main = PolynomialTable([base] + grads + hesses, dim)
     rates = PolynomialTable(grads + third, dim)
+    x_rows = PolynomialTable(hesses[:n * dim], dim)
+    natural = (not x_rows.exps.any() and np.array_equal(
+        x_rows(np.zeros(dim)), np.eye(n, dim).ravel()))
 
     def ev(x, y):
         vals = main(np.concatenate([x, y]))
@@ -332,7 +337,7 @@ def polynomial_system(n: int, terms: Sequence, family: str = "custom") -> Hamilt
         zdot = np.concatenate([-vals[n:dim], vals[:n]])
         return _left_sum(vals[dim:].reshape(n, n, dim) * zdot)
 
-    return HamiltonianSystem(n=n, eval=ev, family=family, hxx_rate=rate)
+    return HamiltonianSystem(n=n, eval=ev, natural=natural, hxx_rate=rate)
 
 
 # ---------------------------------------------------------------- integrator
@@ -572,15 +577,19 @@ def _step(sys: HamiltonianSystem, t: float, parts: Sequence[np.ndarray],
     return [z, inc @ parts[1] + parts[1]]
 
 
+def _initial_state(sys: HamiltonianSystem, z0) -> np.ndarray:
+    z = np.asarray(z0, dtype=float)
+    if z.shape != (2 * sys.n,):
+        raise ValueError(f"initial state must have shape ({2 * sys.n},)")
+    return z
+
+
 def flow(sys: HamiltonianSystem, z0: np.ndarray, horizon: float,
          step: float = DEFAULT_STEP) -> Trajectory:
     """Fixed-step fourth-order integration of the Hamiltonian field."""
     times = _grid(horizon, step)
-    z = np.asarray(z0, dtype=float)
-    if z.shape != (2 * sys.n,):
-        raise ValueError(f"initial state must have shape ({2 * sys.n},)")
     states = np.empty((len(times), 2 * sys.n))
-    states[0] = z
+    states[0] = _initial_state(sys, z0)
     _march(sys, (states,), times)
     return Trajectory(times=times, states=states, sys=sys)
 
@@ -608,7 +617,7 @@ class DenseFlow:
         dim = 2 * sys.n
         self.states = np.empty((len(self.times), dim))
         self.phis = np.empty((len(self.times), dim, dim))
-        self.states[origin] = np.asarray(z0, dtype=float)
+        self.states[origin] = _initial_state(sys, z0)
         self.phis[origin] = np.eye(dim)
         for rows in (slice(origin, None), slice(origin, None, -1)):
             _march(sys, (self.states[rows], self.phis[rows]),
@@ -675,21 +684,20 @@ class LevelReduction:
     def project(self, w: np.ndarray) -> np.ndarray:
         return self._proj @ np.asarray(w, dtype=float)
 
+    def level_kernel(self, frame: core.LagrangianFrame) -> np.ndarray:
+        """K with frame.columns @ K spanning where sigma(u, .) vanishes on
+        the frame; I when it is under RANK_TOL on all of the frame."""
+        r = np.atleast_2d(self.u @ frame.space.form @ frame.columns)
+        return (np.eye(r.shape[1]) if np.abs(r).max() <= core.RANK_TOL
+                else core.nullspace(r))
+
     def reduce_frame(self,
                      frame: core.LagrangianFrame) -> core.LagrangianFrame:
-        z = frame.columns
-        sigma = frame.space.form
-        r = np.atleast_2d(self.u @ sigma @ z)
-        scale = max(np.abs(r).max(), 1.0)
-        if np.abs(r).max() <= core.RANK_TOL * scale:
-            inside = np.eye(z.shape[1])
-        else:
-            inside = core.nullspace(r)
-        cols = core.span(self._proj @ z @ inside)
-        half = self.space.dim // 2
-        if cols.shape[1] != half:
+        kernel = self.level_kernel(frame)
+        cols = core.span(self._proj @ frame.columns @ kernel)
+        if cols.shape[1] != self.space.n:
             raise DimensionDefect(f"quotient image has dimension "
-                                  f"{cols.shape[1]}, expected {half}")
+                                  f"{cols.shape[1]}, expected {self.space.n}")
         return core.make_frame(self.space, cols)
 
 
@@ -712,8 +720,7 @@ def level_reduction(sys: HamiltonianSystem, z0: np.ndarray) -> LevelReduction:
         raise TangentFiber("flow direction lies in the fiber at z0")
     sigma = core.standard_space(n).form
     v = -sigma @ u / float(u @ u)
-    null = np.linalg.svd(np.vstack([u @ sigma, v @ sigma]))[2][2:].T
-    pool = [null[:, k] for k in range(null.shape[1])]
+    pool = list(core.nullspace(np.vstack([u @ sigma, v @ sigma])).T)
     es, fs = [], []
     while pool:
         e = pool.pop(0)
@@ -801,8 +808,7 @@ def connection_hamiltonian(sys: HamiltonianSystem,
     hxx hyx; the result must come out symmetric, which is a structural
     consequence of the flow preserving the symplectic form.
     """
-    z = np.concatenate([np.asarray(at[0], dtype=float),
-                        np.asarray(at[1], dtype=float)])
+    z = np.concatenate(at, dtype=float)
     return _connection(sys, z, *_point(sys, z))
 
 
@@ -815,11 +821,7 @@ def _connection(sys: HamiltonianSystem, z: np.ndarray, zeta: np.ndarray,
     _regular_or_raise(hxx)
     rhs = _hxx_rate(sys, z, zeta, THIRD_FD_STEP) - hxy @ hxx - hxx @ hxy.T
     half = np.linalg.solve(hxx, rhs)
-    c = 0.5 * np.linalg.solve(hxx, half.T).T
-    defect = np.linalg.norm(c - c.T)
-    if defect > 1e-6 * (1.0 + np.linalg.norm(c)):
-        raise ValueError(f"connection asymmetric, defect {defect:.3e}")
-    return 0.5 * (c + c.T)
+    return _symmetric(0.5 * np.linalg.solve(hxx, half.T).T, "connection")
 
 
 def curvature_via_brackets(sys: HamiltonianSystem,
@@ -831,8 +833,7 @@ def curvature_via_brackets(sys: HamiltonianSystem,
     derivatives of the horizontal field are acquired by a directional
     finite difference along the flow.
     """
-    z0 = np.concatenate([np.asarray(at[0], dtype=float),
-                         np.asarray(at[1], dtype=float)])
+    z0 = np.concatenate(at, dtype=float)
     return _brackets(sys, z0, *_point(sys, z0))
 
 
@@ -871,17 +872,22 @@ def _brackets(sys: HamiltonianSystem, z0: np.ndarray, zeta0: np.ndarray,
 
 def curvature_operator_field(sys: HamiltonianSystem,
                              at: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Curvature operator of the field in the fiber basis at a point."""
-    z = np.concatenate([np.asarray(at[0], dtype=float),
-                        np.asarray(at[1], dtype=float)])
+    """Curvature operator of the field in the fiber basis: Hess U for a
+    natural system (x Hessian rows [I | 0] within 1e-8), else brackets."""
+    z = np.concatenate(at, dtype=float)
+    return _field_curvature(sys, z, *_point(sys, z))
+
+
+def _field_curvature(sys: HamiltonianSystem, z: np.ndarray, zeta: np.ndarray,
+                     h2: np.ndarray) -> np.ndarray:
+    """curvature_operator_field at z, given the field and Hessian there."""
     n = sys.n
-    zeta, h2 = _point(sys, z)
+    if not sys.natural:
+        return _brackets(sys, z, zeta, h2)
     _regular_or_raise(h2[:n, :n])
-    if sys.family == "natural":
-        if np.linalg.norm(h2[:n, :n] - np.eye(n)) > 1e-8:
-            raise ValueError("natural system must have identity xx block")
-        return h2[n:, n:].copy()
-    return _brackets(sys, z, zeta, h2)
+    if np.linalg.norm(h2[:n] - np.eye(n, 2 * n)) > 1e-8:
+        raise ValueError("natural system must have x Hessian rows [I | 0]")
+    return h2[n:, n:].copy()
 
 
 # ------------------------------------------------------------- monotonicity

@@ -104,7 +104,7 @@ def test_comparison_samples_the_states_flow_returns():
     # the off-grid horizon ends flow() one short step past the last
     # checkpoint, and the curvature scan samples that end state too
     sysn = hamflow.polynomial_system(
-        1, [(0.5, (2, 0)), (1.0, (0, 2)), (0.3, (0, 4))], family="natural")
+        1, [(0.5, (2, 0)), (1.0, (0, 2)), (0.3, (0, 4))])
     z0, horizon, step = np.array([0.4, 0.9]), 1.005, 1e-2
     rep = analysis.comparison_check(hamflow.DenseFlow(sysn, z0, horizon, step))
     eig_hi, tr_lo, _ = analysis._orbit_curvature(

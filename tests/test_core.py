@@ -308,6 +308,9 @@ def test_no_callable_takes_a_rank_tolerance():
 # parameters that had one value in use and became that constant
 _DELETED_KNOBS = {
     "lagrass.hamflow.metric_system": {"fd_step"},
+    "lagrass.hamflow.quadratic_system": {"family"},
+    "lagrass.hamflow.polynomial_system": {"family"},
+    "lagrass.hamflow.HamiltonianSystem": {"family"},
     "lagrass.hamflow.connection_ode2": {"fd_step"},
     "lagrass.hamflow.monotonicity_test": {"max_samples"},
     "lagrass.curve.GrassmannCurve": {"grid"},

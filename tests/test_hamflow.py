@@ -20,7 +20,7 @@ import scipy.linalg
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from lagrass import core, curve, hamflow, maslov
+from lagrass import analysis, core, curve, hamflow, maslov
 from lagrass.errors import BlowUp, ReductionRefused, TangentFiber
 
 
@@ -69,6 +69,17 @@ def cubic_poly_system():
 
 
 # ----------------------------------------------------------------- the flow
+
+
+@pytest.mark.parametrize("z0", [0.3, [0.3], [0.3, 0.1, -0.2, 0.4, 0.5]],
+                         ids=["scalar", "one", "2n+1"])
+def test_integrators_refuse_a_malformed_initial_state(z0):
+    sys = hamflow.quadratic_potential_system(np.eye(2))
+    match = r"^initial state must have shape \(4,\)$"
+    with pytest.raises(ValueError, match=match):
+        hamflow.flow(sys, z0, 1.0, 0.1)
+    with pytest.raises(ValueError, match=match):
+        hamflow.DenseFlow(sys, z0, 1.0, 0.1)
 
 
 def test_flow_free_particle_closed_form():
@@ -361,6 +372,75 @@ def test_curvature_brackets_match_natural_shortcut():
                        atol=1e-8)
 
 
+def _quad_blocks(xx, xy, yy):
+    return np.block([[np.asarray(xx, float), np.asarray(xy, float)],
+                     [np.asarray(xy, float).T, np.asarray(yy, float)]])
+
+
+@pytest.mark.parametrize("make,natural", [
+    pytest.param(lambda: oscillator(2, np.diag([2.0, 3.0])), True,
+                 id="quadratic-potential"),
+    pytest.param(pendulum, True, id="natural-system"),
+    pytest.param(lambda: hamflow.polynomial_system(
+        1, [(0.5, (2, 0)), (3.0, (0, 2)), (0.1, (0, 4))]), True,
+        id="polynomial-well"),
+    pytest.param(lambda: hamflow.polynomial_system(
+        1, [(0.25, (2, 0)), (0.25, (2, 0)), (1.0, (0, 2)), (0.2, (0, 3))]),
+        True, id="split-kinetic"),
+    pytest.param(lambda: hamflow.quadratic_system(_quad_blocks(
+        np.eye(2), [[0.0, 0.3], [0.0, 0.0]], np.eye(2))), False,
+        id="xy-coupling"),
+    pytest.param(lambda: hamflow.quadratic_system(_quad_blocks(
+        np.diag([1.0, 2.0]), np.zeros((2, 2)), np.eye(2))), False,
+        id="metric-not-identity"),
+    pytest.param(lambda: curved_metric(False), False, id="metric-callback"),
+    pytest.param(cubic_poly_system, False, id="x-dependent-xx-block"),
+    pytest.param(lambda: hamflow.polynomial_system(
+        1, [(0.5, (2, 0)), (0.3, (1, 1)), (0.1, (1, 2)), (2.5, (0, 2)),
+            (0.2, (0, 4))]), False, id="custom1-coupling"),
+])
+def test_natural_follows_the_structure(make, natural):
+    assert make().natural is natural
+
+
+def test_wrong_natural_claim_is_refused():
+    # a hand-written system that calls itself natural but couples x and
+    # y must not get h_yy back as its curvature
+    coupled = hamflow.polynomial_system(
+        1, [(0.5, (2, 0)), (1.0, (0, 2)), (0.3, (1, 1))])
+    at = (np.array([0.4]), np.array([0.2]))
+    assert not coupled.natural
+    r = hamflow.curvature_operator_field(coupled, at)
+    assert np.array_equal(r, hamflow.curvature_via_brackets(coupled, at))
+    liar = hamflow.HamiltonianSystem(n=1, eval=coupled.eval, natural=True)
+    with pytest.raises(ValueError, match=r"x Hessian rows \[I \| 0\]"):
+        hamflow.curvature_operator_field(liar, at)
+
+
+def test_orbit_curvature_reads_each_sample_from_one_eval():
+    # the curvature and the Hessian norm of a sample share its eval: the
+    # sample and the two finite-difference points, three calls each
+    sys = cubic_poly_system()
+    traj = hamflow.flow(sys, np.array([0.3, -0.2, 0.5, 0.1]), 1.0, 0.1)
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return sys.eval(x, y)
+
+    got = analysis._orbit_curvature(
+        dataclasses.replace(traj, sys=dataclasses.replace(sys, eval=counted)),
+        11)
+    assert len(calls) == 33
+    want = (-np.inf, np.inf, 0.0)
+    for z in traj.states:
+        r = hamflow.curvature_operator_field(sys, (z[:2], z[2:]))
+        want = (max(want[0], float(np.linalg.eigvals(r).real.max())),
+                min(want[1], float(np.trace(r)) / 2),
+                max(want[2], float(np.linalg.norm(sys.hessian(z), 2))))
+    assert got == want
+
+
 def test_field_curvature_evaluates_each_point_once():
     # the point itself and the two finite-difference points along the
     # flow: one eval each, every quantity at a point read from that eval
@@ -469,7 +549,7 @@ def test_monotonicity_reports():
 
 def quartic_well():
     return hamflow.polynomial_system(
-        1, [(0.5, (2, 0)), (3.0, (0, 2)), (0.1, (0, 4))], family="natural")
+        1, [(0.5, (2, 0)), (3.0, (0, 2)), (0.1, (0, 4))])
 
 
 def test_dense_flow_makes_four_callback_calls_per_step():
@@ -642,8 +722,7 @@ def custom_coupling():
 def natural_poly():
     return hamflow.polynomial_system(
         2, [(0.5, (2, 0, 0, 0)), (0.5, (0, 2, 0, 0)), (1.0, (0, 0, 2, 0)),
-            (1.5, (0, 0, 0, 2)), (0.3, (0, 0, 2, 2)), (0.1, (0, 0, 4, 0))],
-        family="natural")
+            (1.5, (0, 0, 0, 2)), (0.3, (0, 0, 2, 2)), (0.1, (0, 0, 4, 0))])
 
 
 @pytest.mark.parametrize("block", [7, hamflow.STAGE_BLOCK])
