@@ -403,6 +403,15 @@ def test_natural_follows_the_structure(make, natural):
     assert make().natural is natural
 
 
+def test_natural_route_reads_hess_u_exactly():
+    # the brackets agree in value but return -0.0 for Hess U's zeros
+    sys = oscillator(2, np.diag([2.0, 3.0]))
+    at = (np.array([0.3, -0.2]), np.array([0.5, 0.7]))
+    got = hamflow.curvature_operator_field(sys, at)
+    assert got.tobytes() == np.diag([2.0, 3.0]).tobytes()
+    assert np.array_equal(hamflow.curvature_via_brackets(sys, at), got)
+
+
 def test_wrong_natural_claim_is_refused():
     # a hand-written system that calls itself natural but couples x and
     # y must not get h_yy back as its curvature
@@ -511,6 +520,25 @@ def test_reduction_basis_is_darboux():
                        core.standard_space(1).form, atol=1e-10)
     train = red.reduce_frame(core.vertical_frame(core.standard_space(2)))
     assert train.columns.shape == (2, 1)
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e5])
+def test_reduction_holds_at_small_and_large_speeds(scale):
+    # the rows u sigma and v sigma have norms |u| and 1/|u|: the quotient
+    # basis must not depend on a rank rule between them, and for a
+    # quadratic H the reduced curvature does not depend on the scale of z0
+    sys = oscillator(2, np.diag([1.0, 2.5]))
+    w = np.array([0.4, -0.2, 1.0, 0.5])
+    red = hamflow.level_reduction(sys, scale * w)
+    sigma = core.standard_space(2).form
+    assert np.allclose(red.basis.T @ sigma @ red.basis,
+                       core.standard_space(1).form, atol=1e-10)
+
+    def reduced(z0):
+        rc = hamflow.reduced_jacobi_curve(hamflow.DenseFlow(sys, z0, 1.0))
+        return curve.curvature(rc, 0.5).matrix
+
+    assert np.allclose(reduced(scale * w), reduced(w), atol=1e-6)
 
 
 def test_reduced_free_particle_is_flat():
