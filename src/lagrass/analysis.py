@@ -30,7 +30,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from . import core, maslov
-from .curve import GrassmannCurve, curvature, curvature_form
+from .curve import GrassmannCurve, _curvature_form, _stencils, curvatures
 from .errors import DegenerateEndpoint, NotMonotone, TangentFiber
 from .hamflow import (
     EQUILIBRIUM_TOL,
@@ -189,8 +189,9 @@ def certify_negative_curvature(orbit: Union[DenseFlow, Trajectory]
         rc = reduced_jacobi_curve(orbit)
         _, _, hess_hi = _orbit_curvature(orbit.window(), 33)
         max_eig = -math.inf
-        for t in np.linspace(0.0, orbit.horizon, REDUCED_SAMPLES):
-            eigs = np.linalg.eigvals(curvature(rc, t).matrix).real
+        for op in curvatures(rc, np.linspace(0.0, orbit.horizon,
+                                             REDUCED_SAMPLES)):
+            eigs = np.linalg.eigvals(op.matrix).real
             max_eig = max(max_eig, float(eigs.max()))
         kind = "reduced_flow"
         diagnostics.append(
@@ -362,22 +363,29 @@ def reduction_comparison(dense: DenseFlow,
 
     span = horizon - trim
 
-    def shared_forms(t, full, reduced):
-        cf = curvature_form(full, t)
-        cr = curvature_form(reduced, t)
-        frame = full.eval(t)
+    # rev_red has rev_full's domain, hence its default step
+    half = 0.5 * rev_full.fd_step
+    ts = np.linspace(trim + 0.05 * span, horizon - 0.05 * span, 9)
+    # each curve's nine stencils are read in one block; a failed stencil
+    # raises when the loop below reaches it
+    full1, red1, full2, red2 = (
+        list(_stencils(c, ts)) for c in (
+            rev_full, rev_red, replace(rev_full, fd_step=half),
+            replace(rev_red, fd_step=half)))
+
+    def shared_forms(t, stencil_full, stencil_red):
+        cf = _curvature_form(t, stencil_full)
+        cr = _curvature_form(t, stencil_red)
+        frame = rev_full.eval(t)
         w = frame.columns @ red.level_kernel(frame)
         c_f, *_ = np.linalg.lstsq(cf.basis, w, rcond=None)
         c_r, *_ = np.linalg.lstsq(cr.basis, red.project(w), rcond=None)
         return c_f.T @ cf.form @ c_f, c_r.T @ cr.form @ c_r
 
-    # rev_red has rev_full's domain, hence its default step
-    half = 0.5 * rev_full.fd_step
-    halved = (replace(rev_full, fd_step=half), replace(rev_red, fd_step=half))
     kept, worst_min, worst_second = [], 0.0, 0.0
-    for t in np.linspace(trim + 0.05 * span, horizon - 0.05 * span, 9):
-        mf1, mr1 = shared_forms(t, rev_full, rev_red)
-        mf2, mr2 = shared_forms(t, *halved)
+    for i, t in enumerate(ts):
+        mf1, mr1 = shared_forms(t, full1[i], red1[i])
+        mf2, mr2 = shared_forms(t, full2[i], red2[i])
         scale = 1.0 + max(np.linalg.norm(mf2), np.linalg.norm(mr2))
         drift = (np.linalg.norm(mf1 - mf2)
                  + np.linalg.norm(mr1 - mr2)) / scale

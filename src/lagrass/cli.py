@@ -29,8 +29,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__, analysis, core, lderiv, maslov
-from .curve import GrassmannCurve
-from .curve import curvature as curve_curvature
+from .curve import GrassmannCurve, curvatures
 from .errors import GeometryError
 from .hamflow import (
     DenseFlow,
@@ -532,7 +531,7 @@ def _run_hyperbolic(sysn, z0, config, opts, seed):
     ts = np.linspace(0.0, horizon, opts["samples"])
     if reduced:
         rc = reduced_jacobi_curve(orbit)
-        mats = [curve_curvature(rc, t).matrix for t in ts]
+        mats = [op.matrix for op in curvatures(rc, ts)]
     else:
         mats = _field_curvatures(orbit, ts)
     tops = [float(np.linalg.eigvals(r).real.max()) for r in mats]

@@ -17,15 +17,18 @@ stricter rule: transversal_complement is the one chart search, and it
 accepts a complement only when its margin (the smallest singular value
 of [complement | other]) is at least MIN_MARGIN = 1e-2 against every
 subspace in play, so no chart is transversal by round-off alone.
-The chart kernel and the margin read stacks: graph_coords and
-chart_matrices take the columns of many subspaces, shape (..., 2n, n),
-in one matrix product, one singular-value pass for the rank rule and
-one solve, _margin scores a candidate against a whole stack in one
+The frame and chart kernels read stacks: orthonormal_columns and
+_frames (make_frame's work) take columns of shape (..., 2n, n),
+_darboux the pairs of a stack of charts, transversal_complement a stack
+of frames whose first candidate it scores in one stacked pass, and
+graph_coords and chart_matrices the columns of many subspaces, in one
+matrix product, one singular-value pass for the rank rule and one
+solve; _margin scores a candidate against a whole stack in one
 singular-value pass, and _gaps takes the subspace gaps of two stacks
-pairwise in one stacked 2-norm; chart_coords and subspace_gap are the
-one-frame forms of the same code. numpy's stacked svd, solve and matmul
-give the same bits as one call per matrix, so a stack and a loop of
-single calls agree exactly.
+pairwise in one stacked 2-norm. make_frame, darboux_chart, chart_coords
+and subspace_gap are the one-frame forms of the same code. numpy's
+stacked qr, svd, inv, solve and matmul give the same bits as one call
+per matrix, so a stack and a loop of single calls agree exactly.
 Frames are column-orthonormalized on construction; subspace identity
 is always tested through principal angles, never through raw matrix
 comparison.
@@ -36,6 +39,7 @@ choose only the step.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +57,9 @@ GOOD_MARGIN = 0.5
 # seeded random graphs after the two sigma-complements
 _RANDOM_TRIES = 16
 MAX_CANDIDATES = 2 + _RANDOM_TRIES
+
+_DEPENDENT = "columns are numerically rank deficient"
+MEETS_DELTA = "Pi and Delta intersect nontrivially"
 
 
 @dataclass(frozen=True)
@@ -211,26 +218,57 @@ def _mixed_difference(fun, x, h: float) -> np.ndarray:
     return out
 
 
-def orthonormal_columns(cols: np.ndarray):
-    """QR-orthonormalize, raising if columns are numerically dependent."""
-    cols = np.asarray(cols, dtype=float)
+def _orthonormal(cols: np.ndarray):
+    """QR of one matrix or a stack (..., m, k): the orthonormal factor and,
+    for each matrix, whether its columns are numerically dependent."""
     q, r = np.linalg.qr(cols)
-    diag = np.abs(np.diag(r))
-    if diag.size and diag.min() <= RANK_TOL * max(diag.max(), 1e-300):
-        raise ValueError("columns are numerically rank deficient")
+    diag = np.abs(r.diagonal(axis1=-2, axis2=-1))
+    if not diag.shape[-1]:
+        return q, np.zeros(diag.shape[:-1], dtype=bool)
+    return q, diag.min(axis=-1) <= RANK_TOL * diag.max(axis=-1,
+                                                       initial=1e-300)
+
+
+def orthonormal_columns(cols: np.ndarray):
+    """QR-orthonormalize one matrix or a stack (..., m, k), raising if the
+    columns of any matrix are numerically dependent."""
+    q, dependent = _orthonormal(np.asarray(cols, dtype=float))
+    if dependent.any():
+        raise ValueError(_DEPENDENT)
     return q
+
+
+def _frames(space: SymplecticSpace, cols: np.ndarray):
+    """make_frame's work on one frame or a stack (..., 2n, n): the
+    orthonormal columns and, for each frame, whether its columns are
+    dependent and its isotropy defect (the Frobenius norm of q^T J q, by
+    the dot product np.linalg.norm takes of one matrix)."""
+    q, dependent = _orthonormal(cols)
+    iso = q.swapaxes(-1, -2) @ space.form @ q
+    flat = iso.reshape(iso.shape[:-2] + (-1,))
+    return q, dependent, np.sqrt(np.vecdot(flat, flat))
+
+
+def _frame_error(dependent, defect):
+    """The ValueError make_frame raises for one frame of _frames, or None."""
+    if dependent:
+        return ValueError(_DEPENDENT)
+    if defect > ISOTROPY_TOL:
+        return ValueError(f"frame is not isotropic (defect {defect:.3e})")
+    return None
 
 
 def make_frame(space: SymplecticSpace,
                columns: np.ndarray) -> LagrangianFrame:
-    """Orthonormalize columns and validate the Lagrangian invariants."""
+    """Orthonormalize columns and validate the Lagrangian invariants: the
+    one-frame form of _frames."""
     cols = np.asarray(columns, dtype=float)
     if cols.shape != (space.dim, space.n):
         raise ValueError("frame must be 2n x n")
-    q = orthonormal_columns(cols)
-    defect = np.linalg.norm(q.T @ space.form @ q)
-    if defect > ISOTROPY_TOL:
-        raise ValueError(f"frame is not isotropic (defect {defect:.3e})")
+    q, dependent, defect = _frames(space, cols)
+    error = _frame_error(dependent, defect)
+    if error:
+        raise error
     return LagrangianFrame(space=space, columns=q)
 
 
@@ -278,19 +316,31 @@ def projector(v0: LagrangianFrame, v1: LagrangianFrame) -> np.ndarray:
     return stacked @ sel @ np.linalg.inv(stacked)
 
 
+def _darboux(space: SymplecticSpace, e: np.ndarray, d: np.ndarray):
+    """darboux_chart's bases for one pair (Pi, Delta) or a stack of pairs,
+    given by their columns (..., 2n, n): [E | F] and its inverse, shape
+    (..., 2n, 2n), and whether Pi and Delta meet, shape (...); the F of a
+    pair that meets is read with G = I and means nothing."""
+    sigma = space.form
+    g = e.swapaxes(-1, -2) @ sigma @ d
+    meets = _kept(np.linalg.svd(g, compute_uv=False)) < space.n
+    if meets.any():
+        g = np.where(meets[..., None, None], np.eye(space.n), g)
+    f = d @ np.linalg.inv(g)
+    basis = np.concatenate([e, f], axis=-1)
+    # sigma-orthogonality makes the inverse explicit: M^T J M = J
+    basis_inv = -sigma @ basis.swapaxes(-1, -2) @ sigma
+    return basis, basis_inv, meets
+
+
 def darboux_chart(pi_frame: LagrangianFrame,
                   delta_frame: LagrangianFrame) -> Chart:
-    """Assemble the Darboux basis [E | F] from a transversal pair."""
-    space = pi_frame.space
-    sigma = space.form
-    e = pi_frame.columns
-    g = e.T @ sigma @ delta_frame.columns
-    if rank(g) < space.n:
-        raise NotTransversal("Pi and Delta intersect nontrivially")
-    f = delta_frame.columns @ np.linalg.inv(g)
-    basis = np.hstack([e, f])
-    # sigma-orthogonality makes the inverse explicit: M^T J M = J
-    basis_inv = -sigma @ basis.T @ sigma
+    """Assemble the Darboux basis [E | F] from a transversal pair: _darboux
+    of one pair."""
+    basis, basis_inv, meets = _darboux(pi_frame.space, pi_frame.columns,
+                                       delta_frame.columns)
+    if meets:
+        raise NotTransversal(MEETS_DELTA)
     return Chart(pi_frame=pi_frame, delta_frame=delta_frame,
                  basis=basis, basis_inv=basis_inv)
 
@@ -299,19 +349,24 @@ def standard_chart(space: SymplecticSpace) -> Chart:
     return darboux_chart(vertical_frame(space), horizontal_frame(space))
 
 
-def _graphs(chart: Chart, columns: np.ndarray):
-    """Graph matrices of the stack columns (..., 2n, n), flattened to
-    (k, n, n) and cut before its first member meeting Delta, and whether
-    a member met it."""
+def _graphs(basis_inv: np.ndarray, columns: np.ndarray):
+    """Raw graph matrices of the subspaces columns (..., k, 2n, n) in the
+    charts basis_inv, which broadcast against them, shape (..., k, n, n),
+    and which subspaces meet Delta, shape (..., k); the matrix of a
+    subspace meeting Delta, and of any after it, is not to be read."""
+    n = columns.shape[-1]
+    w = basis_inv @ columns
+    top, bottom = w[..., :n, :], w[..., n:, :]
+    meets = _kept(np.linalg.svd(top, compute_uv=False)) < n
+    if meets.any():
+        top = np.where(meets[..., None, None], np.eye(n), top)
+    s = np.linalg.solve(top.swapaxes(-1, -2), bottom.swapaxes(-1, -2))
+    return s.swapaxes(-1, -2), meets
+
+
+def _flat(columns) -> np.ndarray:
     cols = np.asarray(columns, dtype=float)
-    w = chart.basis_inv @ cols.reshape((-1,) + cols.shape[-2:])
-    n = chart.n
-    top, bottom = w[:, :n], w[:, n:]
-    miss = np.flatnonzero(_kept(np.linalg.svd(top, compute_uv=False)) < n)
-    if len(miss):
-        top, bottom = top[:miss[0]], bottom[:miss[0]]
-    s = np.linalg.solve(np.swapaxes(top, -1, -2), np.swapaxes(bottom, -1, -2))
-    return np.swapaxes(s, -1, -2), len(miss) > 0
+    return cols.reshape((-1,) + cols.shape[-2:])
 
 
 def graph_coords(chart: Chart, columns: np.ndarray) -> np.ndarray:
@@ -322,10 +377,36 @@ def graph_coords(chart: Chart, columns: np.ndarray) -> np.ndarray:
     welcome here; they come out with an asymmetric matrix, which is
     exactly how tests detect them.
     """
-    s, missed = _graphs(chart, columns)
-    if missed:
+    s, meets = _graphs(chart.basis_inv, _flat(columns))
+    if meets.any():
         raise NotInChart("subspace meets the chart complement Delta")
     return s.reshape(np.shape(columns)[:-2] + s.shape[-2:])
+
+
+def _chart_matrices(basis_inv: np.ndarray, columns: np.ndarray):
+    """chart_matrices' work on the subspaces columns (..., k, 2n, n) in
+    the charts basis_inv, which broadcast against them: the symmetric
+    chart matrices (..., k, n, n), and the rows _refusal reads, shape
+    (..., k): which subspaces meet Delta, the asymmetry of their chart
+    matrices, and where it is too large."""
+    s, meets = _graphs(basis_inv, columns)
+    asym = np.linalg.norm(s - s.swapaxes(-1, -2), axis=(-2, -1))
+    bad = asym > 1e-6 * (1.0 + np.linalg.norm(s, axis=(-2, -1)))
+    return 0.5 * (s + s.swapaxes(-1, -2)), meets, asym, bad
+
+
+def _refusal(meets: np.ndarray, asym: np.ndarray, bad: np.ndarray):
+    """The error chart_matrices raises for one chart's stack, from its rows
+    (k,) of _chart_matrices, or None: the stack is read up to its first
+    subspace meeting Delta, and the first failure refuses it."""
+    cut = np.logical_or.accumulate(meets)
+    bad = bad & ~cut
+    if bad.any():
+        return ValueError(f"chart matrix asymmetric ({asym[bad.argmax()]:.3e}"
+                          "); input subspace is not Lagrangian")
+    if cut[-1]:
+        return NotInChart("subspace meets the chart complement Delta")
+    return None
 
 
 def chart_matrices(chart: Chart, columns: np.ndarray) -> np.ndarray:
@@ -336,17 +417,10 @@ def chart_matrices(chart: Chart, columns: np.ndarray) -> np.ndarray:
     NotInChart when it meets Delta, with ValueError naming its defect
     when its chart matrix is asymmetric (it is not Lagrangian).
     """
-    s, missed = _graphs(chart, columns)
-    asym = np.linalg.norm(s - np.swapaxes(s, -1, -2), axis=(-2, -1))
-    bad = np.flatnonzero(
-        asym > 1e-6 * (1.0 + np.linalg.norm(s, axis=(-2, -1))))
-    if len(bad):
-        raise ValueError(f"chart matrix asymmetric ({asym[bad[0]]:.3e}); "
-                         "input subspace is not Lagrangian")
-    if missed:
-        raise NotInChart("subspace meets the chart complement Delta")
-    sym = 0.5 * (s + np.swapaxes(s, -1, -2))
-    return sym.reshape(np.shape(columns)[:-2] + s.shape[-2:])
+    sym, meets, asym, bad = _chart_matrices(chart.basis_inv, _flat(columns))
+    if bad.any() or meets.any():
+        raise _refusal(meets, asym, bad)
+    return sym.reshape(np.shape(columns)[:-2] + sym.shape[-2:])
 
 
 def chart_coords(frame: LagrangianFrame, chart: Chart) -> ChartRep:
@@ -406,6 +480,27 @@ def _candidates(frame: LagrangianFrame, avoid, seed: int):
         yield f + e @ (a + a.T)
 
 
+def _search_on(frame: LagrangianFrame, avoid, must_miss: np.ndarray,
+               seed: int, best, best_score: float) -> np.ndarray:
+    """The columns the chart search picks after its first candidate,
+    sigma*frame, which left (best, best_score)."""
+    for cols in itertools.islice(_candidates(frame, avoid, seed), 1, None):
+        try:
+            cand = make_frame(frame.space, cols).columns
+        except ValueError:
+            continue
+        score = float(_margin(cand, must_miss).min())
+        if score >= best_score:
+            best, best_score = cand, score
+        if best_score >= GOOD_MARGIN:
+            return best
+    if best_score < MIN_MARGIN:
+        raise SearchExhausted(
+            f"best transversality margin {best_score:.3e} of "
+            f"{MAX_CANDIDATES} candidates is below MIN_MARGIN {MIN_MARGIN:g}")
+    return best
+
+
 def transversal_complement(frame: LagrangianFrame, avoid=(),
                            seed: int = 0) -> LagrangianFrame:
     """Deterministic, margin-scored search for a Lagrangian complement.
@@ -418,24 +513,35 @@ def transversal_complement(frame: LagrangianFrame, avoid=(),
     in one stacked _margin call. The first score of GOOD_MARGIN or more
     wins, else the best score of MIN_MARGIN or more; SearchExhausted
     when no candidate reaches MIN_MARGIN.
+
+    The frame may hold a stack of frames, columns (b, 2n, n), with avoid
+    the array (b, m, 2n, n) of each member's own frames to clear. The
+    first candidate is then built and scored for the whole stack in one
+    stacked QR and one stacked _margin pass, and only the members it
+    leaves below GOOD_MARGIN go on through the schedule, one at a time;
+    the result holds the stack of complements, and the first member
+    whose search is exhausted refuses the stack. One frame is searched
+    as a stack of one.
     """
-    must_miss = np.stack([frame.columns] + [fr.columns for fr in avoid])
-    best, best_score = None, -np.inf
-    for cols in _candidates(frame, avoid, seed):
-        try:
-            cand = make_frame(frame.space, cols)
-        except ValueError:
-            continue
-        score = float(_margin(cand.columns, must_miss).min())
-        if score >= best_score:
-            best, best_score = cand, score
-        if best_score >= GOOD_MARGIN:
-            return best
-    if best_score < MIN_MARGIN:
-        raise SearchExhausted(
-            f"best transversality margin {best_score:.3e} of "
-            f"{MAX_CANDIDATES} candidates is below MIN_MARGIN {MIN_MARGIN:g}")
-    return best
+    space, cols = frame.space, frame.columns
+    one = cols.ndim == 2
+    if one:
+        cols = cols[None]
+        avoid = np.reshape([fr.columns for fr in avoid],
+                           (1, len(avoid)) + cols.shape[1:])
+    must_miss = np.concatenate([cols[:, None], avoid], axis=1)
+    q, dependent, defect = _frames(space, space.form @ cols)
+    scores = _margin(q[:, None], must_miss).min(axis=-1)
+    for i, score in enumerate(scores):
+        best, best_score = None, -np.inf
+        if (_frame_error(dependent[i], defect[i]) is None
+                and score >= best_score):
+            best, best_score = q[i], float(score)
+        if best_score < GOOD_MARGIN:
+            q[i] = _search_on(LagrangianFrame(space, cols[i]),
+                              [LagrangianFrame(space, c) for c in avoid[i]],
+                              must_miss[i], seed, best, best_score)
+    return LagrangianFrame(space=space, columns=q[0] if one else q)
 
 
 def random_symplectic(space: SymplecticSpace, rng) -> np.ndarray:

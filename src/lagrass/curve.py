@@ -18,12 +18,23 @@ is the matrix Schwarzian
 and the same operator is recomputed independently through the
 infinitesimal cross-ratio of the derivative curve with the curve, which
 is the main internal consistency check of the module.
+
+Stencils are read in stacked blocks of _STENCIL_BLOCK times. The frames
+of a block are read by the curve's eval, time by time; everything after
+the read (the chart search, the Darboux charts, the chart matrices, the
+differences, the regularity check, the inverse and the Schwarzian) runs
+once for the whole block on a leading time axis. The stencil of one
+time is a block of one, so a block and a loop of single stencils give
+the same bits. Each time keeps its own outcome, its geometry or the
+exception its stencil raises, and a caller raises it only on reaching
+that time. transport, classify, curvatures and the many-time loops of
+maslov, analysis and cli read their stencils this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +60,10 @@ FD_STEP_FRACTION = 1e-3
 _OFFSETS = (-4, -2, -1, 0, 1, 2, 4)
 # a stencil at t reads the curve within REACH steps of t
 REACH = max(_OFFSETS)
+_CENTER = _OFFSETS.index(0)
+# stencil times are read in stacked blocks of this many, which bounds the
+# memory of the stacked temporaries however many times a caller reads
+_STENCIL_BLOCK = 32
 
 
 @dataclass
@@ -137,7 +152,7 @@ def _d3(m, h):
 
 
 def _sym(m):
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def _rk4(rhs, t: float, state, dt: float) -> list:
@@ -169,46 +184,153 @@ def _interior(curve: GrassmannCurve, count: int) -> np.ndarray:
     return np.linspace(t0 + margin, t1 - margin, count)
 
 
+def _chart_failure(exc: Exception, t: float, what: str) -> Exception:
+    """The ChartFailure a failed chart search, pair or chart matrix turns
+    into at t; any other exception stays as it is."""
+    if not isinstance(exc, (SearchExhausted, NotInChart, NotTransversal)):
+        return exc
+    failure = ChartFailure(f"no common chart for the {what} at t={t:g}: {exc}")
+    failure.__cause__ = exc
+    return failure
+
+
+def _centered_charts(frames, center: int, ts, what: str):
+    """Darboux charts centered at frames[i][center], each transversal to
+    every frame of frames[i], with the chart matrices of the frames, for
+    a stack of frame lists read in one stacked pass: the charts, the
+    matrices (b, k, n, n), and for each member the exception
+    _centered_chart raises for it, or None (its chart and matrices then
+    mean nothing). A chart search exhausted for one member refuses the
+    stack, with its ChartFailure when the stack has one member."""
+    space = frames[0][center].space
+    cols = np.stack([fr.columns for frs in frames for fr in frs])
+    cols = cols.reshape((len(frames), -1) + cols.shape[1:])
+    mid = cols[:, center]
+    others = [k for k in range(cols.shape[1]) if k != center]
+    try:
+        deltas = core.transversal_complement(
+            core.LagrangianFrame(space, mid), avoid=cols[:, others]).columns
+    except SearchExhausted as exc:
+        if len(frames) > 1:
+            raise
+        raise _chart_failure(exc, ts[0], what)
+    basis, basis_inv, meets = core._darboux(space, mid, deltas)
+    mats, misses, asym, bad = core._chart_matrices(basis_inv[:, None], cols)
+    refused = (bad | misses).any(axis=1)
+    charts, errors = [], []
+    for i, t in enumerate(ts):
+        exc = None
+        if meets[i]:
+            exc = NotTransversal(core.MEETS_DELTA)
+        elif refused[i]:
+            exc = core._refusal(misses[i], asym[i], bad[i])
+        errors.append(exc and _chart_failure(exc, t, what))
+        charts.append(None if exc else core.Chart(
+            pi_frame=frames[i][center],
+            delta_frame=core.LagrangianFrame(space, deltas[i]),
+            basis=basis[i], basis_inv=basis_inv[i]))
+    return charts, mats, errors
+
+
 def _centered_chart(frames, center: int, t: float, what: str):
     """Darboux chart centered at frames[center] and transversal to every
-    frame, with the chart matrices of the frames, read in one call."""
-    try:
-        others = frames[:center] + frames[center + 1:]
-        delta = core.transversal_complement(frames[center], avoid=others)
-        chart = core.darboux_chart(frames[center], delta)
-        return chart, core.chart_matrices(
-            chart, np.stack([fr.columns for fr in frames]))
-    except (SearchExhausted, NotInChart, NotTransversal) as exc:
-        raise ChartFailure(
-            f"no common chart for the {what} at t={t:g}: {exc}") from exc
+    frame, with the chart matrices of the frames: _centered_charts of a
+    stack of one."""
+    (chart,), mats, (error,) = _centered_charts([frames], center, [t], what)
+    if error:
+        raise error
+    return chart, mats[0]
+
+
+def _stencil_frames(curve: GrassmannCurve, t: float) -> list:
+    return [curve.eval(t + k * curve.fd_step) for k in _OFFSETS]
 
 
 def _chart_and_stencil(curve: GrassmannCurve, t: float):
     """Darboux chart centered at the curve point holding the full stencil."""
-    frames = [curve.eval(t + k * curve.fd_step) for k in _OFFSETS]
-    return _centered_chart(frames, _OFFSETS.index(0), t, "stencil")
+    return _centered_chart(_stencil_frames(curve, t), _CENTER, t, "stencil")
 
 
-def _require_regular(sdot: np.ndarray, t: float):
-    sv = np.linalg.svd(sdot, compute_uv=False)
-    if sv[-1] * REGULARITY_CAP <= 1.0:
-        raise NotRegular(f"velocity is numerically singular at t={t:g} "
-                         f"(smallest singular value {sv[-1]:.3e})")
+def _regularity(sdot: np.ndarray, ts) -> list:
+    """The regularity check of the velocities sdot (b, n, n) at the times
+    ts: for each, the NotRegular it raises or None."""
+    sv = np.linalg.svd(sdot, compute_uv=False)[:, -1]
+    return [NotRegular(f"velocity is numerically singular at t={t:g} "
+                       f"(smallest singular value {s:.3e})")
+            if s * REGULARITY_CAP <= 1.0 else None
+            for s, t in zip(sv, ts)]
 
 
-def _stencil_geometry(curve: GrassmannCurve, t: float):
-    """(chart, Sdot, A, R) at t for a regular velocity: the derivative
-    curve spans e A + f in the chart basis (e, f), R is the Schwarzian."""
-    chart, mats = _chart_and_stencil(curve, t)
-    h = curve.fd_step
+class _Stencil(NamedTuple):
+    """A stencil that has its chart: the chart, Sdot and, where Sdot is
+    regular, the derivative-curve matrix A and the curvature R; where it
+    is singular, A and R are None and irregular is the NotRegular."""
+
+    chart: core.Chart
+    sdot: np.ndarray
+    a: Optional[np.ndarray]
+    r: Optional[np.ndarray]
+    irregular: Optional[NotRegular]
+
+
+def _stencil_stack(frames, ts, h: float) -> list:
+    """The stencils of the frame lists frames at the times ts, each the
+    _OFFSETS frames of one time, in one stacked pass: for each time a
+    _Stencil or the chart stage's exception. Every stage runs on the
+    whole stack, a failed member's values meaning nothing."""
+    charts, mats, errors = _centered_charts(frames, _CENTER, ts, "stencil")
+    mats = mats.swapaxes(0, 1)      # the stencil offsets lead
     sdot = _d1(_inner(mats), h)
-    _require_regular(sdot, t)
-    sdot_inv = np.linalg.inv(sdot)
+    irregular = _regularity(sdot, ts)
+    good = [e is None and r is None for e, r in zip(errors, irregular)]
+    sdot_inv = np.linalg.inv(sdot if all(good) else np.where(
+        np.array(good)[:, None, None], sdot, np.eye(sdot.shape[-1])))
     sdd = _d2(_inner(mats), h)
     quad = sdot_inv @ sdd
     a = _sym(-0.5 * sdot_inv @ sdd @ sdot_inv)
     r = 0.5 * sdot_inv @ _jerk(mats, h) - 0.75 * quad @ quad
-    return chart, sdot, a, r
+    return [errors[i] or _Stencil(
+        charts[i], sdot[i], a[i] if good[i] else None,
+        r[i] if good[i] else None, irregular[i]) for i in range(len(ts))]
+
+
+def _stencil_block(curve: GrassmannCurve, ts) -> list:
+    """The stencils at the times ts: the frames are read by the curve's
+    eval in time order, the rest in one stacked pass. For each time a
+    _Stencil, or the exception the stencil raises there: a block whose
+    reads or stacked pass raise, as for an eval that fails at one time or
+    a chart search exhausted for one member, is read again as blocks of
+    one, so each time keeps its own outcome."""
+    try:
+        frames = [_stencil_frames(curve, t) for t in ts]
+        return _stencil_stack(frames, ts, curve.fd_step)
+    except Exception as exc:
+        if len(ts) == 1:
+            return [exc]
+        return [_stencil_block(curve, [t])[0] for t in ts]
+
+
+def _stencils(curve: GrassmannCurve, ts):
+    """Yield the outcome of _stencil_block at each time of ts, in order,
+    reading _STENCIL_BLOCK times at a time as they are reached."""
+    for i in range(0, len(ts), _STENCIL_BLOCK):
+        yield from _stencil_block(curve, ts[i:i + _STENCIL_BLOCK])
+
+
+def _geometry(stencil):
+    """(chart, Sdot, A, R) of one stencil outcome, or its exception."""
+    if isinstance(stencil, Exception):
+        raise stencil
+    if stencil.irregular:
+        raise stencil.irregular
+    return stencil[:4]
+
+
+def _stencil_geometry(curve: GrassmannCurve, t: float):
+    """(chart, Sdot, A, R) at t for a regular velocity: the derivative
+    curve spans e A + f in the chart basis (e, f), R is the Schwarzian.
+    The stencil of one time is a block of one."""
+    return _geometry(_stencil_block(curve, [t])[0])
 
 
 def velocity_form(curve: GrassmannCurve, t: float) -> VelocityForm:
@@ -288,7 +410,19 @@ def derivative_family(curve: GrassmannCurve) -> GrassmannCurve:
 
 
 def curvature(curve: GrassmannCurve, t: float) -> CurveOperator:
-    chart, _, _, r = _stencil_geometry(curve, t)
+    return _curvature(t, _stencil_block(curve, [t])[0])
+
+
+def curvatures(curve: GrassmannCurve, ts):
+    """curvature(curve, t) for each time of ts, in order, as a generator:
+    the stencils are read in stacked blocks, and a time whose stencil
+    fails raises its own exception when it is reached."""
+    for t, stencil in zip(ts, _stencils(curve, ts)):
+        yield _curvature(t, stencil)
+
+
+def _curvature(t: float, stencil) -> CurveOperator:
+    chart, _, _, r = _geometry(stencil)
     return CurveOperator(matrix=r, basis=chart.basis[:, :chart.n],
                          kind="curvature", at=t)
 
@@ -323,7 +457,12 @@ def curvature_form(curve: GrassmannCurve, t: float) -> CurvatureForm:
     the curvature form in the velocity inner product, for a decreasing
     curve its negative.
     """
-    chart, sdot, _, r = _stencil_geometry(curve, t)
+    return _curvature_form(t, _stencil_block(curve, [t])[0])
+
+
+def _curvature_form(t: float, stencil) -> CurvatureForm:
+    """curvature_form at t from the stencil outcome there."""
+    chart, sdot, _, r = _geometry(stencil)
     sign = _monotone_sign(_sym(sdot), chart.n)
     form = _sym(sdot @ r)
     n = chart.n
@@ -377,6 +516,9 @@ def transport(curve: GrassmannCurve, t0: float,
     to t1. The initial frame is orthonormal for the velocity inner
     product, which keeps A(t) symmetric and the propagator symplectic.
     RK4 steps are at most 0.005 of the curve length, and at least 8.
+    The march knows its 2 nsteps + 1 stencil times before it starts and
+    reads them in stacked blocks, in march order; a stencil that fails
+    raises when the march reaches its time.
     """
     if not t1 > t0:
         raise ValueError("transport needs t1 > t0")
@@ -384,13 +526,26 @@ def transport(curve: GrassmannCurve, t0: float,
     nsteps = max(8, int(np.ceil((t1 - t0) / (0.005 * curve.length))))
     dt = (t1 - t0) / nsteps
 
-    cache = {}
+    def key(tau):
+        return int(round((tau - t0) / (0.5 * dt)))
+
+    # the first time of each key, in the order the march below reads
+    # them: t0, each step's start, midpoint and end, and t1
+    times, t = {key(t0): t0}, t0
+    for _ in range(nsteps):
+        for tau in (t, t + 0.5 * dt, t + dt):
+            times.setdefault(key(tau), tau)
+        t += dt
+    times.setdefault(key(t1), t1)
+    slot = {k: i for i, k in enumerate(times)}
+    stencils = _stencils(curve, list(times.values()))
+    read = []
 
     def geometry(tau):
-        key = int(round((tau - t0) / (0.5 * dt)))
-        if key not in cache:
-            cache[key] = _stencil_geometry(curve, tau)
-        return cache[key]
+        i = slot[key(tau)]
+        while len(read) <= i:
+            read.append(next(stencils))
+        return _geometry(read[i])
 
     chart0, sdot0, a0, _ = geometry(t0)
     sym_sdot0 = _sym(sdot0)
@@ -431,11 +586,11 @@ def transport(curve: GrassmannCurve, t0: float,
 
 
 def fundamental_matrix(a_func, t0: float, t1: float) -> np.ndarray:
-    """Propagator of x' = -y, y' = A(t) x for a given matrix family, in
-    RK4 steps of at most 1e-3."""
+    """Propagator of x' = -y, y' = A(t) x for a given matrix family from t0
+    to t1, in RK4 steps of at most 1e-3 in either direction."""
     a0 = np.atleast_2d(np.asarray(a_func(t0), dtype=float))
     n = a0.shape[0]
-    nsteps = max(1, int(np.ceil((t1 - t0) / 1e-3)))
+    nsteps = max(1, int(np.ceil(abs(t1 - t0) / 1e-3)))
     dt = (t1 - t0) / nsteps
     gen = _generator(n)
 
@@ -481,27 +636,31 @@ class CurveClassification:
 def classify(curve: GrassmannCurve) -> CurveClassification:
     """Coarse flags from nine interior samples of the curve.
 
-    Regularity and monotonicity read the velocity form on the samples;
-    flatness thresholds the curvature norm; the symmetry flag checks
+    The nine sample stencils are read in one block, and each gives both
+    the velocity form and the curvature of its sample. Regularity and
+    monotonicity read the velocity form on the samples; a sample whose
+    chart search fails counts as irregular. Flatness thresholds the
+    curvature norm; the symmetry flag checks
     that the curvature matrix stays constant in the marched frame, which
     characterizes curves reproduced by their double derivative curve.
     Flags that cannot be evaluated (flat/symmetric for irregular or
     non-monotone curves) come back as None.
     """
     ts = _interior(curve, 9)
+    stencils = list(_stencils(curve, ts))
     regular = True
     signs = []
-    for t in ts:
-        try:
-            vf = velocity_form(curve, t)
-        except ChartFailure:
+    for stencil in stencils:
+        if isinstance(stencil, ChartFailure):
             regular = False
             continue
-        try:
-            _require_regular(vf.form, t)
-        except NotRegular:
+        if isinstance(stencil, Exception):
+            raise stencil
+        # the chart matrices are symmetric, so Sdot is its own velocity
+        # form and irregular is that form's regularity check
+        if stencil.irregular:
             regular = False
-        ine = vf.inertia
+        ine = core.inertia(stencil.sdot)
         if ine.pos == curve.space.n:
             signs.append(1)
         elif ine.neg == curve.space.n:
@@ -519,9 +678,8 @@ def classify(curve: GrassmannCurve) -> CurveClassification:
                                    flat=None, symmetric=None)
 
     flat = True
-    for t in ts:
-        r = curvature(curve, t)
-        if np.linalg.norm(r.matrix) > FLAT_TOL:
+    for stencil in stencils:
+        if np.linalg.norm(_geometry(stencil)[3]) > FLAT_TOL:
             flat = False
             break
 

@@ -370,11 +370,19 @@ class Trajectory:
         return _step(self.sys, self.times[k], (self.states[k],), dt)[0]
 
 
-def _grid(horizon: float, step: float) -> np.ndarray:
+def _check_span(horizon: float, step: float):
+    """The horizon and step checks that flow() and DenseFlow share."""
     if step <= 0.0:
         raise ValueError("step must be positive")
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
+    for name, value in (("step", step), ("horizon", horizon)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
+
+
+def _grid(horizon: float, step: float) -> np.ndarray:
+    _check_span(horizon, step)
     count = int(math.ceil(horizon / step - 1e-12))
     times = np.minimum(step * np.arange(count + 1), horizon)
     times[-1] = horizon
@@ -606,6 +614,7 @@ class DenseFlow:
 
     def __init__(self, sys: HamiltonianSystem, z0: np.ndarray,
                  horizon: float, step: float = DEFAULT_STEP):
+        _check_span(horizon, step)
         self.sys = sys
         self.horizon = float(horizon)
         self.step = step

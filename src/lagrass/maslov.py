@@ -24,7 +24,7 @@ from typing import List
 import numpy as np
 
 from . import core
-from .curve import GrassmannCurve, _interior, _require_regular, velocity_form
+from .curve import GrassmannCurve, _interior, _stencils
 from .errors import (
     ChartFailure,
     DegenerateEndpoint,
@@ -182,11 +182,14 @@ def _memoized(curve: GrassmannCurve):
 def _monotone_direction(curve: GrassmannCurve, strict: bool) -> int:
     """Sign of the velocity form, read at seven interior samples."""
     signs = set()
-    for t in _interior(curve, 7):
-        vf = velocity_form(curve, t)
-        if strict:
-            _require_regular(vf.form, t)
-        ine = vf.inertia
+    ts = _interior(curve, 7)
+    for t, stencil in zip(ts, _stencils(curve, ts)):
+        if isinstance(stencil, Exception):
+            raise stencil
+        # Sdot is its own velocity form: the chart matrices are symmetric
+        if strict and stencil.irregular:
+            raise stencil.irregular
+        ine = core.inertia(stencil.sdot)
         if ine.pos and ine.neg:
             raise NotMonotone(f"velocity form is indefinite at t={t:g}")
         if ine.pos:

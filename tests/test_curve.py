@@ -407,3 +407,186 @@ def test_classify_asymmetric():
     assert cl.regular and cl.monotone == "increasing"
     assert not cl.flat
     assert cl.symmetric is False
+
+
+def test_fundamental_matrix_backward_matches_expm():
+    # counting the steps from |t1 - t0| integrates [2, 0] in 2,000 steps
+    # too, not in one
+    from scipy.linalg import expm
+
+    gen = np.array([[0.0, -1.0], [2.0, 0.0]])
+    back = curve.fundamental_matrix(lambda t: [[2.0]], 2.0, 0.0)
+    fwd = curve.fundamental_matrix(lambda t: [[2.0]], 0.0, 2.0)
+    assert np.abs(back - expm(-2.0 * gen)).max() < 1e-9
+    assert np.abs(back - np.linalg.inv(fwd)).max() < 1e-9
+    assert np.abs(fwd - expm(2.0 * gen)).max() < 1e-9
+
+
+# ------------------------------------------------- stacked stencil blocks
+
+
+def rotating_curve(om, sympl=None, length=3.0):
+    om = np.asarray(om, dtype=float)
+    sp = core.standard_space(len(om))
+
+    def ev(t):
+        cols = np.vstack([np.diag(np.cos(om * t)), np.diag(np.sin(om * t))])
+        return core.make_frame(sp, cols if sympl is None else sympl @ cols)
+
+    return curve.GrassmannCurve(space=sp, eval=ev, domain=(0.0, length))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - a refusal is an outcome
+        return exc
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+    (chart, *mats), (chart_want, *mats_want) = got, want
+    for m, m_want in zip([chart.basis, chart.basis_inv, *mats],
+                         [chart_want.basis, chart_want.basis_inv,
+                          *mats_want]):
+        assert np.array_equal(m, m_want)
+
+
+def _block_curves():
+    for n in range(1, 5):
+        om = np.linspace(0.9, 2.1, n)
+        sp = core.standard_space(n)
+        yield rotating_curve(om)
+        yield rotating_curve(om, core.random_symplectic(
+            sp, np.random.default_rng(n)))
+    yield curve.from_chart_family(
+        2, lambda t: np.diag([np.tan(t), np.tan(1.3 * t)]), (-0.5, 0.5))
+
+
+@pytest.mark.parametrize("c", list(_block_curves()))
+def test_stacked_stencils_equal_one_time_stencils(c):
+    # 45 times cross a block boundary and are no multiple of the block
+    count = curve._STENCIL_BLOCK + 13
+    ts = curve._interior(c, count)
+    stacked = list(curve._stencils(c, ts))
+    assert len(stacked) == count
+    for t, st in zip(ts, stacked):
+        _assert_same_outcome(
+            _outcome(lambda: curve._geometry(st)),
+            _outcome(lambda: curve._stencil_geometry(c, t)))
+
+
+def test_block_members_below_good_margin_search_on_as_alone(monkeypatch):
+    # with GOOD_MARGIN at the median first-candidate score, about half the
+    # members of a block go on through the schedule; each must pick the
+    # complement the plain one-candidate-at-a-time search picks
+    sp = core.standard_space(2)
+    c = rotating_curve([1.1, 1.9], core.random_symplectic(
+        sp, np.random.default_rng(5)))
+    ts = curve._interior(c, 20)
+    stencils = [curve._stencil_frames(c, t) for t in ts]
+    first = [float(core._margin(
+        core.make_frame(sp, sp.form @ frs[3].columns).columns,
+        np.stack([fr.columns for fr in [frs[3]] + frs[:3] + frs[4:]])).min())
+        for frs in stencils]
+    good = float(np.median(first))
+    monkeypatch.setattr(core, "GOOD_MARGIN", good)
+    assert 0 < sum(score < good for score in first) < len(ts)
+    for frs, st in zip(stencils, curve._stencils(c, ts)):
+        center, avoid = frs[3], frs[:3] + frs[4:]
+        best, best_score = None, -np.inf
+        for cols in core._candidates(center, avoid, 0):
+            cand = core.make_frame(sp, cols)
+            score = min(float(core._margin(cand.columns, other.columns))
+                        for other in (center, *avoid))
+            if score >= best_score:
+                best, best_score = cand, score
+            if best_score >= good:
+                break
+        assert np.array_equal(st.chart.delta_frame.columns, best.columns)
+
+
+def test_transport_raises_a_later_irregular_stencil_as_alone():
+    # S = min(t, 0.5) stops moving: the first march stencil whose inner
+    # frames all sit past 0.5 has Sdot = 0, in the third block of times
+    c = curve.from_chart_family(1, lambda t: [[min(t, 0.5)]], (-1.0, 2.0))
+    with pytest.raises(NotRegular) as info:
+        curve.transport(c, 0.0, 1.0)
+    t_bad = float(str(info.value).split("t=")[1].split()[0])
+    assert 0.5 < t_bad < 0.6
+    with pytest.raises(NotRegular) as alone:
+        curve._stencil_geometry(c, t_bad)
+    assert str(alone.value) == str(info.value)
+
+
+class LeftChart(Exception):
+    pass
+
+
+def _chart_until(limit, matrix_func):
+    def fam(t):
+        if t > limit:
+            raise LeftChart(f"left the chart at t={t:.6f}")
+        return matrix_func(t)
+
+    return fam
+
+
+def test_transport_raises_a_later_chart_exit_when_it_reaches_it():
+    c = curve.from_chart_family(1, _chart_until(0.6, lambda t: [[t]]),
+                                (-1.0, 2.0))
+    with pytest.raises(LeftChart, match=r"left the chart at t=0\.60"):
+        curve.transport(c, 0.0, 1.0)
+
+
+def test_transport_refuses_at_t0_before_a_later_stencil_fails():
+    # the block of t0 also reads the stencils past 0.2, which fail, but
+    # the march refuses the indefinite velocity at t0 first
+    c = curve.from_chart_family(
+        2, _chart_until(0.2, lambda t: np.diag([t, -t])), (-1.0, 1.0))
+    with pytest.raises(NotMonotone):
+        curve.transport(c, 0.0, 0.5)
+
+
+def _count_svd(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_transport_reads_its_stencils_in_blocks(monkeypatch):
+    # N steps read 2N + 1 stencil times, here two blocks, with four
+    # stacked svd calls a block (first-candidate margins, Darboux rank,
+    # chart-matrix rank, regularity), not four for each time
+    c = rotating_curve([1.0, 1.7])
+    calls = _count_svd(monkeypatch)
+    res = curve.transport(c, 0.5, 0.5 + 0.1 * c.length)
+    assert len(calls) == 8
+    times = 2 * (len(res.generators) - 1) + 1
+    assert curve._STENCIL_BLOCK < times < 2 * curve._STENCIL_BLOCK
+
+
+def test_classify_reads_each_sample_stencil_once():
+    # a flat line needs no transport: nine sample stencils of seven
+    # frames, each read once for both its velocity form and its curvature
+    c = line_curve(2)
+    calls = []
+    ev = c.eval
+
+    def counted(t):
+        calls.append(t)
+        return ev(t)
+
+    c.eval = counted
+    cl = curve.classify(c)
+    assert cl.flat and cl.symmetric
+    assert len(calls) == 9 * len(curve._OFFSETS)

@@ -82,6 +82,22 @@ def test_integrators_refuse_a_malformed_initial_state(z0):
         hamflow.DenseFlow(sys, z0, 1.0, 0.1)
 
 
+@pytest.mark.parametrize("integrator", [hamflow.flow, hamflow.DenseFlow],
+                         ids=["flow", "DenseFlow"])
+@pytest.mark.parametrize("horizon, step, match", [
+    (-1.0, 0.1, r"^horizon must be positive$"),
+    (0.0, 0.1, r"^horizon must be positive$"),
+    (float("nan"), 0.1, r"^horizon must be finite, not nan$"),
+    (float("inf"), 0.1, r"^horizon must be finite, not inf$"),
+    (1.0, float("nan"), r"^step must be finite, not nan$"),
+], ids=["negative", "zero", "nan", "inf", "nan-step"])
+def test_integrators_refuse_a_bad_horizon_or_step(integrator, horizon, step,
+                                                  match):
+    sys = hamflow.quadratic_potential_system(np.eye(1))
+    with pytest.raises(ValueError, match=match):
+        integrator(sys, [0.3, 0.2], horizon, step)
+
+
 def test_flow_free_particle_closed_form():
     sys = hamflow.quadratic_potential_system(np.zeros((2, 2)))
     z0 = np.array([0.4, -1.1, 0.2, 0.9])
