@@ -21,9 +21,9 @@ is the main internal consistency check of the module.
 
 Stencils are read in stacked blocks of _STENCIL_BLOCK times. The frames
 of a block are read by the curve's eval, time by time; everything after
-the read (the chart search, the Darboux charts, the chart matrices, the
-differences, the regularity check, the inverse and the Schwarzian) runs
-once for the whole block on a leading time axis. The stencil of one
+the read (the chart search's first candidate, the Darboux charts, the
+chart matrices, the differences, the regularity check, the inverse and
+the Schwarzian) runs once for the whole block on a leading time axis. The stencil of one
 time is a block of one, so a block and a loop of single stencils give
 the same bits. Each time keeps its own outcome, its geometry or the
 exception its stencil raises, and a caller raises it only on reaching
