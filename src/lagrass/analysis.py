@@ -376,7 +376,7 @@ def reduction_comparison(dense: DenseFlow,
     def shared_forms(t, stencil_full, stencil_red):
         cf = _curvature_form(t, stencil_full)
         cr = _curvature_form(t, stencil_red)
-        frame = rev_full.eval(t)
+        frame = stencil_full.chart.pi_frame   # the stencil's centre, at t
         w = frame.columns @ red.level_kernel(frame)
         c_f, *_ = np.linalg.lstsq(cf.basis, w, rcond=None)
         c_r, *_ = np.linalg.lstsq(cr.basis, red.project(w), rcond=None)

@@ -19,14 +19,15 @@ of [complement | other]) is at least MIN_MARGIN = 1e-2 against every
 subspace in play, so no chart is transversal by round-off alone.
 The frame and chart kernels read stacks: orthonormal_columns and
 _frames (make_frame's work) take columns of shape (..., 2n, n),
-_darboux the pairs of a stack of charts, transversal_complement a stack
-of frames whose first candidate it scores in one stacked pass, and
-graph_coords and chart_matrices the columns of many subspaces, in one
-matrix product, one singular-value pass for the rank rule and one
-solve; _margin scores a candidate against a whole stack in one
-singular-value pass, and _gaps takes the subspace gaps of two stacks
-pairwise in one stacked 2-norm. make_frame, darboux_chart, chart_coords
-and subspace_gap are the one-frame forms of the same code. numpy's
+_darboux the pairs of a stack of charts, _complements (the chart
+search) a stack of frames whose first candidate it scores in one
+stacked pass, reporting each member's own outcome, and graph_coords and
+chart_matrices the columns of many subspaces, in one matrix product,
+one singular-value pass for the rank rule and one solve; _margin scores
+a candidate against a whole stack in one singular-value pass, and _gaps
+takes the subspace gaps of two stacks pairwise in one stacked 2-norm.
+make_frame, darboux_chart, transversal_complement, chart_coords and
+subspace_gap are the one-frame forms of the same code. numpy's
 stacked qr, svd, inv, solve and matmul give the same bits as one call
 per matrix, so a stack and a loop of single calls agree exactly.
 Frames are column-orthonormalized on construction; subspace identity
@@ -220,13 +221,14 @@ def _mixed_difference(fun, x, h: float) -> np.ndarray:
 
 def _orthonormal(cols: np.ndarray):
     """QR of one matrix or a stack (..., m, k): the orthonormal factor and,
-    for each matrix, whether its columns are numerically dependent."""
+    for each matrix, whether its columns are numerically dependent; NaN
+    fails the rank comparison, so non-finite columns count as dependent."""
     q, r = np.linalg.qr(cols)
     diag = np.abs(r.diagonal(axis1=-2, axis2=-1))
     if not diag.shape[-1]:
         return q, np.zeros(diag.shape[:-1], dtype=bool)
-    return q, diag.min(axis=-1) <= RANK_TOL * diag.max(axis=-1,
-                                                       initial=1e-300)
+    return q, ~(diag.min(axis=-1) > RANK_TOL * diag.max(axis=-1,
+                                                        initial=1e-300))
 
 
 def orthonormal_columns(cols: np.ndarray):
@@ -249,26 +251,21 @@ def _frames(space: SymplecticSpace, cols: np.ndarray):
     return q, dependent, np.sqrt(np.vecdot(flat, flat))
 
 
-def _frame_error(dependent, defect):
-    """The ValueError make_frame raises for one frame of _frames, or None."""
-    if dependent:
-        return ValueError(_DEPENDENT)
-    if defect > ISOTROPY_TOL:
-        return ValueError(f"frame is not isotropic (defect {defect:.3e})")
-    return None
-
-
 def make_frame(space: SymplecticSpace,
                columns: np.ndarray) -> LagrangianFrame:
     """Orthonormalize columns and validate the Lagrangian invariants: the
-    one-frame form of _frames."""
+    one-frame form of _frames. Only a refused frame is checked for
+    non-finite entries."""
     cols = np.asarray(columns, dtype=float)
     if cols.shape != (space.dim, space.n):
         raise ValueError("frame must be 2n x n")
     q, dependent, defect = _frames(space, cols)
-    error = _frame_error(dependent, defect)
-    if error:
-        raise error
+    if dependent or not defect <= ISOTROPY_TOL:
+        if not np.isfinite(cols).all():
+            raise ValueError("frame has non-finite entries")
+        if dependent:
+            raise ValueError(_DEPENDENT)
+        raise ValueError(f"frame is not isotropic (defect {defect:.3e})")
     return LagrangianFrame(space=space, columns=q)
 
 
@@ -480,25 +477,42 @@ def _candidates(frame: LagrangianFrame, avoid, seed: int):
         yield f + e @ (a + a.T)
 
 
-def _search_on(frame: LagrangianFrame, avoid, must_miss: np.ndarray,
-               seed: int, best, best_score: float) -> np.ndarray:
-    """The columns the chart search picks after its first candidate,
-    sigma*frame, which left (best, best_score)."""
-    for cols in itertools.islice(_candidates(frame, avoid, seed), 1, None):
-        try:
-            cand = make_frame(frame.space, cols).columns
-        except ValueError:
-            continue
-        score = float(_margin(cand, must_miss).min())
-        if score >= best_score:
-            best, best_score = cand, score
-        if best_score >= GOOD_MARGIN:
-            return best
-    if best_score < MIN_MARGIN:
-        raise SearchExhausted(
+def _complements(space: SymplecticSpace, cols: np.ndarray,
+                 avoid: np.ndarray, seed: int):
+    """transversal_complement for a stack of frames cols (b, 2n, n), each
+    with the array avoid[i] of its own frames to clear, avoid (b, m, 2n,
+    n): the complements (b, 2n, n) and, for each member, the
+    SearchExhausted its search ends in, or None (its complement then
+    means nothing). The first candidate is built and scored for the whole
+    stack in one stacked QR and one stacked _margin pass, and only the
+    members it leaves below GOOD_MARGIN go on through the schedule, one
+    at a time."""
+    must_miss = np.concatenate([cols[:, None], avoid], axis=1)
+    q, dependent, defect = _frames(space, space.form @ cols)
+    scores = np.where(dependent | ~(defect <= ISOTROPY_TOL), -np.inf,
+                      _margin(q[:, None], must_miss).min(axis=-1))
+    errors = []
+    for i, best_score in enumerate(scores.tolist()):
+        if best_score < GOOD_MARGIN:
+            frame = LagrangianFrame(space, cols[i])
+            others = [LagrangianFrame(space, c) for c in avoid[i]]
+            for c in itertools.islice(_candidates(frame, others, seed), 1,
+                                      None):
+                try:
+                    cand = make_frame(space, c).columns
+                except ValueError:
+                    continue
+                score = float(_margin(cand, must_miss[i]).min())
+                if score >= best_score:
+                    q[i], best_score = cand, score
+                if best_score >= GOOD_MARGIN:
+                    break
+        # a score of GOOD_MARGIN ends the search accepted
+        errors.append(SearchExhausted(
             f"best transversality margin {best_score:.3e} of "
             f"{MAX_CANDIDATES} candidates is below MIN_MARGIN {MIN_MARGIN:g}")
-    return best
+            if best_score < min(MIN_MARGIN, GOOD_MARGIN) else None)
+    return q, errors
 
 
 def transversal_complement(frame: LagrangianFrame, avoid=(),
@@ -512,36 +526,16 @@ def transversal_complement(frame: LagrangianFrame, avoid=(),
     worst margin against the frame and every member of avoid, all read
     in one stacked _margin call. The first score of GOOD_MARGIN or more
     wins, else the best score of MIN_MARGIN or more; SearchExhausted
-    when no candidate reaches MIN_MARGIN.
-
-    The frame may hold a stack of frames, columns (b, 2n, n), with avoid
-    the array (b, m, 2n, n) of each member's own frames to clear. The
-    first candidate is then built and scored for the whole stack in one
-    stacked QR and one stacked _margin pass, and only the members it
-    leaves below GOOD_MARGIN go on through the schedule, one at a time;
-    the result holds the stack of complements, and the first member
-    whose search is exhausted refuses the stack. One frame is searched
-    as a stack of one.
+    when no candidate reaches MIN_MARGIN. The search is _complements of
+    a stack of one.
     """
-    space, cols = frame.space, frame.columns
-    one = cols.ndim == 2
-    if one:
-        cols = cols[None]
-        avoid = np.reshape([fr.columns for fr in avoid],
-                           (1, len(avoid)) + cols.shape[1:])
-    must_miss = np.concatenate([cols[:, None], avoid], axis=1)
-    q, dependent, defect = _frames(space, space.form @ cols)
-    scores = _margin(q[:, None], must_miss).min(axis=-1)
-    for i, score in enumerate(scores):
-        best, best_score = None, -np.inf
-        if (_frame_error(dependent[i], defect[i]) is None
-                and score >= best_score):
-            best, best_score = q[i], float(score)
-        if best_score < GOOD_MARGIN:
-            q[i] = _search_on(LagrangianFrame(space, cols[i]),
-                              [LagrangianFrame(space, c) for c in avoid[i]],
-                              must_miss[i], seed, best, best_score)
-    return LagrangianFrame(space=space, columns=q[0] if one else q)
+    cols = frame.columns[None]
+    others = np.reshape([fr.columns for fr in avoid],
+                        (1, len(avoid)) + cols.shape[1:])
+    q, (error,) = _complements(frame.space, cols, others, seed)
+    if error:
+        raise error
+    return LagrangianFrame(space=frame.space, columns=q[0])
 
 
 def random_symplectic(space: SymplecticSpace, rng) -> np.ndarray:

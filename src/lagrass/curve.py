@@ -20,15 +20,18 @@ infinitesimal cross-ratio of the derivative curve with the curve, which
 is the main internal consistency check of the module.
 
 Stencils are read in stacked blocks of _STENCIL_BLOCK times. The frames
-of a block are read by the curve's eval, time by time; everything after
-the read (the chart search's first candidate, the Darboux charts, the
-chart matrices, the differences, the regularity check, the inverse and
-the Schwarzian) runs once for the whole block on a leading time axis. The stencil of one
-time is a block of one, so a block and a loop of single stencils give
-the same bits. Each time keeps its own outcome, its geometry or the
-exception its stencil raises, and a caller raises it only on reaching
-that time. transport, classify, curvatures and the many-time loops of
-maslov, analysis and cli read their stencils this way.
+of a block are read by the curve's eval, time by time, once; everything
+after the read (the chart search's first candidate, the Darboux charts,
+the chart matrices, the differences, the regularity check, the inverse
+and the Schwarzian) runs once for the whole block on a leading time
+axis. Every one-time reader (velocity_form, curvature, curvature_form,
+transport_generator, derivative_curve) reads a block of one, so a block
+and a loop of single stencils give the same bits. Each time keeps its
+own outcome, its geometry or the exception its stencil raises (a chart
+search exhausted for one time refuses that time alone), and a caller
+raises it only on reaching that time. transport, classify, curvatures
+and the many-time loops of maslov, analysis and cli read their
+stencils this way.
 """
 
 from __future__ import annotations
@@ -86,6 +89,11 @@ class GrassmannCurve:
             raise ValueError("domain must be a nondegenerate interval")
         if self.fd_step is None:
             self.fd_step = FD_STEP_FRACTION * (t1 - t0)
+        if not (np.isfinite(t1 - t0) and 0 < self.fd_step < np.inf):
+            raise ValueError(
+                f"cannot differentiate with fd_step {self.fd_step:g} on the "
+                f"domain [{t0:g}, {t1:g}]: both must be finite, the step "
+                "positive")
 
     @property
     def length(self) -> float:
@@ -181,6 +189,10 @@ def _interior(curve: GrassmannCurve, count: int) -> np.ndarray:
     """count evenly spaced times whose stencils stay inside the domain."""
     t0, t1 = curve.domain
     margin = (REACH + 0.5) * curve.fd_step
+    if not t0 + margin <= t1 - margin:
+        raise ValueError(
+            f"no room for a stencil of fd_step {curve.fd_step:g} on the "
+            f"domain [{t0:g}, {t1:g}]")
     return np.linspace(t0 + margin, t1 - margin, count)
 
 
@@ -200,29 +212,24 @@ def _centered_charts(frames, center: int, ts, what: str):
     a stack of frame lists read in one stacked pass: the charts, the
     matrices (b, k, n, n), and for each member the exception
     _centered_chart raises for it, or None (its chart and matrices then
-    mean nothing). A chart search exhausted for one member refuses the
-    stack, with its ChartFailure when the stack has one member."""
+    mean nothing). A member is refused when its chart search is
+    exhausted, its chart meets Delta or a chart matrix is refused; the
+    other members keep their charts."""
     space = frames[0][center].space
     cols = np.stack([fr.columns for frs in frames for fr in frs])
     cols = cols.reshape((len(frames), -1) + cols.shape[1:])
     mid = cols[:, center]
     others = [k for k in range(cols.shape[1]) if k != center]
-    try:
-        deltas = core.transversal_complement(
-            core.LagrangianFrame(space, mid), avoid=cols[:, others]).columns
-    except SearchExhausted as exc:
-        if len(frames) > 1:
-            raise
-        raise _chart_failure(exc, ts[0], what)
+    deltas, exhausted = core._complements(space, mid, cols[:, others], 0)
     basis, basis_inv, meets = core._darboux(space, mid, deltas)
     mats, misses, asym, bad = core._chart_matrices(basis_inv[:, None], cols)
     refused = (bad | misses).any(axis=1)
     charts, errors = [], []
     for i, t in enumerate(ts):
-        exc = None
-        if meets[i]:
+        exc = exhausted[i]
+        if not exc and meets[i]:
             exc = NotTransversal(core.MEETS_DELTA)
-        elif refused[i]:
+        elif not exc and refused[i]:
             exc = core._refusal(misses[i], asym[i], bad[i])
         errors.append(exc and _chart_failure(exc, t, what))
         charts.append(None if exc else core.Chart(
@@ -244,11 +251,6 @@ def _centered_chart(frames, center: int, t: float, what: str):
 
 def _stencil_frames(curve: GrassmannCurve, t: float) -> list:
     return [curve.eval(t + k * curve.fd_step) for k in _OFFSETS]
-
-
-def _chart_and_stencil(curve: GrassmannCurve, t: float):
-    """Darboux chart centered at the curve point holding the full stencil."""
-    return _centered_chart(_stencil_frames(curve, t), _CENTER, t, "stencil")
 
 
 def _regularity(sdot: np.ndarray, ts) -> list:
@@ -297,10 +299,10 @@ def _stencil_stack(frames, ts, h: float) -> list:
 def _stencil_block(curve: GrassmannCurve, ts) -> list:
     """The stencils at the times ts: the frames are read by the curve's
     eval in time order, the rest in one stacked pass. For each time a
-    _Stencil, or the exception the stencil raises there: a block whose
-    reads or stacked pass raise, as for an eval that fails at one time or
-    a chart search exhausted for one member, is read again as blocks of
-    one, so each time keeps its own outcome."""
+    _Stencil, or the exception the stencil raises there; a member refused
+    by the chart stage keeps its own exception, and the others read on. Only a block whose reads or stacked pass raise, as for an eval
+    that fails at one time, is read again as blocks of one, so each time
+    keeps its own outcome."""
     try:
         frames = [_stencil_frames(curve, t) for t in ts]
         return _stencil_stack(frames, ts, curve.fd_step)
@@ -334,10 +336,13 @@ def _stencil_geometry(curve: GrassmannCurve, t: float):
 
 
 def velocity_form(curve: GrassmannCurve, t: float) -> VelocityForm:
-    chart, mats = _chart_and_stencil(curve, t)
-    sdot = _sym(_d1(_inner(mats), curve.fd_step))
-    n = chart.n
-    return VelocityForm(at=t, form=sdot, basis=chart.basis[:, :n])
+    """The velocity form at t, from the stencil there, a block of one: the
+    chart matrices are symmetric, so Sdot is its own form."""
+    stencil = _stencil_block(curve, [t])[0]
+    if isinstance(stencil, Exception):
+        raise stencil
+    basis = stencil.chart.basis[:, :curve.space.n]
+    return VelocityForm(at=t, form=stencil.sdot, basis=basis)
 
 
 def cross_ratio(v0: core.LagrangianFrame, v1: core.LagrangianFrame,
@@ -526,23 +531,19 @@ def transport(curve: GrassmannCurve, t0: float,
     nsteps = max(8, int(np.ceil((t1 - t0) / (0.005 * curve.length))))
     dt = (t1 - t0) / nsteps
 
-    def key(tau):
-        return int(round((tau - t0) / (0.5 * dt)))
-
-    # the first time of each key, in the order the march below reads
-    # them: t0, each step's start, midpoint and end, and t1
-    times, t = {key(t0): t0}, t0
+    half = 0.5 * dt
+    # the march times as _rk4 forms them, each step's start and midpoint,
+    # then the last end, which stands for t1; the march reads them by
+    # half step
+    times, t = [], t0
     for _ in range(nsteps):
-        for tau in (t, t + 0.5 * dt, t + dt):
-            times.setdefault(key(tau), tau)
+        times += [t, t + half]
         t += dt
-    times.setdefault(key(t1), t1)
-    slot = {k: i for i, k in enumerate(times)}
-    stencils = _stencils(curve, list(times.values()))
+    stencils = _stencils(curve, times + [t])
     read = []
 
     def geometry(tau):
-        i = slot[key(tau)]
+        i = int(round((tau - t0) / half))
         while len(read) <= i:
             read.append(next(stencils))
         return _geometry(read[i])

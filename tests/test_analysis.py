@@ -18,6 +18,7 @@ Closed forms and values frozen before implementation:
     (1, 1) for seed 7 (n=2) and (3, 4) for seed 11 (n=3).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -301,6 +302,40 @@ def test_reduction_comparison_seeded_wells():
         assert rep.rank_excess <= analysis.CONGRUENCE_TOL
         assert len(rep.samples) >= 3
         assert rep.graze_margin >= analysis.GRAZE_TOL
+
+
+def test_reduction_comparison_reads_its_samples_through_the_stencils(
+        monkeypatch):
+    # the shared basis at a sample time is the centre frame of the full
+    # curve's stencil there; once the four blocks of nine stencils are
+    # read, no sample time is read again
+    plain_curve, plain_stencils = analysis.jacobi_curve, analysis._stencils
+    blocks, late = [], []
+
+    def counted(dense):
+        jc = plain_curve(dense)
+
+        def ev(t):
+            if len(blocks) == 4:
+                late.append(t)
+            return jc.eval(t)
+        return dataclasses.replace(jc, eval=ev)
+
+    def stencils(c, ts):
+        yield from plain_stencils(c, ts)
+        blocks.append(ts)
+
+    monkeypatch.setattr(analysis, "jacobi_curve", counted)
+    monkeypatch.setattr(analysis, "_stencils", stencils)
+    sysn, z0 = seeded_well(7, 2)
+    horizon = 4.0
+    rep = analysis.reduction_comparison(
+        hamflow.DenseFlow(sysn, z0, horizon=horizon, step=1e-3))
+    assert len(blocks) == 4 and len(rep.samples) >= 3
+    trim = 0.05 * horizon
+    centres = {trim + horizon - t for t in blocks[0]}
+    assert len(centres) == 9
+    assert [t for t in late if t in centres] == []
 
 
 def test_reduction_comparison_refuses_grazing_direction():

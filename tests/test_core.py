@@ -63,6 +63,26 @@ def test_make_frame_rejects_rank_deficient():
         core.make_frame(sp, cols)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (3, 1), "all"])
+def test_frames_refuse_non_finite_entries(bad, where):
+    sp = core.standard_space(2)
+    cols = core.random_lagrangian(sp, np.random.default_rng(3)).columns.copy()
+    if where == "all":
+        cols[:] = bad
+    else:
+        cols[where] = bad
+    with pytest.raises(ValueError, match="non-finite entries"):
+        core.make_frame(sp, cols)
+    # a stacked _frames flags the bad member alone, by a rank or isotropy
+    # comparison that NaN fails
+    stack = np.stack([core.vertical_frame(sp).columns, cols,
+                      core.horizontal_frame(sp).columns])
+    _, dependent, defect = core._frames(sp, stack)
+    assert (dependent | ~(defect <= core.ISOTROPY_TOL)).tolist() == [
+        False, True, False]
+
+
 def test_subspace_gap_extremes():
     sp = core.standard_space(3)
     v = core.vertical_frame(sp)
@@ -351,7 +371,6 @@ def test_deleted_knobs_stay_deleted():
     assert back == {}
     for private, knob in ((maslov._monotone_direction, "samples"),
                           (maslov._pieces, "max_gap"),
-                          (curve._chart_and_stencil, "fd_step"),
                           (curve._stencil_geometry, "fd_step"),
                           (cli._check_matrix, "symmetric")):
         assert knob not in inspect.signature(private).parameters

@@ -48,10 +48,10 @@ def test_velocity_form_decreasing():
 def test_velocity_form_wraps_search_failure(monkeypatch):
     c = line_curve(1)
 
-    def no_luck(frame, avoid=()):
-        raise SearchExhausted("forced")
+    def no_luck(space, cols, avoid, seed):
+        return cols, [SearchExhausted("forced")] * len(cols)
 
-    monkeypatch.setattr(core, "transversal_complement", no_luck)
+    monkeypatch.setattr(core, "_complements", no_luck)
     with pytest.raises(ChartFailure):
         curve.velocity_form(c, 0.0)
 
@@ -191,6 +191,26 @@ def test_curvature_two_paths_agree():
             scale = np.linalg.norm(r1.matrix)
             assert np.allclose(r1.basis, r2.basis, atol=1e-12)
             assert np.linalg.norm(r1.matrix - r2.matrix) <= 1e-5 * scale
+
+
+@pytest.mark.parametrize("domain, fd_step", [
+    ((-1.0, 1.0), 0.0), ((-1.0, 1.0), -1e-3), ((-1.0, 1.0), np.nan),
+    ((-1.0, 1.0), np.inf), ((0.0, np.inf), None), ((0.0, np.inf), 1e-3),
+    ((-np.inf, 0.0), 1e-3), ((0.0, 5e-324), None), ((-1.0, 1.0), 0.3)])
+def test_curves_refuse_a_step_they_cannot_differentiate_with(domain, fd_step):
+    # the default step of a 5e-324 domain underflows to 0; a 0.3 step
+    # is a step, but leaves (-1, 1) no room for a stencil, so the curve
+    # is built and classify refuses it
+    def build():
+        return curve.from_chart_family(1, lambda t: [[t]], domain,
+                                       fd_step=fd_step)
+    with pytest.raises(ValueError, match="fd_step .* domain") as info:
+        curve.classify(build())
+    if fd_step == 0.3:
+        assert str(info.value).startswith("no room for a stencil")
+    else:
+        with pytest.raises(ValueError, match="cannot differentiate"):
+            dataclasses.replace(line_curve(1), domain=domain, fd_step=fd_step)
 
 
 def test_cross_ratio_curvature_of_a_plain_rotating_curve():
@@ -507,6 +527,41 @@ def test_block_members_below_good_margin_search_on_as_alone(monkeypatch):
             if best_score >= good:
                 break
         assert np.array_equal(st.chart.delta_frame.columns, best.columns)
+
+
+def test_block_refuses_exhausted_members_alone_and_reads_once(monkeypatch):
+    # with no GOOD_MARGIN to stop at and MIN_MARGIN at the median best
+    # score, about half the members of a block exhaust their search; each
+    # is refused alone, the others keep their stencils, and every time's
+    # seven frames are read once
+    sp = core.standard_space(2)
+    c = rotating_curve([1.1, 1.9], core.random_symplectic(
+        sp, np.random.default_rng(5)))
+    ts = curve._interior(c, 20)
+    best = []
+    for frs in (curve._stencil_frames(c, t) for t in ts):
+        center, avoid = frs[3], frs[:3] + frs[4:]
+        best.append(max(
+            min(float(core._margin(core.make_frame(sp, cols).columns,
+                                   other.columns))
+                for other in (center, *avoid))
+            for cols in core._candidates(center, avoid, 0)))
+    monkeypatch.setattr(core, "GOOD_MARGIN", 2.0)
+    monkeypatch.setattr(core, "MIN_MARGIN", float(np.median(best)))
+    reads = []
+
+    def ev(t):
+        reads.append(t)
+        return c.eval(t)
+
+    stacked = list(curve._stencils(dataclasses.replace(c, eval=ev), ts))
+    assert len(reads) == len(curve._OFFSETS) * len(ts)
+    refused = [isinstance(st, ChartFailure) for st in stacked]
+    assert 0 < sum(refused) < len(ts)
+    for t, st in zip(ts, stacked):
+        _assert_same_outcome(
+            _outcome(lambda: curve._geometry(st)),
+            _outcome(lambda: curve._stencil_geometry(c, t)))
 
 
 def test_transport_raises_a_later_irregular_stencil_as_alone():
