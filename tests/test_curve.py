@@ -201,11 +201,9 @@ def test_curves_refuse_a_step_they_cannot_differentiate_with(domain, fd_step):
     # the default step of a 5e-324 domain underflows to 0; a 0.3 step
     # is a step, but leaves (-1, 1) no room for a stencil, so the curve
     # is built and classify refuses it
-    def build():
-        return curve.from_chart_family(1, lambda t: [[t]], domain,
-                                       fd_step=fd_step)
     with pytest.raises(ValueError, match="fd_step .* domain") as info:
-        curve.classify(build())
+        curve.classify(curve.from_chart_family(
+            1, lambda t: [[t]], domain, fd_step=fd_step))
     if fd_step == 0.3:
         assert str(info.value).startswith("no room for a stencil")
     else:
