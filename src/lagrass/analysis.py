@@ -14,7 +14,8 @@ the Legendre sign scan, the conjugate-point sweep and a trimmed-interval
 index computation, cross-checking the two counts against each other.
 reduction_comparison measures index and curvature-form gaps between a
 Jacobi curve and its energy-level reduction in a shared basis of the
-common subspace.
+common subspace. No analysis reads a Jacobi frame twice: the scans of
+one curve share one functools.cache of its frames.
 
 All sampled verdicts are certificates about the sample grid, not
 proofs; the margins and filters below keep the honest failure modes
@@ -23,6 +24,7 @@ proofs; the margins and filters below keep the honest failure modes
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
@@ -187,7 +189,9 @@ def certify_negative_curvature(orbit: Union[DenseFlow, Trajectory]
     alpha = math.nan
     if isinstance(orbit, DenseFlow):
         rc = reduced_jacobi_curve(orbit)
-        _, _, hess_hi = _orbit_curvature(orbit.window(), 33)
+        states = orbit.window().states
+        hess_hi = max(float(np.linalg.norm(orbit.sys.hessian(z), 2))
+                      for z in states[_subsample(len(states), 33)])
         max_eig = -math.inf
         for op in curvatures(rc, np.linspace(0.0, orbit.horizon,
                                              REDUCED_SAMPLES)):
@@ -267,6 +271,7 @@ def morse_pipeline(dense: DenseFlow,
     if not legendre.uniform_definite:
         raise NotMonotone("the fiber Hessian changes type along the orbit")
     jc = jacobi_curve(dense)
+    jc = replace(jc, eval=functools.cache(jc.eval))
     train = core.vertical_frame(jc.space)
     if core.intersection_dim(jc.eval(horizon), train) > 0:
         raise DegenerateEndpoint(
@@ -332,10 +337,12 @@ def reduction_comparison(dense: DenseFlow,
         trim = 0.05 * horizon
     jc = jacobi_curve(dense)
     red = level_reduction(dense.sys, dense.state(0.0))
+    full_at = functools.cache(jc.eval)
+    red_at = functools.cache(lambda t: red.reduce_frame(full_at(t)))
     uhat = red.u / np.linalg.norm(red.u)
     graze = math.inf
     for t in np.linspace(0.0, horizon, 129):
-        cols = jc.eval(t).columns
+        cols = full_at(t).columns
         graze = min(graze,
                     float(np.linalg.norm(uhat - cols @ (cols.T @ uhat))))
     if graze < GRAZE_TOL:
@@ -350,9 +357,8 @@ def reduction_comparison(dense: DenseFlow,
 
     vert = core.vertical_frame(jc.space)
     rvert = red.reduce_frame(vert)
-    rev_full = reversed_curve(jc.space, jc.eval)
-    rev_red = reversed_curve(red.space,
-                             lambda t: red.reduce_frame(jc.eval(t)))
+    rev_full = reversed_curve(jc.space, full_at)
+    rev_red = reversed_curve(red.space, red_at)
     mu_full = maslov.maslov_index(rev_full, vert, seed=0).value
     mu_red = maslov.maslov_index(rev_red, rvert, seed=0).value
     check = maslov.maslov_index(rev_red, rvert, seed=1).value

@@ -316,8 +316,8 @@ def validate(config: dict, command: str) -> List[str]:
     else:
         _validate_system(config, out)
     seed = config.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        out.append("seed must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        out.append("seed must be an integer >= 0")
     opts = config.get("options", {})
     if not isinstance(opts, dict):
         out.append("options must be a table")
@@ -334,10 +334,13 @@ def validate(config: dict, command: str) -> List[str]:
             out.append(f"options.samples = {samples} is over the budget "
                        f"of {MAX_SAMPLES}")
         _check_times(config, opts, command, out)
-    if command == "reduce" and isinstance(config.get("system"), dict):
-        if config["system"].get("n") == 1:
-            out.append("reduce is trivial for n=1: the quotient by the "
-                       "flow direction is a point")
+    reduced = command == "reduce" or (command == "hyperbolic" and isinstance(
+        opts, dict) and opts.get("reduced") is True)
+    if reduced and isinstance(config.get("system"), dict) \
+            and config["system"].get("n") == 1:
+        what = "reduce" if command == "reduce" else "options.reduced = true"
+        out.append(f"{what} is trivial for n=1: the quotient by the "
+                   "flow direction is a point")
     try:
         if json.loads(json.dumps(config)) != config:
             out.append("config does not round-trip through serialization")
@@ -641,15 +644,14 @@ def write_error(out_dir, command: str, exit_code: int, kind: str,
 def run(config: dict, command: str, seed: Optional[int] = None) -> RunResult:
     """Validate, dispatch and collect one command's results.
 
-    The seed argument overrides config["seed"] before hashing, so the
-    provenance hash always reflects what actually ran.
+    The seed argument overrides config["seed"] before validation and
+    hashing, so the checks and the provenance hash see what actually runs.
     """
+    if seed is not None and isinstance(config, dict):
+        config = {**config, "seed": seed}
     diagnostics = validate(config, command)
     if diagnostics:
         raise ValidationFailure(diagnostics)
-    config = dict(config)
-    if seed is not None:
-        config["seed"] = seed
     eff_seed = int(config.get("seed", 0))
     start = time.perf_counter()
     if command == "lderiv":

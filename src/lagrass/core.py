@@ -13,10 +13,11 @@ tolerance RANK_TOL = 1e-9: a singular value counts when it exceeds
 RANK_TOL times the largest. That rule lives in one place, the helpers
 rank, span and nullspace below; every module decides ranks, spans,
 kernels and transversality through them. Charts are chosen by a
-stricter rule: transversal_complement is the one chart search, and it
-accepts a complement only when its margin (the smallest singular value
-of [complement | other]) is at least MIN_MARGIN = 1e-2 against every
-subspace in play, so no chart is transversal by round-off alone.
+stricter rule: _complements is the one chart search (Maslov pieces call
+transversal_complement, its stack of one), and it accepts a complement
+only when its margin (the smallest singular value of [complement |
+other]) is at least MIN_MARGIN = 1e-2 against every subspace in play,
+so no chart is transversal by round-off alone.
 The frame and chart kernels read stacks: orthonormal_columns and
 _frames (make_frame's work) take columns of shape (..., 2n, n),
 _darboux the pairs of a stack of charts, _complements (the chart
@@ -486,7 +487,9 @@ def _complements(space: SymplecticSpace, cols: np.ndarray,
     means nothing). The first candidate is built and scored for the whole
     stack in one stacked QR and one stacked _margin pass, and only the
     members it leaves below GOOD_MARGIN go on through the schedule, one
-    at a time."""
+    at a time. A negative seed is refused, drawn from or not."""
+    if seed < 0:
+        raise ValueError(f"chart search seed {seed} must be >= 0")
     must_miss = np.concatenate([cols[:, None], avoid], axis=1)
     q, dependent, defect = _frames(space, space.form @ cols)
     scores = np.where(dependent | ~(defect <= ISOTROPY_TOL), -np.inf,

@@ -686,7 +686,6 @@ class LevelReduction:
 
     space: core.SymplecticSpace
     u: np.ndarray
-    v: np.ndarray
     basis: np.ndarray
     _proj: np.ndarray
 
@@ -751,7 +750,7 @@ def level_reduction(sys: HamiltonianSystem, z0: np.ndarray) -> LevelReduction:
     paired = basis.T @ sigma
     half = n - 1
     proj = np.vstack([-paired[half:], paired[:half]])
-    return LevelReduction(space=space, u=u, v=v, basis=basis, _proj=proj)
+    return LevelReduction(space=space, u=u, basis=basis, _proj=proj)
 
 
 def reduced_jacobi_curve(dense: DenseFlow) -> GrassmannCurve:

@@ -9,7 +9,7 @@ difference per piece, each piece chart from the margin-scored search
 core.transversal_complement), and conjugate-point lists with multiplicities
 for regular monotone curves (bisection on the chart-matrix inertia).
 The Morse index of a regular extremal is the multiplicity sum of its
-Jacobi curve against the initial subspace.
+Jacobi curve against the initial subspace. Scans read each frame once.
 
 Sign convention: a transversal crossing counts +dim when the velocity
 form is positive on the intersection, so monotone increasing curves
@@ -18,6 +18,7 @@ accumulate positive index and monotone decreasing curves negative.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List
 
@@ -167,18 +168,6 @@ def _chart_matrix(frame, chart, t):
         raise ChartFailure(f"curve left the piece chart at t={t:g}") from exc
 
 
-def _memoized(curve: GrassmannCurve):
-    memo = {}
-
-    def at(t):
-        key = float(t)
-        if key not in memo:
-            memo[key] = curve.eval(key)
-        return memo[key]
-
-    return at
-
-
 def _monotone_direction(curve: GrassmannCurve, strict: bool) -> int:
     """Sign of the velocity form, read at seven interior samples."""
     signs = set()
@@ -225,7 +214,7 @@ def maslov_index(curve: GrassmannCurve, train: core.LagrangianFrame,
     main invariance test of this module.
     """
     a, b = curve.domain
-    at = _memoized(curve)
+    at = functools.cache(curve.eval)
     _require_off_train(at, train, a, b)
     pieces = _pieces(train, at, a, b, seed, True)
     value = 0
@@ -251,7 +240,7 @@ def maslov_index_monotone(curve: GrassmannCurve,
     the train.
     """
     a, b = curve.domain
-    at = _memoized(curve)
+    at = functools.cache(curve.eval)
     _require_off_train(at, train, a, b)
     direction = _monotone_direction(curve, strict=False)
     pieces = _pieces(train, at, a, b, 0, False)
@@ -321,7 +310,7 @@ def conjugate_points(curve: GrassmannCurve, train: core.LagrangianFrame,
     """
     _monotone_direction(curve, strict=True)
     a, b = curve.domain
-    at = _memoized(curve)
+    at = functools.cache(curve.eval)
     lo = _trim(at, train, a, b)
     hi = _trim(at, train, b, a)
     pieces = _pieces(train, at, lo, hi, seed, True)

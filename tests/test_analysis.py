@@ -183,6 +183,30 @@ def test_certificate_mode_follows_the_orbit():
     assert math.isnan(window.alpha_estimate) and math.isnan(full.alpha_estimate)
 
 
+def test_certificate_reduced_reads_hessians_not_field_curvatures(
+        monkeypatch):
+    # the reduced certificate keeps only the Hessian peak of the window
+    # states; a field curvature there would be computed and thrown away
+    def refused(*args):
+        raise AssertionError("field curvature in the reduced certificate")
+
+    monkeypatch.setattr(analysis, "_field_curvature", refused)
+    # x Hessian moves with y: not natural, so a field curvature would
+    # take the bracket route
+    sysn = hamflow.polynomial_system(2, [
+        (0.5, (2, 0, 0, 0)), (0.5, (0, 2, 0, 0)), (0.3, (2, 0, 1, 0)),
+        (-0.5, (0, 0, 2, 0)), (-0.25, (0, 0, 0, 2))])
+    assert not sysn.natural
+    dense = hamflow.DenseFlow(sysn, np.array([0.6, 0.3, 0.2, -0.4]),
+                              horizon=1.5, step=1e-2)
+    cert = analysis.certify_negative_curvature(dense)
+    assert cert.kind == "reduced_flow" and cert.verdict
+    states = dense.window().states
+    peak = max(np.linalg.norm(sysn.hessian(z), 2)
+               for z in states[hamflow._subsample(len(states), 33)])
+    assert cert.margin == analysis.NEGATIVITY_MARGIN * (1.0 + peak)
+
+
 def test_certificate_reduced_refuses_one_degree():
     dense = hamflow.DenseFlow(oscillator(1, [[-1.0]]), np.array([1.0, 0.5]),
                               horizon=1.0, step=1e-3)
@@ -336,6 +360,26 @@ def test_reduction_comparison_reads_its_samples_through_the_stencils(
     centres = {trim + horizon - t for t in blocks[0]}
     assert len(centres) == 9
     assert [t for t in late if t in centres] == []
+
+
+def test_reduction_comparison_reads_each_frame_once(monkeypatch):
+    # the graze scan, both index scans, the second-schedule check and the
+    # four stencil blocks share one frame cache; the half-step stencils
+    # reuse five of their seven frames from the full-step ones
+    reads = []
+    gamma = hamflow.DenseFlow.gamma
+
+    def counted(self, t):
+        reads.append(float(t))
+        return gamma(self, t)
+
+    monkeypatch.setattr(hamflow.DenseFlow, "gamma", counted)
+    dense = hamflow.DenseFlow(oscillator(2, np.diag([1.0, 2.3])),
+                              np.array([0.7, -0.4, 1.1, 0.5]), horizon=6.0,
+                              step=1e-3)
+    rep = analysis.reduction_comparison(dense)
+    assert (rep.mu_full, rep.mu_reduced) == (3, 4)
+    assert len(reads) == len(set(reads)) <= 440
 
 
 def test_reduction_comparison_refuses_grazing_direction():

@@ -497,6 +497,202 @@ def test_validate_refuses_callback_work_over_budget():
     assert cli.validate(cfg, "flow") == []
 
 
+@pytest.mark.parametrize("command", ["conjugate", "maslov"])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_exit_two_on_negative_seed(tmp_path, command, where):
+    # numpy refuses a negative seed only once a chart search reaches its
+    # random schedule, which some curves never do: refused up front, and
+    # the --seed override is validated like the config's own seed
+    cfg = base_config(horizon=7.0, seed=-1 if where == "config" else 0)
+    flag = ["--seed", "-1"] if where == "flag" else []
+    out = tmp_path / "out"
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", str(path), "--out", str(out)]
+                    + flag) == 2
+    assert read_json(out / "error.json")["error"] == {
+        "type": "ValidationFailure",
+        "detail": ["seed must be an integer >= 0"]}
+
+
+def lderiv_config(**problem):
+    cfg = {"problem": {"dim_w": 3, "m": 1,
+                       "objective": {"terms": [[1.0, [2, 0, 0]]]},
+                       "constraints": [{"terms": [[1.0, [0, 1, 0]]]}]},
+           "point": {"w": [1.0, 0.0, 0.0], "zeta": [1.0]}}
+    cfg["problem"].update(problem)
+    return cfg
+
+
+def _without(cfg, key):
+    cfg.pop(key)
+    return cfg
+
+
+def _system(**system):
+    cfg = base_config()
+    cfg["system"] = system
+    return cfg
+
+
+REFUSED = [
+    ("flow", [], "config root must be a table"),
+    ("flow", _without(base_config(), "system"), "missing system table"),
+    ("flow", _system(family="hybrid", n=1),
+     "system.family must be natural, metric or custom"),
+    ("flow", _system(family="natural", n=0, potential={"k": [[1.0]]}),
+     "system.n must be an integer >= 1"),
+    ("flow", _system(family="natural", n=1,
+                     potential={"k": [[1.0]], "terms": [[1.0, [2]]]}),
+     "natural system needs potential.k or potential.terms, not both"),
+    ("flow", _system(family="metric", n=1), "metric system needs metric.g"),
+    ("flow", _system(family="metric", n=1, metric={"g": [[1.0]]},
+                     potential={"terms": [[1.0, [2]]]}),
+     "metric potential supports only a quadratic table potential.k"),
+    ("flow", dict(well_config(), system={
+        "family": "metric", "n": 2, "metric": {"g": np.eye(2).tolist()},
+        "potential": {"k": [[1.0, 0.5], [0.0, 1.0]]}}),
+     "potential.k must be symmetric"),
+    ("flow", _system(family="custom", n=1),
+     "custom system needs hamiltonian.terms"),
+    ("flow", base_config(horizon=1.0, step=2.0),
+     "step must not exceed horizon"),
+    ("flow", base_config(seed=1.5), "seed must be an integer >= 0"),
+    ("flow", base_config(options=[]), "options must be a table"),
+    ("hyperbolic", base_config(options={"reduced": True}),
+     "options.reduced = true is trivial for n=1: the quotient by the flow "
+     "direction is a point"),
+    ("lderiv", lderiv_config(dim_w=0), "problem.dim_w must be an integer >= 1"),
+    ("lderiv", lderiv_config(m="1"), "problem.m must be an integer >= 1"),
+    ("lderiv", lderiv_config(objective={}),
+     "problem.objective.terms is required"),
+    ("lderiv", lderiv_config(constraints=[]),
+     "problem.constraints must list m = 1 term tables"),
+    ("lderiv", lderiv_config(constraints=[{}]),
+     "constraints[0].terms is required"),
+    ("lderiv", _without(lderiv_config(), "point"),
+     "lderiv needs a point table with w and zeta"),
+    ("lderiv", dict(lderiv_config(), point={"w": [1.0], "zeta": [1.0]}),
+     "point.w must list 3 finite numbers"),
+    ("lderiv", dict(lderiv_config(), point={"w": [1.0, 0.0, 0.0],
+                                            "zeta": []}),
+     "point.zeta must list 1 finite numbers"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, diagnostic", REFUSED,
+                         ids=[diagnostic for _, _, diagnostic in REFUSED])
+def test_exit_two_lists_the_diagnostic(tmp_path, command, cfg, diagnostic):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    record = read_json(out / "error.json")
+    assert record["error"]["type"] == "ValidationFailure"
+    assert diagnostic in record["error"]["detail"]
+    assert not (out / f"{command}.csv").exists()
+
+
+def test_validate_refuses_configs_no_json_file_holds():
+    # json.loads never builds these; a library caller can pass them to run()
+    tuples = cli.validate(base_config(options={"samples": 5, "x": (1,)}),
+                          "flow")
+    assert "config does not round-trip through serialization" in tuples
+    floats = cli.validate(base_config(horizon=np.float32(4.0)), "flow")
+    assert "config contains non-serializable values" in floats
+
+
+@pytest.mark.parametrize("system, direct", [
+    ({"family": "natural", "n": 2,
+      "potential": {"k": [[1.0, 0.2], [0.2, 2.0]]}},
+     hamflow.quadratic_potential_system(np.array([[1.0, 0.2], [0.2, 2.0]]))),
+    ({"family": "natural", "n": 2,
+      "potential": {"terms": [[1.0, [2, 0]], [0.1, [1, 3]]]}},
+     hamflow.polynomial_system(2, [(0.5, (2, 0, 0, 0)), (0.5, (0, 2, 0, 0)),
+                                   (1.0, (0, 0, 2, 0)),
+                                   (0.1, (0, 0, 1, 3))])),
+    ({"family": "metric", "n": 2, "metric": {"g": np.eye(2).tolist()}},
+     hamflow.quadratic_system(np.diag([1.0, 1.0, 0.0, 0.0]))),
+    ({"family": "metric", "n": 2, "metric": {"g": [[1.0, 0.0], [0.0, 2.0]]},
+      "potential": {"k": [[0.5, 0.1], [0.1, 0.7]]}},
+     hamflow.quadratic_system(np.array([[1.0, 0.0, 0.0, 0.0],
+                                        [0.0, 2.0, 0.0, 0.0],
+                                        [0.0, 0.0, 0.5, 0.1],
+                                        [0.0, 0.0, 0.1, 0.7]]))),
+    ({"family": "custom", "n": 1,
+      "hamiltonian": {"terms": [[0.5, [2, 0]], [0.3, [1, 1]],
+                                [0.5, [0, 4]]]}},
+     hamflow.polynomial_system(1, [(0.5, (2, 0)), (0.3, (1, 1)),
+                                   (0.5, (0, 4))])),
+], ids=["natural-k", "natural-terms", "metric-identity", "metric-potential",
+        "custom"])
+def test_build_system_matches_the_direct_builders(system, direct):
+    cfg = dict(well_config(), system=system,
+               initial=[0.1] * (2 * system["n"]))
+    assert cli.validate(cfg, "flow") == []
+    built = cli.build_system(cfg)
+    assert built.n == direct.n
+    assert built.natural == direct.natural
+    # H = |x|^2 / 2 + U(y) is natural, whichever family spells it
+    assert built.natural == (system["family"] == "natural"
+                             or system.get("metric", {}).get("g")
+                             == np.eye(system["n"]).tolist())
+    if direct.constant_hessian is None:
+        assert built.constant_hessian is None
+    else:
+        assert np.array_equal(built.constant_hessian,
+                              direct.constant_hessian)
+    rng = np.random.default_rng(3)
+    for z in rng.standard_normal((3, 2 * direct.n)):
+        value, grad, hess = built._eval(z)
+        want = direct._eval(z)
+        assert value == want[0]
+        assert np.array_equal(grad, want[1])
+        assert np.array_equal(hess, want[2])
+
+
+def test_compare_writes_an_infinite_bound_as_text(tmp_path):
+    # curvature -1 everywhere: no conjugate time, so every spacing bound
+    # is infinite, and JSON, which has no infinity, holds it as "inf"
+    cfg = base_config(horizon=2.0)
+    cfg["system"]["potential"] = {"k": [[-1.0]]}
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+    scalars = read_json(out / "compare.json")["scalars"]
+    assert scalars["eig_upper"] == pytest.approx(-1.0)
+    assert scalars["bound_gap"] == scalars["bound_hit"] == "inf"
+    assert scalars["min_gap"] == "inf"
+
+
+@pytest.mark.parametrize("potential", [
+    {"k": [[1.0, 0.0], [0.0, 2.0]]},
+    {"terms": [[0.5, [2, 0]], [1.0, [0, 2]], [0.1, [4, 0]],
+               [0.05, [1, 2]]]},
+], ids=["constant-hessian", "polynomial"])
+def test_no_command_reads_a_jacobi_frame_twice(tmp_path, monkeypatch,
+                                               potential):
+    # the scans of one Jacobi curve share its frames: a repeated time of
+    # DenseFlow.gamma within one run is a frame read twice (hyperbolic
+    # with options.reduced builds a second reduced curve and is left out)
+    reads = []
+    gamma = hamflow.DenseFlow.gamma
+
+    def counted(self, t):
+        reads.append(float(t))
+        return gamma(self, t)
+
+    monkeypatch.setattr(hamflow.DenseFlow, "gamma", counted)
+    cfg = well_config(horizon=3.0, step=1e-2)
+    cfg["system"]["potential"] = potential
+    path = write_config(tmp_path, cfg)
+    for command in cli.COMMANDS:
+        if command == "lderiv":
+            continue
+        reads.clear()
+        assert cli.main([command, "--config", str(path),
+                         "--out", str(tmp_path / command)]) == 0, command
+        assert len(reads) == len(set(reads)), command
+
+
 # -------------------------------------------------------------- determinism
 
 

@@ -507,6 +507,17 @@ def test_transversal_complement_seeds_pick_different_graphs():
     assert not core.same_subspace(got0, got1)
 
 
+def test_chart_search_refuses_a_negative_seed():
+    # sigma*frame wins at once here, so the seed is never drawn from;
+    # it is refused all the same, whatever the frames
+    sp = core.standard_space(2)
+    v = core.vertical_frame(sp)
+    assert core.same_subspace(core.transversal_complement(v, seed=0),
+                              core.horizontal_frame(sp))
+    with pytest.raises(ValueError, match="seed -1 must be >= 0"):
+        core.transversal_complement(v, seed=-1)
+
+
 @seed(20261019)
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.integers(0, 3),
