@@ -92,7 +92,6 @@ class ComparisonReport:
     multiplicities: Tuple[int, ...]
     gap_bound_ok: bool
     window_bound_ok: bool
-    step: float
 
 
 def comparison_check(dense: DenseFlow) -> ComparisonReport:
@@ -113,7 +112,7 @@ def comparison_check(dense: DenseFlow) -> ComparisonReport:
         conjugate_times=tuple(times),
         multiplicities=tuple(p.multiplicity for p in pts),
         gap_bound_ok=min_gap >= bound_gap - step,
-        window_bound_ok=window_ok, step=step)
+        window_bound_ok=window_ok)
 
 
 # ------------------------------------------------------------- certificates
@@ -379,9 +378,9 @@ def reduction_comparison(dense: DenseFlow,
             rev_full, rev_red, replace(rev_full, fd_step=half),
             replace(rev_red, fd_step=half)))
 
-    def shared_forms(t, stencil_full, stencil_red):
-        cf = _curvature_form(t, stencil_full)
-        cr = _curvature_form(t, stencil_red)
+    def shared_forms(stencil_full, stencil_red):
+        cf = _curvature_form(stencil_full)
+        cr = _curvature_form(stencil_red)
         frame = stencil_full.chart.pi_frame   # the stencil's centre, at t
         w = frame.columns @ red.level_kernel(frame)
         c_f, *_ = np.linalg.lstsq(cf.basis, w, rcond=None)
@@ -390,8 +389,8 @@ def reduction_comparison(dense: DenseFlow,
 
     kept, worst_min, worst_second = [], 0.0, 0.0
     for i, t in enumerate(ts):
-        mf1, mr1 = shared_forms(t, full1[i], red1[i])
-        mf2, mr2 = shared_forms(t, full2[i], red2[i])
+        mf1, mr1 = shared_forms(full1[i], red1[i])
+        mf2, mr2 = shared_forms(full2[i], red2[i])
         scale = 1.0 + max(np.linalg.norm(mf2), np.linalg.norm(mr2))
         drift = (np.linalg.norm(mf1 - mf2)
                  + np.linalg.norm(mr1 - mr2)) / scale

@@ -36,7 +36,8 @@ is always tested through principal angles, never through raw matrix
 comparison.
 Numerical derivatives likewise share one central-difference rule, the
 helpers _central_difference and _mixed_difference below; callers
-choose only the step.
+choose only the step. The definite-sign verdict lives beside inertia:
+_definite_sign is the one rule that calls a form definite or not.
 """
 
 from __future__ import annotations
@@ -394,17 +395,16 @@ def _chart_matrices(basis_inv: np.ndarray, columns: np.ndarray):
 
 
 def _refusal(meets: np.ndarray, asym: np.ndarray, bad: np.ndarray):
-    """The error chart_matrices raises for one chart's stack, from its rows
-    (k,) of _chart_matrices, or None: the stack is read up to its first
-    subspace meeting Delta, and the first failure refuses it."""
+    """The error of a refused chart's stack, from its rows (k,) of
+    _chart_matrices: read up to its first subspace meeting Delta, a
+    ValueError for the first asymmetric chart matrix there, else
+    NotInChart. Its callers call it for a refused stack only."""
     cut = np.logical_or.accumulate(meets)
     bad = bad & ~cut
     if bad.any():
         return ValueError(f"chart matrix asymmetric ({asym[bad.argmax()]:.3e}"
                           "); input subspace is not Lagrangian")
-    if cut[-1]:
-        return NotInChart("subspace meets the chart complement Delta")
-    return None
+    return NotInChart("subspace meets the chart complement Delta")
 
 
 def chart_matrices(chart: Chart, columns: np.ndarray) -> np.ndarray:
@@ -448,6 +448,15 @@ def inertia(q) -> Inertia:
     neg = int(np.sum(eigs < -thr))
     pos = int(np.sum(eigs > thr))
     return Inertia(neg=neg, zero=m.shape[0] - neg - pos, pos=pos)
+
+
+def _definite_sign(form) -> int:
+    """1 for a positive definite form, -1 for a negative definite one,
+    else 0."""
+    ine = inertia(form)
+    if ine.pos == ine.dim:
+        return 1
+    return -1 if ine.neg == ine.dim else 0
 
 
 def _margin(columns: np.ndarray, others: np.ndarray) -> np.ndarray:

@@ -100,8 +100,7 @@ class GrassmannCurve:
         return self.domain[1] - self.domain[0]
 
 
-def from_chart_family(n: int, matrix_func, domain,
-                      fd_step: Optional[float] = None) -> GrassmannCurve:
+def from_chart_family(n: int, matrix_func, domain) -> GrassmannCurve:
     """Curve from a symmetric-matrix family S(t) in the standard chart."""
     space = core.standard_space(n)
     chart = core.standard_chart(space)
@@ -111,13 +110,11 @@ def from_chart_family(n: int, matrix_func, domain,
         return core.frame_from_chart(core.ChartRep(chart=chart,
                                                    S=0.5 * (s + s.T)))
 
-    return GrassmannCurve(space=space, eval=ev, domain=tuple(domain),
-                          fd_step=fd_step)
+    return GrassmannCurve(space=space, eval=ev, domain=tuple(domain))
 
 
 @dataclass(frozen=True)
 class VelocityForm:
-    at: float
     form: np.ndarray      # symmetric n x n, quadratic in the basis coords
     basis: np.ndarray     # 2n x n, spans the curve point
 
@@ -130,13 +127,10 @@ class VelocityForm:
 class CurveOperator:
     matrix: np.ndarray
     basis: np.ndarray
-    kind: str             # curvature | cross_ratio | transport_generator
-    at: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class CurvatureForm:
-    at: float
     form: np.ndarray      # sym(Sdot R): curvature paired with the velocity
     basis: np.ndarray
     sign: float           # +1 increasing curve, -1 decreasing
@@ -210,11 +204,10 @@ def _centered_charts(frames, center: int, ts, what: str):
     """Darboux charts centered at frames[i][center], each transversal to
     every frame of frames[i], with the chart matrices of the frames, for
     a stack of frame lists read in one stacked pass: the charts, the
-    matrices (b, k, n, n), and for each member the exception
-    _centered_chart raises for it, or None (its chart and matrices then
-    mean nothing). A member is refused when its chart search is
-    exhausted, its chart meets Delta or a chart matrix is refused; the
-    other members keep their charts."""
+    matrices (b, k, n, n), and for each member the exception that
+    refuses it, or None (its chart and matrices then mean nothing). A
+    member is refused when its chart search is exhausted, its chart meets
+    Delta or a chart matrix is refused; the other members keep theirs."""
     space = frames[0][center].space
     cols = np.stack([fr.columns for frs in frames for fr in frs])
     cols = cols.reshape((len(frames), -1) + cols.shape[1:])
@@ -237,16 +230,6 @@ def _centered_charts(frames, center: int, ts, what: str):
             delta_frame=core.LagrangianFrame(space, deltas[i]),
             basis=basis[i], basis_inv=basis_inv[i]))
     return charts, mats, errors
-
-
-def _centered_chart(frames, center: int, t: float, what: str):
-    """Darboux chart centered at frames[center] and transversal to every
-    frame, with the chart matrices of the frames: _centered_charts of a
-    stack of one."""
-    (chart,), mats, (error,) = _centered_charts([frames], center, [t], what)
-    if error:
-        raise error
-    return chart, mats[0]
 
 
 def _stencil_frames(curve: GrassmannCurve, t: float) -> list:
@@ -342,7 +325,7 @@ def velocity_form(curve: GrassmannCurve, t: float) -> VelocityForm:
     if isinstance(stencil, Exception):
         raise stencil
     basis = stencil.chart.basis[:, :curve.space.n]
-    return VelocityForm(at=t, form=stencil.sdot, basis=basis)
+    return VelocityForm(form=stencil.sdot, basis=basis)
 
 
 def cross_ratio(v0: core.LagrangianFrame, v1: core.LagrangianFrame,
@@ -359,7 +342,7 @@ def cross_ratio(v0: core.LagrangianFrame, v1: core.LagrangianFrame,
     z1 = v1.columns
     image = p01 @ (p23 @ z1)
     matrix, *_ = np.linalg.lstsq(z1, image, rcond=None)
-    return CurveOperator(matrix=matrix, basis=z1, kind="cross_ratio")
+    return CurveOperator(matrix=matrix, basis=z1)
 
 
 def infinitesimal_cross_ratio(c0: GrassmannCurve, c1: GrassmannCurve,
@@ -373,16 +356,16 @@ def infinitesimal_cross_ratio(c0: GrassmannCurve, c1: GrassmannCurve,
     frames = [c.eval(t + k * c.fd_step)
               for c in (c0, c1) for k in (-2, -1, 0, 1, 2)]
     # c1(t) is the center: the third of c1's five frames
-    chart, mats = _centered_chart(frames, 7, t, "pair")
+    (chart,), (mats,), (error,) = _centered_charts([frames], 7, [t], "pair")
+    if error:
+        raise error
     s0, s1 = mats[:5], mats[5:]
     gap = s0[2] - s1[2]
     if core.rank(gap) < chart.n:
         raise NotTransversal("curve points coincide at the evaluation time")
     gap_inv = np.linalg.inv(gap)
     matrix = gap_inv @ _d1(s0, c0.fd_step) @ gap_inv @ _d1(s1, c1.fd_step)
-    n = chart.n
-    return CurveOperator(matrix=matrix, basis=chart.basis[:, :n],
-                         kind="cross_ratio", at=t)
+    return CurveOperator(matrix=matrix, basis=chart.basis[:, :chart.n])
 
 
 def pair_ratio(curve: GrassmannCurve, tau: float, t: float) -> CurveOperator:
@@ -415,21 +398,20 @@ def derivative_family(curve: GrassmannCurve) -> GrassmannCurve:
 
 
 def curvature(curve: GrassmannCurve, t: float) -> CurveOperator:
-    return _curvature(t, _stencil_block(curve, [t])[0])
+    return _curvature(_stencil_block(curve, [t])[0])
 
 
 def curvatures(curve: GrassmannCurve, ts):
     """curvature(curve, t) for each time of ts, in order, as a generator:
     the stencils are read in stacked blocks, and a time whose stencil
     fails raises its own exception when it is reached."""
-    for t, stencil in zip(ts, _stencils(curve, ts)):
-        yield _curvature(t, stencil)
+    for stencil in _stencils(curve, ts):
+        yield _curvature(stencil)
 
 
-def _curvature(t: float, stencil) -> CurveOperator:
+def _curvature(stencil) -> CurveOperator:
     chart, _, _, r = _geometry(stencil)
-    return CurveOperator(matrix=r, basis=chart.basis[:, :chart.n],
-                         kind="curvature", at=t)
+    return CurveOperator(matrix=r, basis=chart.basis[:, :chart.n])
 
 
 def curvature_via_cross_ratio(curve: GrassmannCurve,
@@ -445,13 +427,11 @@ def curvature_via_cross_ratio(curve: GrassmannCurve,
     return infinitesimal_cross_ratio(replace(family, fd_step=h), curve, t)
 
 
-def _monotone_sign(sdot: np.ndarray, n: int) -> float:
-    ine = core.inertia(sdot)
-    if ine.pos == n:
-        return 1.0
-    if ine.neg == n:
-        return -1.0
-    raise NotMonotone("velocity form is not definite")
+def _monotone_sign(sdot: np.ndarray) -> float:
+    sign = core._definite_sign(sdot)
+    if not sign:
+        raise NotMonotone("velocity form is not definite")
+    return float(sign)
 
 
 def curvature_form(curve: GrassmannCurve, t: float) -> CurvatureForm:
@@ -462,16 +442,15 @@ def curvature_form(curve: GrassmannCurve, t: float) -> CurvatureForm:
     the curvature form in the velocity inner product, for a decreasing
     curve its negative.
     """
-    return _curvature_form(t, _stencil_block(curve, [t])[0])
+    return _curvature_form(_stencil_block(curve, [t])[0])
 
 
-def _curvature_form(t: float, stencil) -> CurvatureForm:
-    """curvature_form at t from the stencil outcome there."""
+def _curvature_form(stencil) -> CurvatureForm:
+    """curvature_form from the stencil outcome at its time."""
     chart, sdot, _, r = _geometry(stencil)
-    sign = _monotone_sign(_sym(sdot), chart.n)
-    form = _sym(sdot @ r)
-    n = chart.n
-    return CurvatureForm(at=t, form=form, basis=chart.basis[:, :n], sign=sign)
+    sign = _monotone_sign(_sym(sdot))
+    return CurvatureForm(form=_sym(sdot @ r), basis=chart.basis[:, :chart.n],
+                         sign=sign)
 
 
 def transport_generator(curve: GrassmannCurve, t: float) -> CurveOperator:
@@ -483,12 +462,9 @@ def transport_generator(curve: GrassmannCurve, t: float) -> CurveOperator:
     """
     chart, sdot, _, r = _stencil_geometry(curve, t)
     sym_sdot = _sym(sdot)
-    sign = _monotone_sign(sym_sdot, chart.n)
-    x = core.sym_inv_sqrt(sign * sym_sdot)
+    x = core.sym_inv_sqrt(_monotone_sign(sym_sdot) * sym_sdot)
     matrix = np.linalg.solve(x, r @ x)
-    n = chart.n
-    return CurveOperator(matrix=matrix, basis=chart.basis[:, :n] @ x,
-                         kind="transport_generator", at=t)
+    return CurveOperator(matrix=matrix, basis=chart.basis[:, :chart.n] @ x)
 
 
 def _generator(n: int) -> np.ndarray:
@@ -504,10 +480,8 @@ class TransportResult:
     t0: float
     t1: float
     matrix: np.ndarray          # 2n x 2n propagator in the moving frame
-    frame0: np.ndarray          # 2n x n initial moving frame
-    frame1: np.ndarray          # 2n x n transported frame
     generators: List[Tuple[float, np.ndarray]]
-    drift: float                # gap between span(frame1) and the curve point
+    drift: float                # transported frame's gap to the curve at t1
 
 
 def transport(curve: GrassmannCurve, t0: float,
@@ -550,13 +524,11 @@ def transport(curve: GrassmannCurve, t0: float,
 
     chart0, sdot0, a0, _ = geometry(t0)
     sym_sdot0 = _sym(sdot0)
-    sign = _monotone_sign(sym_sdot0, n)
-    x0 = core.sym_inv_sqrt(sign * sym_sdot0)
+    x0 = core.sym_inv_sqrt(_monotone_sign(sym_sdot0) * sym_sdot0)
     e0, f0 = chart0.basis[:, :n], chart0.basis[:, n:]
     z = e0 @ x0
     w = (e0 @ a0 + f0) @ (sdot0 @ x0)
     gamma = np.eye(2 * n)
-    frame0 = z.copy()
     generators: List[Tuple[float, np.ndarray]] = []
 
     def coefficients(tau, z_s):
@@ -582,8 +554,8 @@ def transport(curve: GrassmannCurve, t0: float,
     generators.append((t1, coefficients(t1, z)[3]))
     end_frame = core.make_frame(curve.space, z)
     drift = core.subspace_gap(end_frame, curve.eval(t1))
-    return TransportResult(t0=t0, t1=t1, matrix=gamma, frame0=frame0,
-                           frame1=z, generators=generators, drift=drift)
+    return TransportResult(t0=t0, t1=t1, matrix=gamma,
+                           generators=generators, drift=drift)
 
 
 def fundamental_matrix(a_func, t0: float, t1: float) -> np.ndarray:
@@ -607,12 +579,11 @@ def fundamental_matrix(a_func, t0: float, t1: float) -> np.ndarray:
     return gamma[0]
 
 
-def reparametrize(curve: GrassmannCurve, phi, new_domain,
-                  fd_step: Optional[float] = None) -> GrassmannCurve:
+def reparametrize(curve: GrassmannCurve, phi, new_domain) -> GrassmannCurve:
     """Precompose the curve with a time change phi."""
     return GrassmannCurve(space=curve.space,
                           eval=lambda tau: curve.eval(phi(tau)),
-                          domain=tuple(new_domain), fd_step=fd_step)
+                          domain=tuple(new_domain))
 
 
 def schwarzian(phi, t: float) -> float:
@@ -661,13 +632,7 @@ def classify(curve: GrassmannCurve) -> CurveClassification:
         # form and irregular is that form's regularity check
         if stencil.irregular:
             regular = False
-        ine = core.inertia(stencil.sdot)
-        if ine.pos == curve.space.n:
-            signs.append(1)
-        elif ine.neg == curve.space.n:
-            signs.append(-1)
-        else:
-            signs.append(0)
+        signs.append(core._definite_sign(stencil.sdot))
     if signs and all(s == 1 for s in signs):
         monotone = "increasing"
     elif signs and all(s == -1 for s in signs):

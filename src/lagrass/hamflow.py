@@ -382,8 +382,9 @@ def _check_span(horizon: float, step: float):
 
 
 def _grid(horizon: float, step: float) -> np.ndarray:
+    """0 to horizon by step: two times at least, however short the horizon."""
     _check_span(horizon, step)
-    count = int(math.ceil(horizon / step - 1e-12))
+    count = max(1, int(math.ceil(horizon / step - 1e-12)))
     times = np.minimum(step * np.arange(count + 1), horizon)
     times[-1] = horizon
     return times
@@ -549,8 +550,6 @@ def _march(sys: HamiltonianSystem, outs: Sequence[np.ndarray],
     Hessians (_pair_march).  Either way BlowUp names the first grid
     time past the cap.
     """
-    if len(times) < 2:
-        return
     if sys.constant_hessian is not None:
         steps, which = np.unique(np.diff(times), return_inverse=True)
         increments = [sys._increment(dt) for dt in steps]
@@ -909,25 +908,16 @@ def _subsample(count: int, want: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    times: np.ndarray
-    inertias: tuple
     uniform_definite: bool
     sign: int
 
 
 def monotonicity_test(traj: Trajectory) -> MonotonicityReport:
-    """Inertia scan of the xx Hessian block at up to 201 trajectory
-    samples."""
+    """Legendre scan: the definite sign (core._definite_sign) of the xx
+    Hessian block at up to 201 trajectory samples, their common sign, or
+    0 when they disagree or one is not definite."""
     sys = traj.sys
-    idx = _subsample(len(traj.times), 201)
-    inertias = []
-    for k in idx:
-        hxx = sys.hessian(traj.states[k])[:sys.n, :sys.n]
-        inertias.append(core.inertia(hxx))
-    pos = all(i.neg == 0 and i.zero == 0 for i in inertias)
-    neg = all(i.pos == 0 and i.zero == 0 for i in inertias)
-    sign = 1 if pos else (-1 if neg else 0)
-    return MonotonicityReport(times=traj.times[idx],
-                              inertias=tuple(inertias),
-                              uniform_definite=sign != 0,
-                              sign=sign)
+    signs = {core._definite_sign(sys.hessian(traj.states[k])[:sys.n, :sys.n])
+             for k in _subsample(len(traj.times), 201)}
+    sign = signs.pop() if len(signs) == 1 else 0
+    return MonotonicityReport(uniform_definite=sign != 0, sign=sign)

@@ -19,7 +19,7 @@ accumulate positive index and monotone decreasing curves negative.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List
 
 import numpy as np
@@ -169,7 +169,9 @@ def _chart_matrix(frame, chart, t):
 
 
 def _monotone_direction(curve: GrassmannCurve, strict: bool) -> int:
-    """Sign of the velocity form, read at seven interior samples."""
+    """Sign of the velocity form, read at seven interior samples. Unlike
+    core._definite_sign it accepts a semi-definite form, since
+    maslov_index_monotone accepts a singular velocity."""
     signs = set()
     ts = _interior(curve, 7)
     for t, stencil in zip(ts, _stencils(curve, ts)):
@@ -349,7 +351,9 @@ def morse_index_regular_extremal(jc: GrassmannCurve) -> int:
     Equals the total multiplicity of interior conjugate points against
     the initial subspace; a horizon whose endpoint subspace still meets
     the initial one has a degenerate second variation and is refused.
+    Every frame is read once, through one cache shared with the scan.
     """
+    jc = replace(jc, eval=functools.cache(jc.eval))
     t0, t1 = jc.domain
     train = jc.eval(t0)
     if core.intersection_dim(jc.eval(t1), train) > 0:

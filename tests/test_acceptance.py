@@ -7,6 +7,7 @@ this file on purpose: the sweep should not inherit helpers whose
 defaults might drift.
 """
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -292,8 +293,8 @@ def test_criterion_05_curvature_cross_validation():
     gaps = np.geomspace(0.005, 0.02, 8)
     for draw in range(20):
         n = 2 + (draw % 2)
-        c = curve.from_chart_family(n, _monotone_draw(rng, n), (-0.3, 0.3),
-                                    fd_step=h)
+        c = dataclasses.replace(curve.from_chart_family(
+            n, _monotone_draw(rng, n), (-0.3, 0.3)), fd_step=h)
         r1 = curve.curvature(c, t0)
         r2 = curve.curvature_via_cross_ratio(c, t0)
         rel = (np.linalg.norm(r1.matrix - r2.matrix)

@@ -24,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from lagrass import analysis, core, hamflow
+from lagrass import analysis, core, hamflow, maslov
 from lagrass.errors import (
     DegenerateEndpoint,
     NotMonotone,
@@ -380,6 +380,25 @@ def test_reduction_comparison_reads_each_frame_once(monkeypatch):
     rep = analysis.reduction_comparison(dense)
     assert (rep.mu_full, rep.mu_reduced) == (3, 4)
     assert len(reads) == len(set(reads)) <= 440
+
+
+def test_morse_index_regular_extremal_reads_each_frame_once(monkeypatch):
+    # the endpoint reads at t0 and t1 and the conjugate scan share one
+    # frame cache
+    reads = []
+    gamma = hamflow.DenseFlow.gamma
+
+    def counted(self, t):
+        reads.append(float(t))
+        return gamma(self, t)
+
+    monkeypatch.setattr(hamflow.DenseFlow, "gamma", counted)
+    dense = hamflow.DenseFlow(oscillator(2, np.diag([1.0, 2.3])),
+                              np.array([0.7, -0.4, 1.1, 0.5]), horizon=6.0,
+                              step=1e-3)
+    jc = hamflow.jacobi_curve(dense)
+    assert maslov.morse_index_regular_extremal(jc) == 3
+    assert reads and len(reads) == len(set(reads))
 
 
 def test_reduction_comparison_refuses_grazing_direction():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -357,6 +358,18 @@ _DELETED_KNOBS = {
     "lagrass.maslov.conjugate_points": {"max_gap"},
     "lagrass.maslov.morse_index_regular_extremal": {"max_gap", "seed"},
     "lagrass.lderiv.family_index_delta": {"max_gap", "seed"},
+    "lagrass.curve.from_chart_family": {"fd_step"},
+    "lagrass.curve.reparametrize": {"fd_step"},
+}
+
+# result fields that no caller read, by class
+_DELETED_FIELDS = {
+    curve.CurveOperator: {"kind", "at"},
+    curve.VelocityForm: {"at"},
+    curve.CurvatureForm: {"at"},
+    curve.TransportResult: {"frame0", "frame1"},
+    hamflow.MonotonicityReport: {"times", "inertias"},
+    analysis.ComparisonReport: {"step"},
 }
 
 
@@ -375,6 +388,28 @@ def test_deleted_knobs_stay_deleted():
                           (cli._check_matrix, "symmetric")):
         assert knob not in inspect.signature(private).parameters
     assert "gradient" not in vars(hamflow.HamiltonianSystem)
+    # infinitesimal_cross_ratio calls _centered_charts with a stack of one
+    assert not hasattr(curve, "_centered_chart")
+
+
+@pytest.mark.parametrize("form, sign", [
+    (np.diag([1.0, 2.0]), 1), (np.diag([-1.0, -3.0]), -1),
+    (np.diag([1.0, -1.0]), 0), (np.diag([1.0, 0.0]), 0),
+    (np.diag([0.0, -1.0]), 0), (np.zeros((2, 2)), 0), ([[2.0]], 1),
+    ([[1.0, 2.0], [2.0, 1.0]], 0), ([[2.0, 1.0], [1.0, 2.0]], 1),
+])
+def test_definite_sign_is_the_inertia_verdict(form, sign):
+    # semi-definite forms are not definite
+    assert core._definite_sign(np.asarray(form)) == sign
+
+
+def test_deleted_fields_stay_deleted():
+    back = {}
+    for cls, gone in _DELETED_FIELDS.items():
+        fields = gone & {f.name for f in dataclasses.fields(cls)}
+        if fields:
+            back[cls.__name__] = sorted(fields)
+    assert back == {}
 
 
 def test_only_the_integrators_take_an_orbit_span():

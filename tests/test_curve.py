@@ -202,8 +202,8 @@ def test_curves_refuse_a_step_they_cannot_differentiate_with(domain, fd_step):
     # is a step, but leaves (-1, 1) no room for a stencil, so the curve
     # is built and classify refuses it
     with pytest.raises(ValueError, match="fd_step .* domain") as info:
-        curve.classify(curve.from_chart_family(
-            1, lambda t: [[t]], domain, fd_step=fd_step))
+        curve.classify(dataclasses.replace(curve.from_chart_family(
+            1, lambda t: [[t]], domain), fd_step=fd_step))
     if fd_step == 0.3:
         assert str(info.value).startswith("no room for a stencil")
     else:
@@ -363,7 +363,8 @@ def test_reparametrize_scaling_keeps_flat():
 
 def test_reparametrize_arctan_makes_nonpositive():
     c = line_curve(1)
-    c2 = curve.reparametrize(c, np.arctan, (-1.0, 1.0), fd_step=5e-4)
+    c2 = dataclasses.replace(curve.reparametrize(c, np.arctan, (-1.0, 1.0)),
+                             fd_step=5e-4)
     for t in (-0.6, 0.0, 0.7):
         r = curve.curvature(c2, t).matrix[0, 0]
         want = -1.0 / (1.0 + t * t) ** 2
@@ -560,6 +561,33 @@ def test_block_refuses_exhausted_members_alone_and_reads_once(monkeypatch):
         _assert_same_outcome(
             _outcome(lambda: curve._geometry(st)),
             _outcome(lambda: curve._stencil_geometry(c, t)))
+
+
+def test_block_refuses_a_non_lagrangian_member_alone():
+    # only the frame at 0.2 + h is not Lagrangian, so the chart matrices
+    # refuse the stencil at 0.2 alone (core._refusal's ValueError in
+    # _centered_charts) and the stencil at 0.4 reads on
+    base = curve.from_chart_family(2, lambda t: np.diag([t, 2.0 * t]),
+                                   (-1.0, 1.0))
+    h = base.fd_step
+
+    def ev(t):
+        if t != 0.2 + h:
+            return base.eval(t)
+        s = np.diag([t, 2.0 * t])
+        s[0, 1] += 0.3
+        cols = np.linalg.qr(np.vstack([np.eye(2), s]))[0]
+        return core.LagrangianFrame(base.space, cols)
+
+    c = dataclasses.replace(base, eval=ev)
+    bad, good = curve._stencil_block(c, [0.2, 0.4])
+    assert type(bad) is ValueError
+    assert str(bad).startswith("chart matrix asymmetric (")
+    assert str(bad).endswith("); input subspace is not Lagrangian")
+    _assert_same_outcome(bad, curve._stencil_block(c, [0.2])[0])
+    assert isinstance(good, curve._Stencil)
+    _assert_same_outcome(_outcome(lambda: curve._geometry(good)),
+                         _outcome(lambda: curve._stencil_geometry(c, 0.4)))
 
 
 def test_transport_raises_a_later_irregular_stencil_as_alone():

@@ -98,6 +98,32 @@ def test_integrators_refuse_a_bad_horizon_or_step(integrator, horizon, step,
         integrator(sys, [0.3, 0.2], horizon, step)
 
 
+@pytest.mark.parametrize("horizon", [1e-15, 5e-324])
+@pytest.mark.parametrize("system", [oscillator, pendulum])
+def test_flow_grid_starts_at_zero_for_a_horizon_below_the_step(system,
+                                                               horizon):
+    # _grid gives two times at least, so _march always has a step to take
+    # and the first row is z0 at time 0, not at the horizon
+    z0 = np.array([0.3, 0.2])
+    traj = hamflow.flow(system(), z0, horizon, step=1e-3)
+    assert traj.times.tolist() == [0.0, horizon]
+    assert np.array_equal(traj.states[0], z0)
+    assert np.allclose(traj.states[1], z0, atol=1e-14)
+
+
+def test_asymmetric_hessians_are_refused():
+    # reaches _symmetric's refusal, through quadratic_system's M and
+    # through the Hessian callback of a hand-written system
+    m = np.array([[1.0, 0.5], [0.0, 1.0]])
+    refusal = r"^Hessian callback asymmetric, defect 7\.071e-01$"
+    with pytest.raises(ValueError, match=refusal):
+        hamflow.quadratic_system(m)
+    sys = hamflow.HamiltonianSystem(
+        n=1, eval=lambda x, y: (0.0, np.zeros(2), m))
+    with pytest.raises(ValueError, match=refusal):
+        sys.hessian(np.zeros(2))
+
+
 def test_flow_free_particle_closed_form():
     sys = hamflow.quadratic_potential_system(np.zeros((2, 2)))
     z0 = np.array([0.4, -1.1, 0.2, 0.9])

@@ -119,6 +119,31 @@ def test_newton_always_pins_the_constraint_level():
     assert target.default is inspect.Parameter.empty
 
 
+def test_newton_refuses_after_its_iteration_cap():
+    # w^2 = -1 has no solution: the raise after NEWTON_MAX_ITER
+    problem = lderiv.FiniteProblem(
+        dim_w=1, m=1, j_value=lambda w: float(w[0] ** 2),
+        phi_value=lambda w: np.array([w[0] ** 2]))
+    with pytest.raises(ValueError, match=(
+            rf"^no stationary point within {lderiv.NEWTON_MAX_ITER} "
+            r"iterations, residual ")):
+        lderiv.lagrangian_point(problem, w0=np.array([0.5]),
+                                zeta0=np.array([0.1]),
+                                target=np.array([-1.0]))
+
+
+@pytest.mark.parametrize("a, q, match", [
+    (np.ones((1, 3)), np.eye(2), r"^incompatible shapes for A and Q$"),
+    (np.ones((1, 2)), np.ones((2, 3)), r"^incompatible shapes for A and Q$"),
+    (np.ones((1, 2)), [[1.0, 0.5], [0.0, 1.0]],
+     r"^Q not symmetric, defect 7\.071e-01$"),
+], ids=["wide-A", "non-square-Q", "asymmetric-Q"])
+def test_lderiv_data_refuses_bad_shapes_and_asymmetric_q(a, q, match):
+    # the two refusals of LDerivData.__post_init__
+    with pytest.raises(ValueError, match=match):
+        lderiv.LDerivData(A=a, Q=q)
+
+
 def test_finite_difference_fallback_is_flagged_and_close():
     analytic = lderiv.FiniteProblem(
         dim_w=3, m=1,

@@ -288,6 +288,27 @@ def test_isotropic_crossing_has_full_multiplicity():
     assert maslov.maslov_index(c, train).value == -2
 
 
+def test_close_crossings_split_on_an_intermediate_level(monkeypatch):
+    # the two eigenvalues cross at pi / 1.003 and pi, both within one
+    # scan interval; _locate finds the middle inertia level between them
+    # and splits there (its else branch), so each crossing comes out alone
+    c = curve.from_chart_family(
+        2, lambda t: np.diag([-np.tan(t), -np.tan(1.003 * t)]), (0.1, 3.3))
+    levels = []
+    locate = maslov._locate
+
+    def spy(indf, tl, tr, il, ir, tol, depth=0):
+        levels.append((depth, il, ir))
+        return locate(indf, tl, tr, il, ir, tol, depth)
+
+    monkeypatch.setattr(maslov, "_locate", spy)
+    pts = maslov.conjugate_points(c, vertical_train(2))
+    assert levels == [(0, 0, 2), (1, 0, 1), (1, 1, 2)]
+    assert [p.multiplicity for p in pts] == [1, 1]
+    assert abs(pts[0].t - np.pi / 1.003) <= 1e-8
+    assert abs(pts[1].t - np.pi) <= 1e-8
+
+
 def test_conjugate_total_matches_index_magnitude():
     c = tan_family(1, sign=-1.0, domain=(0.05, 3.5 * np.pi))
     train = vertical_train(1)
