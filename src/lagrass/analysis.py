@@ -33,7 +33,7 @@ import numpy as np
 
 from . import core, maslov
 from .curve import GrassmannCurve, _curvature_form, _stencils, curvatures
-from .errors import DegenerateEndpoint, NotMonotone, TangentFiber
+from .errors import NotMonotone, TangentFiber
 from .hamflow import (
     EQUILIBRIUM_TOL,
     DenseFlow,
@@ -259,8 +259,9 @@ def morse_pipeline(dense: DenseFlow,
                    trim: Optional[float] = None) -> MorsePipeline:
     """Morse index of the extremal plus its cross-checks.
 
-    The index is the multiplicity sum of interior conjugate points; the
-    same number must come back (up to the monotonicity sign) from the
+    The index is the multiplicity sum of the points of
+    maslov._extremal_scan, the scan morse_index_regular_extremal runs;
+    the same number must come back (up to the monotonicity sign) from the
     intersection index over a trimmed interval, computed with charts
     and no conjugate-point machinery. Disagreement raises instead of
     picking a side.
@@ -269,14 +270,7 @@ def morse_pipeline(dense: DenseFlow,
     legendre = monotonicity_test(dense.window())
     if not legendre.uniform_definite:
         raise NotMonotone("the fiber Hessian changes type along the orbit")
-    jc = jacobi_curve(dense)
-    jc = replace(jc, eval=functools.cache(jc.eval))
-    train = core.vertical_frame(jc.space)
-    if core.intersection_dim(jc.eval(horizon), train) > 0:
-        raise DegenerateEndpoint(
-            "horizon is a conjugate time; the second variation is "
-            "degenerate there")
-    pts = maslov.conjugate_points(jc, train)
+    jc, train, pts = maslov._extremal_scan(jacobi_curve(dense))
     index = int(sum(p.multiplicity for p in pts))
     first = pts[0].t if pts else horizon
     if trim is None:

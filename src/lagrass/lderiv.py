@@ -181,10 +181,6 @@ class LDerivData:
     def m(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def dim_w(self) -> int:
-        return self.A.shape[1]
-
 
 def lderiv_data(problem: FiniteProblem, point: LagrangianPoint) -> LDerivData:
     return LDerivData(A=problem.jac_phi(point.w),

@@ -42,7 +42,6 @@ _CERT_SAMPLES = 9
 _SCAN_SAMPLES = 33
 _TIME_TOL = 1e-10     # of the domain length, crossing localization
 _NUDGE = 1e-6         # of the piece length, off-train shifts
-_MULT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -161,9 +160,10 @@ def _pieces(train, at, a, b, seed, need_train, depth=0):
     return [(a, b, chart)]
 
 
-def _chart_matrix(frame, chart, t):
+def _chart_index(at, chart, t):
+    """Negative inertia of the curve's chart matrix at t."""
     try:
-        return core.chart_coords(frame, chart).S
+        return core.inertia(core.chart_coords(at(t), chart).S).neg
     except NotInChart as exc:
         raise ChartFailure(f"curve left the piece chart at t={t:g}") from exc
 
@@ -222,9 +222,7 @@ def maslov_index(curve: GrassmannCurve, train: core.LagrangianFrame,
     value = 0
     subdivision = [a]
     for pa, pb, chart in pieces:
-        sa = _chart_matrix(at(pa), chart, pa)
-        sb = _chart_matrix(at(pb), chart, pb)
-        value += core.inertia(sa).neg - core.inertia(sb).neg
+        value += _chart_index(at, chart, pa) - _chart_index(at, chart, pb)
         subdivision.append(pb)
     return IndexReport(value=value, subdivision=subdivision,
                        charts_used=len(pieces))
@@ -304,11 +302,12 @@ def conjugate_points(curve: GrassmannCurve, train: core.LagrangianFrame,
     curves.
 
     Monotonicity makes the chart eigenvalues move one way, so the
-    negative-eigenvalue count bisects cleanly and steps by the full
-    multiplicity at each isolated crossing. Endpoint times lying on the
+    negative-eigenvalue count bisects cleanly, and its jump at a crossing
+    is the multiplicity dim(curve(t) meet train). Points within 10 tol
+    merge into the earlier one, multiplicities added: a crossing on a
+    scan sample splits across two brackets. Endpoint times lying on the
     reference (a Jacobi curve starts there) are stepped over by a
-    vanishing trim; multiplicities are read as the near-kernel dimension
-    of the chart matrix at the located time.
+    vanishing trim.
     """
     _monotone_direction(curve, strict=True)
     a, b = curve.domain
@@ -317,12 +316,12 @@ def conjugate_points(curve: GrassmannCurve, train: core.LagrangianFrame,
     hi = _trim(at, train, b, a)
     pieces = _pieces(train, at, lo, hi, seed, True)
     tol = _TIME_TOL * curve.length
-    found = []
+    # pieces, brackets and _locate's splits all run forward in time
+    found: List[ConjugatePoint] = []
     for pa, pb, chart in pieces:
-
-        def indf(t, chart=chart):
-            return core.inertia(_chart_matrix(at(t), chart, t)).neg
-
+        indf = functools.partial(_chart_index, at, chart)
+        # a fixed grid, not bisection from the piece ends: its samples see
+        # the curve leave the piece chart (ChartFailure) and miscount none
         ts = np.linspace(pa, pb, _SCAN_SAMPLES)
         inds = [indf(t) for t in ts]
         for i in range(len(ts) - 1):
@@ -330,35 +329,30 @@ def conjugate_points(curve: GrassmannCurve, train: core.LagrangianFrame,
                 continue
             for t_star, jump in _locate(indf, ts[i], ts[i + 1],
                                         inds[i], inds[i + 1], tol):
-                eigs = np.abs(np.linalg.eigvalsh(
-                    _chart_matrix(at(t_star), chart, t_star)))
-                null = int((eigs <= _MULT_TOL * (1.0 + eigs.max())).sum())
-                found.append(ConjugatePoint(t=float(t_star),
-                                            multiplicity=null if null
-                                            else jump))
-    found.sort(key=lambda p: p.t)
-    merged: List[ConjugatePoint] = []
-    for p in found:
-        if merged and abs(p.t - merged[-1].t) <= 10.0 * tol:
-            continue
-        merged.append(p)
-    return merged
+                if found and t_star - found[-1].t <= 10.0 * tol:
+                    prev = found.pop()
+                    t_star, jump = prev.t, prev.multiplicity + jump
+                found.append(ConjugatePoint(float(t_star), jump))
+    return found
 
 
-def morse_index_regular_extremal(jc: GrassmannCurve) -> int:
-    """Morse index of the extremal behind a Jacobi curve.
-
-    Equals the total multiplicity of interior conjugate points against
-    the initial subspace; a horizon whose endpoint subspace still meets
-    the initial one has a degenerate second variation and is refused.
-    Every frame is read once, through one cache shared with the scan.
-    """
+def _extremal_scan(jc: GrassmannCurve):
+    """Frame-cached curve, train jc(t0) and conjugate points of a Jacobi
+    curve: the one scan behind both Morse readers. A degenerate horizon,
+    whose subspace still meets jc(t0), is refused."""
     jc = replace(jc, eval=functools.cache(jc.eval))
     t0, t1 = jc.domain
     train = jc.eval(t0)
     if core.intersection_dim(jc.eval(t1), train) > 0:
         raise DegenerateEndpoint(
-            "endpoint subspace meets the initial subspace; the second "
-            "variation is degenerate at this horizon")
-    pts = conjugate_points(jc, train)
-    return int(sum(p.multiplicity for p in pts))
+            "horizon is a conjugate time; the second variation is "
+            "degenerate there")
+    return jc, train, conjugate_points(jc, train)
+
+
+def morse_index_regular_extremal(jc: GrassmannCurve) -> int:
+    """Morse index of the extremal behind a Jacobi curve.
+
+    The total multiplicity of the conjugate points of _extremal_scan.
+    """
+    return int(sum(p.multiplicity for p in _extremal_scan(jc)[2]))

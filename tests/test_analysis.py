@@ -292,6 +292,14 @@ def test_morse_pipeline_degenerate_horizon():
         analysis.morse_pipeline(dense)
 
 
+def test_morse_pipeline_refuses_a_trim_past_the_first_conjugate_time():
+    dense = hamflow.DenseFlow(hamflow.quadratic_potential_system(np.eye(1)),
+                              [0.3, 0.2], 4.0)
+    with pytest.raises(ValueError, match="^trim 3.5 must fall before the "
+                       "first conjugate time 3.14159$"):
+        analysis.morse_pipeline(dense, trim=3.5)
+
+
 def test_morse_pipeline_requires_legendre():
     dense = hamflow.DenseFlow(saddle_system(),
                               np.array([0.4, 0.3, 0.2, 0.1]),

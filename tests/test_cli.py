@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lagrass import analysis, cli, core, hamflow
+from lagrass import analysis, cli, core, curve, hamflow, maslov
+from lagrass.errors import DegenerateEndpoint
 
 
 def base_config(**overrides):
@@ -115,6 +116,49 @@ def test_morse_free_particle(tmp_path):
     assert cli.main(["morse", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(out)]) == 0
     assert read_json(out / "morse.json")["scalars"]["index"] == 0
+
+
+def near_isotropic_well(delta):
+    # the two directions cross pi * delta apart near pi
+    cfg = base_config()
+    cfg["system"] = {"family": "natural", "n": 2, "potential": {
+        "k": [[1.0, 0.0], [0.0, (1.0 + delta) ** 2]]}}
+    cfg["initial"] = [0.7, -0.4, 1.1, 0.5]
+    return cfg
+
+
+def test_close_crossings_count_once_per_direction(tmp_path):
+    path = write_config(tmp_path, near_isotropic_well(1e-7))
+
+    def run(command):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(path),
+                         "--out", str(out)]) == 0
+        rows = np.loadtxt(out / f"{command}.csv", delimiter=",",
+                          skiprows=1, ndmin=2)
+        return read_json(out / f"{command}.json")["scalars"], rows
+
+    scalars, rows = run("conjugate")
+    assert scalars["index"] == 2
+    assert rows[:, 1].tolist() == [1, 1]
+    scalars, rows = run("morse")
+    assert scalars["index"] == 2 and scalars["trimmed_maslov"] == -2
+    scalars, rows = run("compare")
+    assert rows[:, 1].tolist() == [1, 1]
+
+
+def test_degenerate_horizon_has_one_refusal_text(tmp_path):
+    # the CLI and the library refuse through the same scan
+    detail = ("horizon is a conjugate time; the second variation is "
+              "degenerate there")
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(horizon=np.pi))
+    assert cli.main(["morse", "--config", str(path), "--out", str(out)]) == 3
+    error = read_json(out / "error.json")["error"]
+    assert error == {"type": "DegenerateEndpoint", "detail": detail}
+    jc = curve.from_chart_family(1, lambda t: [[-np.tan(t)]], (0.0, np.pi))
+    with pytest.raises(DegenerateEndpoint, match=f"^{detail}$"):
+        maslov.morse_index_regular_extremal(jc)
 
 
 def test_custom_polynomial_family(tmp_path):
@@ -589,6 +633,21 @@ def test_exit_two_lists_the_diagnostic(tmp_path, command, cfg, diagnostic):
     assert record["error"]["type"] == "ValidationFailure"
     assert diagnostic in record["error"]["detail"]
     assert not (out / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("potential, diagnostic", [
+    ({"terms": "x"},
+     "potential.terms must be a nonempty list of [coeff, exponents]"),
+    ({"terms": [[1.0, 2]]},
+     "potential.terms entries must be [coeff, exponent list]"),
+    ({"k": [[1.0, 0.0]]}, "potential.k must be 1x1"),
+    ({"k": [["a"]]}, "potential.k is not a numeric table"),
+    ({"k": [[float("nan")]]}, "potential.k has non-finite entries"),
+])
+def test_validate_lists_the_potential_diagnostic(potential, diagnostic):
+    cfg = base_config()
+    cfg["system"]["potential"] = potential
+    assert diagnostic in cli.validate(cfg, "flow")
 
 
 def test_validate_refuses_configs_no_json_file_holds():

@@ -11,7 +11,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import lagrass
-from lagrass import analysis, cli, core, curve, hamflow, maslov
+from lagrass import analysis, cli, core, curve, hamflow, lderiv, maslov
 from lagrass.errors import NotInChart, NotTransversal, SearchExhausted
 
 
@@ -390,6 +390,11 @@ def test_deleted_knobs_stay_deleted():
     assert "gradient" not in vars(hamflow.HamiltonianSystem)
     # infinitesimal_cross_ratio calls _centered_charts with a stack of one
     assert not hasattr(curve, "_centered_chart")
+    # a conjugate point's multiplicity is the inertia jump that found it,
+    # and _chart_index reads every piece-chart inertia
+    assert not hasattr(maslov, "_MULT_TOL")
+    assert not hasattr(maslov, "_chart_matrix")
+    assert "dim_w" not in vars(lderiv.LDerivData)
 
 
 @pytest.mark.parametrize("form, sign", [

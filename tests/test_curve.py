@@ -428,6 +428,26 @@ def test_classify_asymmetric():
     assert cl.symmetric is False
 
 
+def test_classify_regular_but_not_monotone():
+    # the velocity diag(1, -1 - 3t^2) is regular and indefinite: flatness
+    # is still read, symmetry is not
+    c = curve.from_chart_family(2, lambda t: np.diag([t, -t - t ** 3]),
+                                (-1.0, 1.0))
+    assert curve.classify(c) == curve.CurveClassification(
+        regular=True, monotone=None, flat=False, symmetric=None)
+
+
+def test_classify_counts_a_failed_chart_search_as_irregular(monkeypatch):
+    # no complement clears a margin of 2, so every sample's chart search
+    # fails and no flag can be read
+    monkeypatch.setattr(core, "MIN_MARGIN", 2.0)
+    monkeypatch.setattr(core, "GOOD_MARGIN", 2.0)
+    c = curve.from_chart_family(2, lambda t: np.diag([t, 2.0 * t]),
+                                (-1.0, 1.0))
+    assert curve.classify(c) == curve.CurveClassification(
+        regular=False, monotone=None, flat=None, symmetric=None)
+
+
 def test_fundamental_matrix_backward_matches_expm():
     # counting the steps from |t1 - t0| integrates [2, 0] in 2,000 steps
     # too, not in one

@@ -21,7 +21,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lagrass import analysis, core, curve, hamflow, maslov
-from lagrass.errors import BlowUp, ReductionRefused, TangentFiber
+from lagrass.errors import BlowUp, NotRegular, ReductionRefused, TangentFiber
 
 
 def oscillator(n=1, k_mat=None):
@@ -122,6 +122,14 @@ def test_asymmetric_hessians_are_refused():
         n=1, eval=lambda x, y: (0.0, np.zeros(2), m))
     with pytest.raises(ValueError, match=refusal):
         sys.hessian(np.zeros(2))
+
+
+def test_hessian_callback_of_the_wrong_shape_is_refused():
+    sys = hamflow.HamiltonianSystem(
+        n=1, eval=lambda x, y: (0.0, np.zeros(2), np.eye(3)))
+    with pytest.raises(ValueError, match=r"^Hessian callback must return a "
+                       r"\(2, 2\) matrix$"):
+        hamflow.DenseFlow(sys, [0.3, 0.2], 1.0)
 
 
 def test_flow_free_particle_closed_form():
@@ -332,6 +340,25 @@ def test_connection_shared_between_metric_and_metric_plus_potential():
     c_pot = hamflow.connection_hamiltonian(curved_metric(True), at)
     assert np.allclose(c_free, c_pot, atol=1e-12)
     assert np.abs(c_free).max() > 1e-3
+
+
+def test_connection_refuses_a_singular_xx_block():
+    # H = y^2: no x dependence at all
+    sys = hamflow.polynomial_system(1, [(1.0, (0, 2))])
+    with pytest.raises(NotRegular,
+                       match="xx Hessian block is singular at the point"):
+        hamflow.connection_hamiltonian(sys, ([0.3], [0.2]))
+
+
+def test_finite_difference_hessian_rate_vanishes_at_an_equilibrium():
+    # no hxx_rate callback and no motion: the directional difference has
+    # no direction, and the rate is zero
+    sys = hamflow.HamiltonianSystem(
+        n=1, eval=lambda x, y: (0.5 * (x @ x + y @ y),
+                                np.concatenate([x, y]), np.eye(2)))
+    z = np.zeros(2)
+    rate = hamflow._hxx_rate(sys, z, sys.field(z), hamflow.THIRD_FD_STEP)
+    assert np.array_equal(rate, np.zeros((1, 1)))
 
 
 def test_cubic_hessian_rate_hand_oracle():

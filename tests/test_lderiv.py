@@ -248,6 +248,13 @@ def test_duality_booleans_for_degenerate_restriction():
     assert not check.transversal_to_fiber
 
 
+def test_duality_check_refuses_a_rank_deficient_jacobian():
+    with pytest.raises(RankDrop,
+                       match="constraint Jacobian is rank deficient"):
+        lderiv.duality_check(lderiv.LDerivData(A=[[1.0, 0.0], [2.0, 0.0]],
+                                               Q=np.eye(2)))
+
+
 def test_duality_booleans_always_agree():
     rng = np.random.default_rng(714)
     done = 0

@@ -12,6 +12,8 @@ Hand-checked oracles, fixed before the implementation:
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from lagrass import core, curve, maslov
 from lagrass.errors import (
@@ -253,6 +255,15 @@ def test_monotone_route_requires_monotonicity():
         maslov.maslov_index_monotone(c, vertical_train(2))
 
 
+def test_monotone_route_refuses_a_velocity_that_changes_sign():
+    # t^3 - t turns from increasing to decreasing and back: each sample's
+    # velocity is definite, but the samples disagree in sign
+    c = curve.from_chart_family(1, lambda t: [[t ** 3 - t]], (-1.5, 1.5))
+    with pytest.raises(NotMonotone,
+                       match="velocity form has no consistent sign"):
+        maslov.maslov_index_monotone(c, core.horizontal_frame(c.space))
+
+
 # ----------------------------------------------------------- conjugate points
 
 
@@ -307,6 +318,60 @@ def test_close_crossings_split_on_an_intermediate_level(monkeypatch):
     assert [p.multiplicity for p in pts] == [1, 1]
     assert abs(pts[0].t - np.pi / 1.003) <= 1e-8
     assert abs(pts[1].t - np.pi) <= 1e-8
+
+
+def split_tan_pair(delta, domain=(0.1, 3.3)):
+    # crossings at pi / (1 + delta) and pi, pi * delta apart
+    return curve.from_chart_family(
+        2, lambda t: np.diag([-np.tan(t), -np.tan((1.0 + delta) * t)]),
+        domain)
+
+
+@pytest.mark.parametrize("delta, multiplicities", [
+    (1e-5, [1, 1]), (3e-7, [1, 1]), (1e-7, [1, 1]), (1e-8, [1, 1]),
+    (3e-9, [1, 1]), (1e-9, [2]), (3e-10, [2]),
+])
+def test_close_crossings_count_each_direction_once(delta, multiplicities):
+    # a multiplicity is the inertia jump that located the point, so two
+    # directions crossing a hair apart count once each; points within 10
+    # tol merge and add up, and the total is always the index magnitude
+    c = split_tan_pair(delta)
+    train = vertical_train(2)
+    pts = maslov.conjugate_points(c, train)
+    assert [p.multiplicity for p in pts] == multiplicities
+    assert abs(pts[0].t - np.pi / (1.0 + delta)) <= 1e-8
+    assert maslov.maslov_index(c, train).value == -2
+
+
+def test_morse_index_counts_close_crossings_once():
+    jc = split_tan_pair(1e-7, domain=(0.0, 4.0))
+    assert maslov.morse_index_regular_extremal(jc) == 2
+
+
+@seed(20261020)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(1, 3), st.lists(st.floats(0.8, 2.5), min_size=3,
+                                   max_size=3),
+       st.sampled_from([0.0, 1e-9, 1e-7, 1e-5]))
+def test_conjugate_multiplicities_sum_to_the_crossing_count(n, omegas,
+                                                            delta):
+    omegas = np.array(omegas[:n])
+    if n > 1:
+        omegas[1] = omegas[0] * (1.0 + delta)
+    horizon = 3.3
+    crossings = [k * np.pi / w for w in omegas
+                 for k in range(1, int(horizon * w / np.pi) + 2)]
+    if min(abs(c - horizon) for c in crossings) < 0.02:
+        return
+    count = sum(c <= horizon for c in crossings)
+    c = curve.from_chart_family(
+        n, lambda t: -np.diag(np.tan(omegas * t)), (0.0, horizon))
+    train = vertical_train(n)
+    pts = maslov.conjugate_points(c, train)
+    assert sum(p.multiplicity for p in pts) == count
+    trimmed = curve.from_chart_family(
+        n, lambda t: -np.diag(np.tan(omegas * t)), (0.066, horizon))
+    assert maslov.maslov_index(trimmed, train).value == -count
 
 
 def test_conjugate_total_matches_index_magnitude():
