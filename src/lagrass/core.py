@@ -29,8 +29,14 @@ a candidate against a whole stack in one singular-value pass, and _gaps
 takes the subspace gaps of two stacks pairwise in one stacked 2-norm.
 make_frame, darboux_chart, transversal_complement, chart_coords and
 subspace_gap are the one-frame forms of the same code. numpy's
-stacked qr, svd, inv, solve and matmul give the same bits as one call
-per matrix, so a stack and a loop of single calls agree exactly.
+stacked svd, inv, solve and matmul give the same bits as one call per
+matrix, and so does the one QR, _orthonormal, so a stack and a loop of
+single calls agree exactly. That QR calls numpy's own LAPACK gufuncs,
+qr_r_raw and qr_reduced, the two that np.linalg.qr calls, without its
+wrapper: a frame is 2n x n, and the wrapper's casts, error-state
+contexts and triu mask cost more than the factoring.
+test_orthonormal_is_numpy_qr_bit_for_bit in tests/test_core.py pins
+them to np.linalg.qr bit for bit, in Q and in the dependence flag.
 Frames are column-orthonormalized on construction; subspace identity
 is always tested through principal angles, never through raw matrix
 comparison.
@@ -46,6 +52,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NotInChart, NotTransversal, SearchExhausted
 
@@ -130,7 +137,7 @@ class QuadraticForm:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _finite(self.matrix)
         if m.shape != (self.dim, self.dim):
             raise ValueError("matrix dimension mismatch")
         scale = np.linalg.norm(m)
@@ -167,6 +174,16 @@ def horizontal_frame(space: SymplecticSpace) -> LagrangianFrame:
     return make_frame(space, cols)
 
 
+def _finite(mat, name: str = "matrix") -> np.ndarray:
+    """mat as a float array, refused when an entry is NaN or inf: LAPACK
+    gives no usable answer for one, and OpenBLAS's SVD of some never
+    returns."""
+    a = np.asarray(mat, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return a
+
+
 def _kept(sv: np.ndarray):
     """How many singular values (descending along the last axis) the rank
     rule keeps, for each matrix of a stack."""
@@ -176,18 +193,18 @@ def _kept(sv: np.ndarray):
 
 def rank(mat: np.ndarray) -> int:
     """Numerical rank under the relative rule."""
-    return int(_kept(np.linalg.svd(mat, compute_uv=False)))
+    return int(_kept(np.linalg.svd(_finite(mat), compute_uv=False)))
 
 
 def span(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, possibly zero columns."""
-    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
+    u, sv, _ = np.linalg.svd(_finite(cols), full_matrices=False)
     return u[:, :_kept(sv)]
 
 
 def nullspace(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the right nullspace, possibly zero columns."""
-    _, sv, vt = np.linalg.svd(mat)
+    _, sv, vt = np.linalg.svd(_finite(mat))
     return vt[_kept(sv):].T
 
 
@@ -224,9 +241,15 @@ def _mixed_difference(fun, x, h: float) -> np.ndarray:
 def _orthonormal(cols: np.ndarray):
     """QR of one matrix or a stack (..., m, k): the orthonormal factor and,
     for each matrix, whether its columns are numerically dependent; NaN
-    fails the rank comparison, so non-finite columns count as dependent."""
-    q, r = np.linalg.qr(cols)
-    diag = np.abs(r.diagonal(axis1=-2, axis2=-1))
+    fails the rank comparison, so non-finite columns count as dependent.
+    qr_r_raw factors a float64 copy of cols in place, leaving R in its
+    upper triangle, and qr_reduced builds Q from it. The gufuncs clear the
+    floating-point status unless LAPACK reports an error, so NaN or inf
+    columns raise no warning."""
+    a = np.array(cols, dtype=np.float64)
+    tau = _umath_linalg.qr_r_raw(a)
+    q = _umath_linalg.qr_reduced(a, tau)
+    diag = np.abs(a.diagonal(axis1=-2, axis2=-1))
     if not diag.shape[-1]:
         return q, np.zeros(diag.shape[:-1], dtype=bool)
     return q, ~(diag.min(axis=-1) > RANK_TOL * diag.max(axis=-1,
@@ -236,7 +259,7 @@ def _orthonormal(cols: np.ndarray):
 def orthonormal_columns(cols: np.ndarray):
     """QR-orthonormalize one matrix or a stack (..., m, k), raising if the
     columns of any matrix are numerically dependent."""
-    q, dependent = _orthonormal(np.asarray(cols, dtype=float))
+    q, dependent = _orthonormal(cols)
     if dependent.any():
         raise ValueError(_DEPENDENT)
     return q
@@ -435,7 +458,7 @@ def frame_from_chart(rep: ChartRep) -> LagrangianFrame:
 
 def inertia(q) -> Inertia:
     """Eigenvalue inertia with a relative zero threshold."""
-    m = q.matrix if isinstance(q, QuadraticForm) else np.asarray(q, dtype=float)
+    m = q.matrix if isinstance(q, QuadraticForm) else _finite(q)
     m = 0.5 * (m + m.T)
     if m.size == 0:
         return Inertia(0, 0, 0)
@@ -587,7 +610,8 @@ def symplectic_defect(space: SymplecticSpace, t: np.ndarray) -> float:
 
 def sym_inv_sqrt(m: np.ndarray) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix."""
-    m = 0.5 * (m + np.asarray(m).T)
+    m = _finite(m)
+    m = 0.5 * (m + m.T)
     w, v = np.linalg.eigh(m)
     if w.min() <= RANK_TOL * max(abs(w).max(), 1e-300):
         raise ValueError("matrix is not positive definite")

@@ -283,9 +283,10 @@ def _stencil_block(curve: GrassmannCurve, ts) -> list:
     """The stencils at the times ts: the frames are read by the curve's
     eval in time order, the rest in one stacked pass. For each time a
     _Stencil, or the exception the stencil raises there; a member refused
-    by the chart stage keeps its own exception, and the others read on. Only a block whose reads or stacked pass raise, as for an eval
-    that fails at one time, is read again as blocks of one, so each time
-    keeps its own outcome."""
+    by the chart stage keeps its own exception, and the others read on.
+    Only a block whose reads or stacked pass raise, as for an eval that
+    fails at one time, is read again as blocks of one, so each time keeps
+    its own outcome."""
     try:
         frames = [_stencil_frames(curve, t) for t in ts]
         return _stencil_stack(frames, ts, curve.fd_step)

@@ -167,8 +167,8 @@ class LDerivData:
     Q: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.A, dtype=float))
-        q = np.atleast_2d(np.asarray(self.Q, dtype=float))
+        a = np.atleast_2d(core._finite(self.A, "A"))
+        q = np.atleast_2d(core._finite(self.Q, "Q"))
         if q.shape[0] != q.shape[1] or a.shape[1] != q.shape[0]:
             raise ValueError("incompatible shapes for A and Q")
         skew = np.linalg.norm(q - q.T)

@@ -196,6 +196,32 @@ def test_lderiv_sphere_problem(tmp_path):
     assert scalars["hessian_nondegenerate"] and scalars["transversal_to_fiber"]
 
 
+def test_lderiv_refuses_an_overflowing_hessian(tmp_path):
+    # the sphere problem with objective 1e307 w0^4 at w = 10 e0 has the
+    # corrected Hessian diag(inf, 2, 4); the SVD of [A^T | Q] never
+    # returned, so the run is a subprocess with a timeout
+    cfg = {
+        "problem": {
+            "dim_w": 3, "m": 1,
+            "objective": {"terms": [[1e307, [4, 0, 0]], [2.0, [0, 2, 0]],
+                                    [3.0, [0, 0, 2]]]},
+            "constraints": [{"terms": [[1.0, [2, 0, 0]], [1.0, [0, 2, 0]],
+                                       [1.0, [0, 0, 2]],
+                                       [-1.0, [0, 0, 0]]]}],
+        },
+        "point": {"w": [10.0, 0.0, 0.0], "zeta": [1.0]},
+        "seed": 0,
+    }
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lagrass.cli", "lderiv",
+         "--config", str(write_config(tmp_path, cfg)), "--out", str(out)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert read_json(out / "error.json")["error"] == {
+        "type": "ValueError", "detail": "Q has non-finite entries"}
+
+
 def test_lderiv_derivatives_are_exact(tmp_path):
     # the same sphere problem at the critical point e2 with zeta = 3:
     # central differences left a residual of 2.78e-11 there

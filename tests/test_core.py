@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,103 @@ def test_frames_refuse_non_finite_entries(bad, where):
     _, dependent, defect = core._frames(sp, stack)
     assert (dependent | ~(defect <= core.ISOTROPY_TOL)).tolist() == [
         False, True, False]
+
+
+def _numpy_qr(cols):
+    # the reference _orthonormal replaced: numpy's qr and its R diagonal
+    q, r = np.linalg.qr(cols)
+    diag = np.abs(r.diagonal(axis1=-2, axis2=-1))
+    if not diag.shape[-1]:
+        return q, np.zeros(diag.shape[:-1], dtype=bool)
+    return q, ~(diag.min(axis=-1) > core.RANK_TOL * diag.max(
+        axis=-1, initial=1e-300))
+
+
+_QR_RNG = np.random.default_rng(29)
+_QR_CASES = {
+    "tall": _QR_RNG.standard_normal((6, 3)),
+    "square": _QR_RNG.standard_normal((4, 4)),
+    "wide": _QR_RNG.standard_normal((3, 5)),
+    "zero-column": np.zeros((4, 0)),
+    "empty-stack": np.zeros((0, 4, 2)),
+    "stack": _QR_RNG.standard_normal((5, 3, 6, 3)),
+    "fortran": np.asfortranarray(_QR_RNG.standard_normal((6, 3))),
+    "strided": _QR_RNG.standard_normal((12, 7))[::2, ::3],
+    "big-endian": _QR_RNG.standard_normal((6, 3)).astype(">f8"),
+    "integer": _QR_RNG.integers(-5, 6, (6, 3)),
+    "all-zero": np.zeros((4, 2)),
+    "rank-deficient": np.outer(np.arange(1.0, 5.0), [1.0, 2.0]),
+    "nan": np.where(np.eye(4, 2) > 0, np.nan, 1.0),
+    "inf": np.where(np.eye(4, 2) > 0, np.inf, 1.0),
+}
+
+
+@pytest.mark.parametrize("cols", _QR_CASES.values(), ids=_QR_CASES.keys())
+def test_orthonormal_is_numpy_qr_bit_for_bit(cols):
+    before = cols.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, dependent = core._orthonormal(cols)
+    want_q, want_dependent = _numpy_qr(cols)
+    assert (q.dtype, q.shape) == (want_q.dtype, want_q.shape)
+    assert q.tobytes() == want_q.tobytes()
+    assert np.array_equal(dependent, want_dependent)
+    # the factoring works on a copy
+    assert before.tobytes() == cols.tobytes()
+    assert before.dtype == cols.dtype
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_frames_refuse_without_a_warning(bad):
+    sp = core.standard_space(2)
+    cols = core.random_lagrangian(sp, np.random.default_rng(3)).columns.copy()
+    cols[1, 0] = bad
+    stack = np.stack([core.vertical_frame(sp).columns, cols])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^frame has non-finite entries$"):
+            core.make_frame(sp, cols)
+        _, dependent, _ = core._frames(sp, stack)
+        assert dependent.tolist() == [False, True]
+        if np.isnan(bad):
+            # J @ cols turns an inf into NaN with a matmul warning before
+            # the chart search reaches its QR, so only NaN is searched
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="^SVD did not converge$"):
+                core._complements(sp, stack, np.zeros((2, 0, 4, 2)), 0)
+
+
+def test_frames_do_not_call_numpy_qr(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    sp = core.standard_space(3)
+    frame = core.random_lagrangian(sp, np.random.default_rng(8))
+    assert core.same_subspace(core.make_frame(sp, 2.0 * frame.columns), frame)
+    delta = core.transversal_complement(frame, [core.vertical_frame(sp)])
+    assert core.intersection_dim(frame, delta) == 0
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: core.rank([[np.inf, 1.0], [1.0, 2.0]]), id="rank"),
+    pytest.param(lambda: core.span([[1.0], [np.nan]]), id="span"),
+    pytest.param(lambda: core.nullspace([[20.0, np.inf, 0.0, 0.0],
+                                         [0.0, 0.0, 2.0, 0.0]]),
+                 id="nullspace"),
+    pytest.param(lambda: core.inertia([[np.nan, 0.0], [0.0, 1.0]]),
+                 id="inertia-nan"),
+    pytest.param(lambda: core.inertia([[1.0, 0.0], [0.0, np.inf]]),
+                 id="inertia-inf"),
+    pytest.param(lambda: core.sym_inv_sqrt(np.diag([np.nan, 1.0])),
+                 id="sym-inv-sqrt"),
+    pytest.param(lambda: core.QuadraticForm(2, np.diag([np.nan, 1.0])),
+                 id="quadratic-form"),
+])
+def test_non_finite_matrices_are_refused(call):
+    # each once answered: rank 0, Inertia(0, 2, 0), a NaN matrix
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        call()
 
 
 def test_subspace_gap_extremes():

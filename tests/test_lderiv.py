@@ -137,9 +137,12 @@ def test_newton_refuses_after_its_iteration_cap():
     (np.ones((1, 2)), np.ones((2, 3)), r"^incompatible shapes for A and Q$"),
     (np.ones((1, 2)), [[1.0, 0.5], [0.0, 1.0]],
      r"^Q not symmetric, defect 7\.071e-01$"),
-], ids=["wide-A", "non-square-Q", "asymmetric-Q"])
+    ([[20.0, 0.0, 0.0]], np.diag([np.inf, 2.0, 4.0]),
+     r"^Q has non-finite entries$"),
+    ([[np.nan, 1.0]], np.eye(2), r"^A has non-finite entries$"),
+], ids=["wide-A", "non-square-Q", "asymmetric-Q", "inf-Q", "nan-A"])
 def test_lderiv_data_refuses_bad_shapes_and_asymmetric_q(a, q, match):
-    # the two refusals of LDerivData.__post_init__
+    # the refusals of LDerivData.__post_init__
     with pytest.raises(ValueError, match=match):
         lderiv.LDerivData(A=a, Q=q)
 
