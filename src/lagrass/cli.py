@@ -41,7 +41,6 @@ from .hamflow import (
     flow,
     jacobi_curve,
     polynomial_system,
-    quadratic_potential_system,
     quadratic_system,
     reduced_jacobi_curve,
 )
@@ -355,27 +354,24 @@ def validate(config: dict, command: str) -> List[str]:
 def build_system(config: dict) -> HamiltonianSystem:
     sys_cfg = config["system"]
     family, n = sys_cfg["family"], int(sys_cfg["n"])
-    if family == "natural":
-        pot = sys_cfg["potential"]
-        if "k" in pot:
-            return quadratic_potential_system(np.asarray(pot["k"],
-                                                         dtype=float))
+    if family == "custom":
+        terms = [(float(c), tuple(int(e) for e in exps))
+                 for c, exps in sys_cfg["hamiltonian"]["terms"]]
+        return polynomial_system(n, terms)
+    pot = sys_cfg.get("potential") or {}  # a metric's may be null
+    if "terms" in pot:
         terms = [(0.5, tuple(2 if j == i else 0 for j in range(2 * n)))
                  for i in range(n)]
         for coeff, exps in pot["terms"]:
             terms.append((float(coeff),
                           tuple([0] * n + [int(e) for e in exps])))
         return polynomial_system(n, terms)
-    if family == "metric":
-        g_mat = np.asarray(sys_cfg["metric"]["g"], dtype=float)
-        pot = sys_cfg.get("potential")
-        k_mat = (np.zeros((n, n)) if pot is None
-                 else np.asarray(pot["k"], dtype=float))
-        return quadratic_system(np.block([[g_mat, np.zeros((n, n))],
-                                          [np.zeros((n, n)), k_mat]]))
-    terms = [(float(c), tuple(int(e) for e in exps))
-             for c, exps in sys_cfg["hamiltonian"]["terms"]]
-    return polynomial_system(n, terms)
+    # a constant Hessian diag(g, K), with g = I for a natural system
+    g_mat = (np.asarray(sys_cfg["metric"]["g"], dtype=float)
+             if family == "metric" else np.eye(n))
+    k_mat = np.asarray(pot.get("k", np.zeros((n, n))), dtype=float)
+    zero = np.zeros((n, n))
+    return quadratic_system(np.block([[g_mat, zero], [zero, k_mat]]))
 
 
 def _tables(polys, nvars: int):
@@ -419,7 +415,7 @@ def _mat_headers(name: str, shape: Tuple[int, int]) -> List[str]:
             for i in range(shape[0]) for j in range(shape[1])]
 
 
-def _run_flow(sysn, z0, config, opts, seed):
+def _run_flow(sysn, z0, config, opts):
     traj = flow(sysn, z0, config["horizon"], config["step"])
     idx = _subsample(len(traj.times), opts["samples"])
     rows = np.column_stack([traj.times[idx], traj.states[idx],
@@ -434,7 +430,7 @@ def _dense(sysn, z0, config) -> DenseFlow:
     return DenseFlow(sysn, z0, config["horizon"], config["step"])
 
 
-def _run_jacobi(sysn, z0, config, opts, seed):
+def _run_jacobi(sysn, z0, config, opts):
     horizon = float(config["horizon"])
     jc = jacobi_curve(_dense(sysn, z0, config))
     ts = np.linspace(0.0, horizon, opts["samples"])
@@ -452,7 +448,7 @@ def _field_curvatures(orbit, ts) -> List[np.ndarray]:
             for z in map(orbit.state, ts)]
 
 
-def _run_curvature(sysn, z0, config, opts, seed):
+def _run_curvature(sysn, z0, config, opts):
     horizon = float(config["horizon"])
     orbit = flow(sysn, z0, horizon, config["step"])
     ts = np.linspace(0.0, horizon, opts["samples"])
@@ -471,16 +467,16 @@ def _conjugate_series(pts) -> Series:
     return Series(("t", "multiplicity"), rows)
 
 
-def _run_conjugate(sysn, z0, config, opts, seed):
+def _run_conjugate(sysn, z0, config, opts):
     jc = jacobi_curve(_dense(sysn, z0, config))
     pts = maslov.conjugate_points(jc, core.vertical_frame(jc.space),
-                                  seed=seed)
+                                  seed=config.get("seed", 0))
     scalars = {"count": len(pts),
                "index": int(sum(p.multiplicity for p in pts))}
     return scalars, _conjugate_series(pts), []
 
 
-def _run_morse(sysn, z0, config, opts, seed):
+def _run_morse(sysn, z0, config, opts):
     out = analysis.morse_pipeline(_dense(sysn, z0, config),
                                   trim=opts["trim"])
     scalars = {"index": out.index, "trimmed_maslov": out.trimmed_maslov,
@@ -488,19 +484,20 @@ def _run_morse(sysn, z0, config, opts, seed):
     return scalars, _conjugate_series(out.conjugate_points), []
 
 
-def _run_maslov(sysn, z0, config, opts, seed):
+def _run_maslov(sysn, z0, config, opts):
     horizon = float(config["horizon"])
     jc = jacobi_curve(_dense(sysn, z0, config))
     t0, t1 = map(float, _maslov_window(horizon, opts))
     sub = GrassmannCurve(space=jc.space, eval=jc.eval, domain=(t0, t1))
-    rep = maslov.maslov_index(sub, core.vertical_frame(jc.space), seed=seed)
+    rep = maslov.maslov_index(sub, core.vertical_frame(jc.space),
+                              seed=config.get("seed", 0))
     rows = np.asarray(rep.subdivision, dtype=float).reshape(-1, 1)
     scalars = {"value": rep.value, "charts_used": rep.charts_used,
                "pieces": len(rep.subdivision) - 1}
     return scalars, Series(("t",), rows), []
 
 
-def _run_reduce(sysn, z0, config, opts, seed):
+def _run_reduce(sysn, z0, config, opts):
     rep = analysis.reduction_comparison(_dense(sysn, z0, config),
                                         trim=opts["trim"])
     rows = np.asarray(rep.samples, dtype=float).reshape(-1, 1)
@@ -511,7 +508,7 @@ def _run_reduce(sysn, z0, config, opts, seed):
     return scalars, Series(("t",), rows), []
 
 
-def _run_compare(sysn, z0, config, opts, seed):
+def _run_compare(sysn, z0, config, opts):
     rep = analysis.comparison_check(_dense(sysn, z0, config))
     rows = np.column_stack([rep.conjugate_times,
                             np.asarray(rep.multiplicities, dtype=float)]) \
@@ -524,7 +521,7 @@ def _run_compare(sysn, z0, config, opts, seed):
     return scalars, Series(("t", "multiplicity"), rows), []
 
 
-def _run_hyperbolic(sysn, z0, config, opts, seed):
+def _run_hyperbolic(sysn, z0, config, opts):
     horizon = float(config["horizon"])
     reduced = opts["reduced"]
     # the full mode reads states only, so it integrates the state alone
@@ -548,12 +545,14 @@ def _run_hyperbolic(sysn, z0, config, opts, seed):
 
 def _run_lderiv(config):
     problem, point = build_problem(config)
-    residual = lderiv.stationarity_residual(problem, point)
-    data = lderiv.lderiv_data(problem, point)
-    form = lderiv.hessian_on_kernel(problem, point)
-    ine = core.inertia(form.matrix)
-    frame = lderiv.l_derivative(data)
-    dual = lderiv.duality_check(data)
+    # an overflow is refused by name below, so numpy need not warn of it
+    with np.errstate(all="ignore"):
+        data = lderiv.lderiv_data(problem, point)
+        residual = lderiv.stationarity_residual(problem, point)
+        form = lderiv.hessian_on_kernel(problem, point)
+        ine = core.inertia(form.matrix)
+        frame = lderiv.l_derivative(data)
+        dual = lderiv.duality_check(data)
     m2 = 2 * data.m
     rows = np.concatenate([[0.0], _frame_row(frame)]).reshape(1, -1)
     cols = ["t"] + _mat_headers("proj", (m2, m2))
@@ -641,18 +640,12 @@ def write_error(out_dir, command: str, exit_code: int, kind: str,
 # ---------------------------------------------------------------- dispatch
 
 
-def run(config: dict, command: str, seed: Optional[int] = None) -> RunResult:
-    """Validate, dispatch and collect one command's results.
-
-    The seed argument overrides config["seed"] before validation and
-    hashing, so the checks and the provenance hash see what actually runs.
-    """
-    if seed is not None and isinstance(config, dict):
-        config = {**config, "seed": seed}
+def run(config: dict, command: str) -> RunResult:
+    """Validate, dispatch and collect one command's results; the config
+    is the run's only input, and its hash goes into the provenance."""
     diagnostics = validate(config, command)
     if diagnostics:
         raise ValidationFailure(diagnostics)
-    eff_seed = int(config.get("seed", 0))
     start = time.perf_counter()
     if command == "lderiv":
         scalars, series, notes = _run_lderiv(config)
@@ -660,8 +653,7 @@ def run(config: dict, command: str, seed: Optional[int] = None) -> RunResult:
         sysn = build_system(config)
         opts = {**OPTIONS[command], **config.get("options", {})}
         scalars, series, notes = _RUNNERS[command](
-            sysn, np.asarray(config["initial"], dtype=float), config,
-            opts, eff_seed)
+            sysn, np.asarray(config["initial"], dtype=float), config, opts)
     provenance = {"command": command, "config_sha256": config_hash(config),
                   "version": __version__,
                   "wall_time_s": time.perf_counter() - start}
@@ -676,7 +668,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, type=Path)
     parser.add_argument("--out", type=Path, default=Path("out"))
-    parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -687,26 +678,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     try:
-        result = run(config, args.command, seed=args.seed)
+        result = run(config, args.command)
     except ValidationFailure as exc:
         write_error(args.out, args.command, 2, "ValidationFailure",
                     exc.diagnostics)
         for line in exc.diagnostics:
             print(f"invalid config: {line}", file=_sys.stderr)
         return 2
-    except (GeometryError, ArithmeticError, ValueError,
-            np.linalg.LinAlgError) as exc:
-        write_error(args.out, args.command, 3, type(exc).__name__, str(exc))
-        print(f"numerical failure: {type(exc).__name__}: {exc}",
-              file=_sys.stderr)
-        return 3
     except Exception as exc:
-        # any other failure keeps the exit contract; the printed
-        # traceback shows where it came from, and only a failing run
-        # pays for importing the module that prints it
-        import traceback
         write_error(args.out, args.command, 3, type(exc).__name__, str(exc))
-        traceback.print_exc()
+        # numpy's LinAlgError is a ValueError
+        if isinstance(exc, (GeometryError, ArithmeticError, ValueError)):
+            print(f"numerical failure: {type(exc).__name__}: {exc}",
+                  file=_sys.stderr)
+        else:
+            # any other failure keeps the exit contract; the printed
+            # traceback shows where it came from, and only a failing run
+            # pays for importing the module that prints it
+            import traceback
+            traceback.print_exc()
         return 3
 
     write_outputs(result, args.out)

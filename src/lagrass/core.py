@@ -519,10 +519,12 @@ def _complements(space: SymplecticSpace, cols: np.ndarray,
     means nothing). The first candidate is built and scored for the whole
     stack in one stacked QR and one stacked _margin pass, and only the
     members it leaves below GOOD_MARGIN go on through the schedule, one
-    at a time. A negative seed is refused, drawn from or not."""
+    at a time. A negative seed is refused, drawn from or not, and so is a
+    frame with a NaN or inf entry, before any product reads it."""
     if seed < 0:
         raise ValueError(f"chart search seed {seed} must be >= 0")
-    must_miss = np.concatenate([cols[:, None], avoid], axis=1)
+    must_miss = _finite(np.concatenate([cols[:, None], avoid], axis=1),
+                        "frame")
     q, dependent, defect = _frames(space, space.form @ cols)
     scores = np.where(dependent | ~(defect <= ISOTROPY_TOL), -np.inf,
                       _margin(q[:, None], must_miss).min(axis=-1))

@@ -794,15 +794,15 @@ def _point(sys: HamiltonianSystem, z: np.ndarray):
     return sys._field_of(grad), _symmetric(hess)
 
 
-def _hxx_rate(sys: HamiltonianSystem, z: np.ndarray, zeta: np.ndarray,
-              fd_step: float) -> np.ndarray:
+def _hxx_rate(sys: HamiltonianSystem, z: np.ndarray,
+              zeta: np.ndarray) -> np.ndarray:
     n = sys.n
     if sys.hxx_rate is not None:
         return np.asarray(sys.hxx_rate(z[:n], z[n:]), dtype=float)
     speed = np.linalg.norm(zeta)
     if speed == 0.0:
         return np.zeros((n, n))
-    d = fd_step * (1.0 + np.abs(z).max())
+    d = THIRD_FD_STEP * (1.0 + np.abs(z).max())
     return core._central_difference(lambda u: sys.hessian(u)[:n, :n], z, d,
                                     [zeta / speed])[..., 0] * speed
 
@@ -826,7 +826,7 @@ def _connection(sys: HamiltonianSystem, z: np.ndarray, zeta: np.ndarray,
     hxx = h2[:n, :n]
     hxy = h2[:n, n:]
     _regular_or_raise(hxx)
-    rhs = _hxx_rate(sys, z, zeta, THIRD_FD_STEP) - hxy @ hxx - hxx @ hxy.T
+    rhs = _hxx_rate(sys, z, zeta) - hxy @ hxx - hxx @ hxy.T
     half = np.linalg.solve(hxx, rhs)
     return _symmetric(0.5 * np.linalg.solve(hxx, half.T).T, "connection")
 

@@ -106,8 +106,9 @@ class LagrangianPoint:
 
 def stationarity_residual(problem: FiniteProblem,
                           point: LagrangianPoint) -> float:
+    """Norm of zeta d(phi) - dJ at the point; a non-finite one is refused."""
     r = point.zeta @ problem.jac_phi(point.w) - problem.grad_j(point.w)
-    return float(np.linalg.norm(r))
+    return float(core._finite(np.linalg.norm(r), "stationarity residual"))
 
 
 def lagrangian_point(problem: FiniteProblem,
@@ -237,8 +238,9 @@ def duality_check(data: LDerivData) -> DualityCheck:
     """Both sides of the degeneracy correspondence, computed separately.
 
     Nondegeneracy of the kernel restriction and transversality of
-    L(A, Q) to the fiber are equivalent; returning both booleans lets
-    tests confirm the equivalence instead of assuming it.
+    L(A, Q) to the fiber are equivalent, and verdicts that disagree (a
+    rank rule misjudged the pair) raise ArithmeticError. Both booleans
+    are returned so tests confirm the equivalence, not assume it.
     """
     if core.rank(data.A) < data.m:
         raise RankDrop("constraint Jacobian is rank deficient")
@@ -247,6 +249,10 @@ def duality_check(data: LDerivData) -> DualityCheck:
     frame = l_derivative(data)
     fiber = core.vertical_frame(core.standard_space(data.m))
     trans = core.intersection_dim(frame, fiber) == 0
+    if nondeg != trans:
+        raise ArithmeticError(
+            f"duality disagrees: hessian_nondegenerate={nondeg}, "
+            f"transversal_to_fiber={trans}")
     return DualityCheck(hessian_nondegenerate=nondeg,
                         transversal_to_fiber=trans)
 

@@ -222,6 +222,36 @@ def test_lderiv_refuses_an_overflowing_hessian(tmp_path):
         "type": "ValueError", "detail": "Q has non-finite entries"}
 
 
+def test_lderiv_refuses_an_overflowing_residual(tmp_path):
+    # objective 5e304 w0^4 at w = 10 e0: the gradient overflows, while the
+    # corrected Hessian diag(6e307, 2, 4) stays finite; the run exited 0
+    # with residual "inf", a duality that disagreed with itself and two
+    # numpy warnings on stderr
+    cfg = {
+        "problem": {
+            "dim_w": 3, "m": 1,
+            "objective": {"terms": [[5e304, [4, 0, 0]], [2.0, [0, 2, 0]],
+                                    [3.0, [0, 0, 2]]]},
+            "constraints": [{"terms": [[1.0, [2, 0, 0]], [1.0, [0, 2, 0]],
+                                       [1.0, [0, 0, 2]],
+                                       [-1.0, [0, 0, 0]]]}],
+        },
+        "point": {"w": [10.0, 0.0, 0.0], "zeta": [1.0]},
+        "seed": 0,
+    }
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lagrass.cli", "lderiv",
+         "--config", str(write_config(tmp_path, cfg)), "--out", str(out)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert read_json(out / "error.json")["error"] == {
+        "type": "ValueError",
+        "detail": "stationarity residual has non-finite entries"}
+    assert "Warning" not in proc.stderr
+    assert not (out / "lderiv.json").exists()
+
+
 def test_lderiv_derivatives_are_exact(tmp_path):
     # the same sphere problem at the critical point e2 with zeta = 3:
     # central differences left a residual of 2.78e-11 there
@@ -248,11 +278,12 @@ def test_lderiv_derivatives_are_exact(tmp_path):
 
 
 def test_seed_override_keeps_value_changes_hash(tmp_path):
-    cfg = write_config(tmp_path, base_config())
+    cfg_a = write_config(tmp_path, base_config(seed=0), "a.json")
+    cfg_b = write_config(tmp_path, base_config(seed=5), "b.json")
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["maslov", "--config", str(cfg),
+    assert cli.main(["maslov", "--config", str(cfg_a),
                      "--out", str(out_a)]) == 0
-    assert cli.main(["maslov", "--config", str(cfg), "--seed", "5",
+    assert cli.main(["maslov", "--config", str(cfg_b),
                      "--out", str(out_b)]) == 0
     val_a = read_json(out_a / "maslov.json")["scalars"]["value"]
     val_b = read_json(out_b / "maslov.json")["scalars"]["value"]
@@ -260,6 +291,11 @@ def test_seed_override_keeps_value_changes_hash(tmp_path):
     prov_a = read_json(out_a / "provenance.json")
     prov_b = read_json(out_b / "provenance.json")
     assert prov_a["config_sha256"] != prov_b["config_sha256"]
+    # the config is the seed's one source: a seed flag is an unknown flag
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["maslov", "--config", str(cfg_a), "--seed", "5",
+                  "--out", str(out_b)])
+    assert exc.value.code == 2
 
 
 def test_module_entry_point(tmp_path):
@@ -568,17 +604,14 @@ def test_validate_refuses_callback_work_over_budget():
 
 
 @pytest.mark.parametrize("command", ["conjugate", "maslov"])
-@pytest.mark.parametrize("where", ["config", "flag"])
+@pytest.mark.parametrize("where", ["config"])
 def test_exit_two_on_negative_seed(tmp_path, command, where):
     # numpy refuses a negative seed only once a chart search reaches its
-    # random schedule, which some curves never do: refused up front, and
-    # the --seed override is validated like the config's own seed
-    cfg = base_config(horizon=7.0, seed=-1 if where == "config" else 0)
-    flag = ["--seed", "-1"] if where == "flag" else []
+    # random schedule, which some curves never do: refused up front
+    cfg = base_config(horizon=7.0, seed=-1)
     out = tmp_path / "out"
     path = write_config(tmp_path, cfg)
-    assert cli.main([command, "--config", str(path), "--out", str(out)]
-                    + flag) == 2
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
     assert read_json(out / "error.json")["error"] == {
         "type": "ValidationFailure",
         "detail": ["seed must be an integer >= 0"]}
@@ -702,13 +735,16 @@ def test_validate_refuses_configs_no_json_file_holds():
                                         [0.0, 2.0, 0.0, 0.0],
                                         [0.0, 0.0, 0.5, 0.1],
                                         [0.0, 0.0, 0.1, 0.7]]))),
+    ({"family": "metric", "n": 2, "metric": {"g": [[1.0, 0.0], [0.0, 2.0]]},
+      "potential": None},
+     hamflow.quadratic_system(np.diag([1.0, 2.0, 0.0, 0.0]))),
     ({"family": "custom", "n": 1,
       "hamiltonian": {"terms": [[0.5, [2, 0]], [0.3, [1, 1]],
                                 [0.5, [0, 4]]]}},
      hamflow.polynomial_system(1, [(0.5, (2, 0)), (0.3, (1, 1)),
                                    (0.5, (0, 4))])),
 ], ids=["natural-k", "natural-terms", "metric-identity", "metric-potential",
-        "custom"])
+        "metric-null-potential", "custom"])
 def test_build_system_matches_the_direct_builders(system, direct):
     cfg = dict(well_config(), system=system,
                initial=[0.1] * (2 * system["n"]))

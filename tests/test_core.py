@@ -84,11 +84,13 @@ def test_frames_refuse_non_finite_entries(bad, where):
         # a stacked _frames flags the bad member alone, by a rank or
         # isotropy comparison that NaN fails
         _, dependent, defect = core._frames(sp, stack)
-        if np.isnan(bad):
-            # not for inf: J @ cols warns on inf * 0 before the search QR
-            with pytest.raises(np.linalg.LinAlgError,
-                               match="^SVD did not converge$"):
-                core._complements(sp, stack, np.zeros((3, 0, 4, 2)), 0)
+        # the chart search names the bad frame, in the stack or in avoid,
+        # before J @ cols or an SVD reads it
+        with pytest.raises(ValueError, match="^frame has non-finite entries$"):
+            core._complements(sp, stack, np.zeros((3, 0, 4, 2)), 0)
+        fine = stack[[0, 2, 0]]
+        with pytest.raises(ValueError, match="^frame has non-finite entries$"):
+            core._complements(sp, fine, stack[:, None], 0)
     assert (dependent | ~(defect <= core.ISOTROPY_TOL)).tolist() == [
         False, True, False]
 

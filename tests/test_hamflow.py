@@ -357,7 +357,7 @@ def test_finite_difference_hessian_rate_vanishes_at_an_equilibrium():
         n=1, eval=lambda x, y: (0.5 * (x @ x + y @ y),
                                 np.concatenate([x, y]), np.eye(2)))
     z = np.zeros(2)
-    rate = hamflow._hxx_rate(sys, z, sys.field(z), hamflow.THIRD_FD_STEP)
+    rate = hamflow._hxx_rate(sys, z, sys.field(z))
     assert np.array_equal(rate, np.zeros((1, 1)))
 
 
@@ -372,7 +372,7 @@ def test_cubic_hessian_rate_hand_oracle():
     assert np.allclose(sys.hxx_rate(x, y), want, atol=1e-12)
     fd_sys = hamflow.HamiltonianSystem(n=2, eval=sys.eval)
     z = np.concatenate([x, y])
-    got = hamflow._hxx_rate(fd_sys, z, fd_sys.field(z), hamflow.THIRD_FD_STEP)
+    got = hamflow._hxx_rate(fd_sys, z, fd_sys.field(z))
     assert np.allclose(got, want, atol=1e-7)
     c = hamflow.connection_hamiltonian(sys, (x, y))
     assert np.allclose(c, c.T, atol=1e-12)

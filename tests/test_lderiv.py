@@ -51,6 +51,17 @@ def test_kernel_restriction_of_round_bowl():
     assert np.allclose(form.matrix, 2.0 * np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize("b", [[np.inf, 0.0], [1e200, 1e200]],
+                         ids=["inf-gradient", "overflowing-norm"])
+def test_stationarity_residual_refuses_a_non_finite_residual(b):
+    problem = quadratic_problem(np.eye(2), np.array(b),
+                                np.array([[1.0, 1.0]]))
+    point = lderiv.LagrangianPoint(w=np.zeros(2), zeta=np.zeros(1))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^stationarity residual has non-finite entries$"):
+        lderiv.stationarity_residual(problem, point)
+
+
 def test_kernel_restriction_saddle_hand_oracle():
     problem = quadratic_problem(np.diag([2.0, -2.0]), np.zeros(2),
                                 np.array([[1.0, 1.0]]))
@@ -249,6 +260,18 @@ def test_duality_booleans_for_degenerate_restriction():
     check = lderiv.duality_check(lderiv.LDerivData(A=a, Q=q))
     assert not check.hessian_nondegenerate
     assert not check.transversal_to_fiber
+
+
+def test_duality_check_refuses_verdicts_that_disagree():
+    # next to 1.2e15 the relative rank rule on [A^T | Q] reads the column
+    # 20 as zero, so L(A, Q) meets the fiber while the restriction
+    # diag(2, 4) is nondegenerate; the check returned both verdicts
+    data = lderiv.LDerivData(A=[[20.0, 0.0, 0.0]],
+                             Q=np.diag([1.2e15, 2.0, 4.0]))
+    with pytest.raises(ArithmeticError,
+                       match="^duality disagrees: hessian_nondegenerate=True, "
+                             "transversal_to_fiber=False$"):
+        lderiv.duality_check(data)
 
 
 def test_duality_check_refuses_a_rank_deficient_jacobian():
