@@ -60,7 +60,9 @@ OPTIONS = {
     "lderiv": {},
 }
 COMMANDS = tuple(OPTIONS)
-# the top-level keys a run reads
+# the top-level keys a run accepts: every command takes seed, so one config
+# runs under any command, but only conjugate and maslov read it (the chart
+# search's seed); elsewhere it moves only config_sha256
 ORBIT_KEYS = ("system", "initial", "horizon", "step", "seed", "options")
 PROBLEM_KEYS = ("problem", "point", "seed", "options")
 
@@ -244,6 +246,10 @@ def _validate_problem(config: dict, out: List[str]):
     if dim_w > MAX_DIM_W:
         out.append(f"problem.dim_w = {dim_w} is over the budget of "
                    f"{MAX_DIM_W}")
+        return
+    if m > dim_w:
+        out.append(f"problem.m = {m} is over dim_w = {dim_w}: the constraint "
+                   "Jacobian cannot have full row rank")
         return
     width = 0  # the most terms of any polynomial of the problem
     obj = prob.get("objective")
@@ -549,13 +555,11 @@ def _run_lderiv(config):
     with np.errstate(all="ignore"):
         data = lderiv.lderiv_data(problem, point)
         residual = lderiv.stationarity_residual(problem, point)
-        form = lderiv.hessian_on_kernel(problem, point)
-        ine = core.inertia(form.matrix)
-        frame = lderiv.l_derivative(data)
         dual = lderiv.duality_check(data)
     m2 = 2 * data.m
-    rows = np.concatenate([[0.0], _frame_row(frame)]).reshape(1, -1)
+    rows = np.concatenate([[0.0], _frame_row(dual.frame)]).reshape(1, -1)
     cols = ["t"] + _mat_headers("proj", (m2, m2))
+    ine = dual.kernel
     scalars = {"residual": residual,
                "kernel_pos": ine.pos, "kernel_neg": ine.neg,
                "kernel_zero": ine.zero,

@@ -125,16 +125,16 @@ def lagrangian_point(problem: FiniteProblem,
     zeta = np.asarray(zeta0, dtype=float).copy()
 
     def residual(w_, zeta_):
-        r = zeta_ @ problem.jac_phi(w_) - problem.grad_j(w_)
+        a_ = problem.jac_phi(w_)
+        r = zeta_ @ a_ - problem.grad_j(w_)
         return np.concatenate([r, np.asarray(problem.phi_value(w_),
-                                             dtype=float) - target])
+                                             dtype=float) - target]), a_
 
-    r = residual(w, zeta)
+    r, a = residual(w, zeta)
     for _ in range(NEWTON_MAX_ITER):
         norm = np.linalg.norm(r)
         if norm <= NEWTON_TOL:
             return LagrangianPoint(w=w, zeta=zeta)
-        a = problem.jac_phi(w)
         q = problem.corrected_hessian(w, zeta)
         jac = np.vstack([np.hstack([-q, a.T]),
                          np.hstack([a, np.zeros((problem.m, problem.m))])])
@@ -143,13 +143,13 @@ def lagrangian_point(problem: FiniteProblem,
         while True:
             w_try = w + lam * step[:problem.dim_w]
             z_try = zeta + lam * step[problem.dim_w:]
-            r_try = residual(w_try, z_try)
+            r_try, a_try = residual(w_try, z_try)
             if np.linalg.norm(r_try) <= (1.0 - 0.25 * lam) * norm:
                 break
             lam *= 0.5
             if lam < 1e-8:
                 break
-        w, zeta, r = w_try, z_try, r_try
+        w, zeta, r, a = w_try, z_try, r_try, a_try
     if np.linalg.norm(r) <= NEWTON_TOL:
         return LagrangianPoint(w=w, zeta=zeta)
     raise ValueError(
@@ -189,23 +189,20 @@ def lderiv_data(problem: FiniteProblem, point: LagrangianPoint) -> LDerivData:
 
 
 def _kernel_restriction(data: LDerivData) -> np.ndarray:
+    """Q restricted to ker A. A rank-deficient A is refused: the
+    multiplier rule itself degenerates there."""
+    rank = core.rank(data.A)
+    if rank < data.m:
+        raise RankDrop("constraint Jacobian is rank deficient "
+                       f"(rank {rank} < {data.m})")
     k = core.nullspace(data.A)
     return k.T @ data.Q @ k
 
 
 def hessian_on_kernel(problem: FiniteProblem,
                       point: LagrangianPoint) -> core.QuadraticForm:
-    """Corrected Hessian restricted to the constraint kernel.
-
-    The constraint Jacobian must have full row rank at the point; a
-    rank drop means the multiplier rule itself degenerates and the
-    restriction is not the right object to look at.
-    """
-    data = lderiv_data(problem, point)
-    rank = core.rank(data.A)
-    if rank < problem.m:
-        raise RankDrop(f"constraint Jacobian rank {rank} < {problem.m}")
-    mat = _kernel_restriction(data)
+    """Corrected Hessian restricted to the constraint kernel."""
+    mat = _kernel_restriction(lderiv_data(problem, point))
     return core.QuadraticForm(dim=mat.shape[0], matrix=mat)
 
 
@@ -232,6 +229,8 @@ def l_derivative(data: LDerivData) -> core.LagrangianFrame:
 class DualityCheck:
     hessian_nondegenerate: bool
     transversal_to_fiber: bool
+    kernel: core.Inertia  # of Q restricted to ker A
+    frame: core.LagrangianFrame  # L(A, Q)
 
 
 def duality_check(data: LDerivData) -> DualityCheck:
@@ -242,10 +241,8 @@ def duality_check(data: LDerivData) -> DualityCheck:
     rank rule misjudged the pair) raise ArithmeticError. Both booleans
     are returned so tests confirm the equivalence, not assume it.
     """
-    if core.rank(data.A) < data.m:
-        raise RankDrop("constraint Jacobian is rank deficient")
-    rest = _kernel_restriction(data)
-    nondeg = core.inertia(rest).zero == 0
+    kernel = core.inertia(_kernel_restriction(data))
+    nondeg = kernel.zero == 0
     frame = l_derivative(data)
     fiber = core.vertical_frame(core.standard_space(data.m))
     trans = core.intersection_dim(frame, fiber) == 0
@@ -254,7 +251,8 @@ def duality_check(data: LDerivData) -> DualityCheck:
             f"duality disagrees: hessian_nondegenerate={nondeg}, "
             f"transversal_to_fiber={trans}")
     return DualityCheck(hessian_nondegenerate=nondeg,
-                        transversal_to_fiber=trans)
+                        transversal_to_fiber=trans, kernel=kernel,
+                        frame=frame)
 
 
 def family_index_delta(family: Callable[[float], LDerivData],
@@ -269,15 +267,15 @@ def family_index_delta(family: Callable[[float], LDerivData],
     instead of returning a silently wrong integer.
     """
     tau0, tau1 = float(tau0), float(tau1)
-    ends = []
+    pairs, ends = [], []
     for tau in (tau0, tau1):
-        ine = core.inertia(_kernel_restriction(family(tau)))
+        pairs.append(family(tau))
+        ine = core.inertia(_kernel_restriction(pairs[-1]))
         if ine.zero:
             raise EndpointDegenerate(
                 f"restricted Hessian singular at tau={tau:g}")
         ends.append(ine.neg)
-    m = family(tau0).m
-    space = core.standard_space(m)
+    space = core.standard_space(pairs[0].m)
     curve = GrassmannCurve(space=space,
                            eval=lambda tau: l_derivative(family(tau)),
                            domain=(tau0, tau1))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lagrass import analysis, cli, core, curve, hamflow, maslov
+from lagrass import analysis, cli, core, curve, hamflow, lderiv, maslov
 from lagrass.errors import DegenerateEndpoint
 
 
@@ -173,19 +173,24 @@ def test_custom_polynomial_family(tmp_path):
     assert payload["scalars"]["eig_max_t0"] == pytest.approx(1.0, abs=1e-8)
 
 
-def test_lderiv_sphere_problem(tmp_path):
-    cfg = {
+def sphere_config(w0_term=(1.0, [2, 0, 0]), w=(1.0, 0.0, 0.0), zeta=(1.0,)):
+    """J = w0_term + 2 w1^2 + 3 w2^2 on the unit sphere, at (w, zeta)."""
+    return {
         "problem": {
             "dim_w": 3, "m": 1,
-            "objective": {"terms": [[1.0, [2, 0, 0]], [2.0, [0, 2, 0]],
+            "objective": {"terms": [list(w0_term), [2.0, [0, 2, 0]],
                                     [3.0, [0, 0, 2]]]},
             "constraints": [{"terms": [[1.0, [2, 0, 0]], [1.0, [0, 2, 0]],
                                        [1.0, [0, 0, 2]],
                                        [-1.0, [0, 0, 0]]]}],
         },
-        "point": {"w": [1.0, 0.0, 0.0], "zeta": [1.0]},
+        "point": {"w": list(w), "zeta": list(zeta)},
         "seed": 0,
     }
+
+
+def test_lderiv_sphere_problem(tmp_path):
+    cfg = sphere_config()
     out = tmp_path / "out"
     assert cli.main(["lderiv", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(out)]) == 0
@@ -200,18 +205,7 @@ def test_lderiv_refuses_an_overflowing_hessian(tmp_path):
     # the sphere problem with objective 1e307 w0^4 at w = 10 e0 has the
     # corrected Hessian diag(inf, 2, 4); the SVD of [A^T | Q] never
     # returned, so the run is a subprocess with a timeout
-    cfg = {
-        "problem": {
-            "dim_w": 3, "m": 1,
-            "objective": {"terms": [[1e307, [4, 0, 0]], [2.0, [0, 2, 0]],
-                                    [3.0, [0, 0, 2]]]},
-            "constraints": [{"terms": [[1.0, [2, 0, 0]], [1.0, [0, 2, 0]],
-                                       [1.0, [0, 0, 2]],
-                                       [-1.0, [0, 0, 0]]]}],
-        },
-        "point": {"w": [10.0, 0.0, 0.0], "zeta": [1.0]},
-        "seed": 0,
-    }
+    cfg = sphere_config([1e307, [4, 0, 0]], w=[10.0, 0.0, 0.0])
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "lagrass.cli", "lderiv",
@@ -227,18 +221,7 @@ def test_lderiv_refuses_an_overflowing_residual(tmp_path):
     # corrected Hessian diag(6e307, 2, 4) stays finite; the run exited 0
     # with residual "inf", a duality that disagreed with itself and two
     # numpy warnings on stderr
-    cfg = {
-        "problem": {
-            "dim_w": 3, "m": 1,
-            "objective": {"terms": [[5e304, [4, 0, 0]], [2.0, [0, 2, 0]],
-                                    [3.0, [0, 0, 2]]]},
-            "constraints": [{"terms": [[1.0, [2, 0, 0]], [1.0, [0, 2, 0]],
-                                       [1.0, [0, 0, 2]],
-                                       [-1.0, [0, 0, 0]]]}],
-        },
-        "point": {"w": [10.0, 0.0, 0.0], "zeta": [1.0]},
-        "seed": 0,
-    }
+    cfg = sphere_config([5e304, [4, 0, 0]], w=[10.0, 0.0, 0.0])
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "lagrass.cli", "lderiv",
@@ -255,18 +238,7 @@ def test_lderiv_refuses_an_overflowing_residual(tmp_path):
 def test_lderiv_derivatives_are_exact(tmp_path):
     # the same sphere problem at the critical point e2 with zeta = 3:
     # central differences left a residual of 2.78e-11 there
-    cfg = {
-        "problem": {
-            "dim_w": 3, "m": 1,
-            "objective": {"terms": [[1.0, [2, 0, 0]], [2.0, [0, 2, 0]],
-                                    [3.0, [0, 0, 2]]]},
-            "constraints": [{"terms": [[1.0, [2, 0, 0]], [1.0, [0, 2, 0]],
-                                       [1.0, [0, 0, 2]],
-                                       [-1.0, [0, 0, 0]]]}],
-        },
-        "point": {"w": [0.0, 0.0, 1.0], "zeta": [3.0]},
-        "seed": 0,
-    }
+    cfg = sphere_config(w=[0.0, 0.0, 1.0], zeta=[3.0])
     out = tmp_path / "out"
     assert cli.main(["lderiv", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(out)]) == 0
@@ -275,6 +247,22 @@ def test_lderiv_derivatives_are_exact(tmp_path):
     assert scalars["residual"] < 2.7755575615628914e-11
     assert (scalars["kernel_pos"], scalars["kernel_neg"],
             scalars["kernel_zero"]) == (0, 2, 0)
+
+
+def test_lderiv_run_reads_the_pair_once(monkeypatch):
+    # the run built the pair, its kernel restriction and L(A, Q) twice:
+    # once for its own outputs and once more inside duality_check
+    calls = {}
+    for name in ("lderiv_data", "_kernel_restriction", "l_derivative"):
+        def counted(*args, _fn=getattr(lderiv, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(lderiv, name, counted)
+    scalars = cli.run(sphere_config(), "lderiv").scalars
+    assert calls == {"lderiv_data": 1, "_kernel_restriction": 1,
+                     "l_derivative": 1}
+    assert (scalars["kernel_pos"], scalars["kernel_neg"],
+            scalars["kernel_zero"]) == (2, 0, 0)
 
 
 def test_seed_override_keeps_value_changes_hash(tmp_path):
@@ -666,6 +654,9 @@ REFUSED = [
      "direction is a point"),
     ("lderiv", lderiv_config(dim_w=0), "problem.dim_w must be an integer >= 1"),
     ("lderiv", lderiv_config(m="1"), "problem.m must be an integer >= 1"),
+    ("lderiv", lderiv_config(dim_w=1, m=2),
+     "problem.m = 2 is over dim_w = 1: the constraint Jacobian cannot have "
+     "full row rank"),
     ("lderiv", lderiv_config(objective={}),
      "problem.objective.terms is required"),
     ("lderiv", lderiv_config(constraints=[]),

@@ -99,11 +99,32 @@ def test_rank_drop_detected():
     problem = quadratic_problem(np.eye(3), np.zeros(3),
                                 np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
     point = lderiv.LagrangianPoint(w=np.zeros(3), zeta=np.zeros(2))
-    with pytest.raises(RankDrop):
+    with pytest.raises(RankDrop, match=r"^constraint Jacobian is rank "
+                                       r"deficient \(rank 1 < 2\)$"):
         lderiv.hessian_on_kernel(problem, point)
 
 
 # ------------------------------------------------------------ newton refiner
+
+
+def test_newton_reads_the_jacobian_once_per_point():
+    # each step built its KKT matrix from a second jac_phi call at the
+    # point whose residual had just read it
+    rng = np.random.default_rng(211)
+    c_mat = rng.standard_normal((2, 4))
+    problem = quadratic_problem(sym(rng, 4) + 6.0 * np.eye(4),
+                                rng.standard_normal(4), c_mat)
+    seen = []
+
+    def jac(w):
+        seen.append(tuple(w))
+        return c_mat
+
+    problem.phi_jac = jac
+    point = lderiv.lagrangian_point(problem, w0=np.zeros(4),
+                                    zeta0=np.zeros(2), target=np.ones(2))
+    assert np.linalg.norm(c_mat @ point.w - 1.0) <= 1e-9
+    assert len(seen) == len(set(seen)) >= 2
 
 
 def test_newton_refines_nonlinear_point():
@@ -281,6 +302,16 @@ def test_duality_check_refuses_a_rank_deficient_jacobian():
                                                Q=np.eye(2)))
 
 
+def test_duality_check_returns_what_it_read():
+    rng = np.random.default_rng(9)
+    data = lderiv.LDerivData(A=rng.standard_normal((2, 4)),
+                             Q=sym(rng, 4) + 5.0 * np.eye(4))
+    check = lderiv.duality_check(data)
+    assert check.kernel == core.inertia(lderiv._kernel_restriction(data))
+    assert np.array_equal(check.frame.columns,
+                          lderiv.l_derivative(data).columns)
+
+
 def test_duality_booleans_always_agree():
     rng = np.random.default_rng(714)
     done = 0
@@ -365,6 +396,20 @@ def test_family_rejects_degenerate_endpoint():
 
     with pytest.raises(EndpointDegenerate):
         lderiv.family_index_delta(family, 1.0, 1.9)
+
+
+def test_family_refuses_a_rank_deficient_jacobian():
+    # with ker A two-dimensional the endpoint inertias passed, and the
+    # count refused later with EndpointOnTrain at t=0
+    a = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+
+    def family(tau):
+        return lderiv.LDerivData(A=a,
+                                 Q=np.diag([1.0, 2.0, 3.0]) - tau * np.eye(3))
+
+    with pytest.raises(RankDrop, match=r"^constraint Jacobian is rank "
+                                       r"deficient \(rank 1 < 2\)$"):
+        lderiv.family_index_delta(family, 0.0, 1.5)
 
 
 def test_discretized_oscillator_family_matches_morse_count():
