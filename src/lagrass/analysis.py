@@ -15,7 +15,8 @@ index computation, cross-checking the two counts against each other.
 reduction_comparison measures index and curvature-form gaps between a
 Jacobi curve and its energy-level reduction in a shared basis of the
 common subspace. No analysis reads a Jacobi frame twice: the scans of
-one curve share one functools.cache of its frames.
+one curve share one curve.cached memo of its frames, and a scan reads
+its many times in stacked passes.
 
 All sampled verdicts are certificates about the sample grid, not
 proofs; the margins and filters below keep the honest failure modes
@@ -24,7 +25,6 @@ proofs; the margins and filters below keep the honest failure modes
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
@@ -32,7 +32,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from . import core, maslov
-from .curve import GrassmannCurve, _curvature_form, _stencils, curvatures
+from .curve import (FrameReader, GrassmannCurve, _curvature_form, _stencils,
+                    cached, curvatures)
 from .errors import NotMonotone, TangentFiber
 from .hamflow import (
     EQUILIBRIUM_TOL,
@@ -328,14 +329,13 @@ def reduction_comparison(dense: DenseFlow,
     horizon = dense.horizon
     if trim is None:
         trim = 0.05 * horizon
-    jc = jacobi_curve(dense)
+    jc = cached(jacobi_curve(dense))
     red = level_reduction(dense.sys, dense.state(0.0))
-    full_at = functools.cache(jc.eval)
-    red_at = functools.cache(lambda t: red.reduce_frame(full_at(t)))
+    rc = cached(red.reduced(jc))
     uhat = red.u / np.linalg.norm(red.u)
     graze = math.inf
-    for t in np.linspace(0.0, horizon, 129):
-        cols = full_at(t).columns
+    for frame in jc.read(np.linspace(0.0, horizon, 129)):
+        cols = frame.columns
         graze = min(graze,
                     float(np.linalg.norm(uhat - cols @ (cols.T @ uhat))))
     if graze < GRAZE_TOL:
@@ -343,15 +343,18 @@ def reduction_comparison(dense: DenseFlow,
             f"flow direction grazes the curve (margin {graze:.3g}); "
             "the reduction is numerically unresolvable")
 
-    def reversed_curve(space, ev):
-        return GrassmannCurve(space=space,
-                              eval=lambda u: ev(trim + horizon - u),
-                              domain=(trim, horizon))
+    def reversed_curve(c):
+        return GrassmannCurve(
+            space=c.space,
+            eval=FrameReader(lambda u: c.eval(trim + horizon - u),
+                             lambda us: c.read(trim + horizon
+                                               - np.asarray(us, dtype=float))),
+            domain=(trim, horizon))
 
     vert = core.vertical_frame(jc.space)
     rvert = red.reduce_frame(vert)
-    rev_full = reversed_curve(jc.space, full_at)
-    rev_red = reversed_curve(red.space, red_at)
+    rev_full = reversed_curve(jc)
+    rev_red = reversed_curve(rc)
     mu_full = maslov.maslov_index(rev_full, vert, seed=0).value
     mu_red = maslov.maslov_index(rev_red, rvert, seed=0).value
     check = maslov.maslov_index(rev_red, rvert, seed=1).value

@@ -440,8 +440,8 @@ def _run_jacobi(sysn, z0, config, opts):
     horizon = float(config["horizon"])
     jc = jacobi_curve(_dense(sysn, z0, config))
     ts = np.linspace(0.0, horizon, opts["samples"])
-    rows = np.array([np.concatenate([[t], _frame_row(jc.eval(t))])
-                     for t in ts])
+    rows = np.array([np.concatenate([[t], _frame_row(frame)])
+                     for t, frame in zip(ts, jc.read(ts))])
     n2 = 2 * sysn.n
     cols = ["t"] + _mat_headers("proj", (n2, n2))
     return {"n": sysn.n, "horizon": horizon}, Series(tuple(cols), rows), []

@@ -20,15 +20,22 @@ other]) is at least MIN_MARGIN = 1e-2 against every subspace in play,
 so no chart is transversal by round-off alone.
 The frame and chart kernels read stacks: orthonormal_columns and
 _frames (make_frame's work) take columns of shape (..., 2n, n),
-_darboux the pairs of a stack of charts, _complements (the chart
+_checked is the stacked frame check, which refuses the first failing
+frame in stack order with make_frame's text (_make_frames wraps its
+columns as frames), _inertias reads the inertias of a stack of
+matrices in one eigvalsh pass and _definite_signs applies the
+definite-sign rule to their counts, _spans and _nullspaces take the
+spans and nullspaces of a stack in one singular-value pass, _darboux the
+pairs of a stack of charts, _complements (the chart
 search) a stack of frames whose first candidate it scores in one
 stacked pass, reporting each member's own outcome, and graph_coords and
 chart_matrices the columns of many subspaces, in one matrix product,
 one singular-value pass for the rank rule and one solve; _margin scores
 a candidate against a whole stack in one singular-value pass, and _gaps
 takes the subspace gaps of two stacks pairwise in one stacked 2-norm.
-make_frame, darboux_chart, transversal_complement, chart_coords and
-subspace_gap are the one-frame forms of the same code. numpy's
+make_frame, inertia, _definite_sign, span, nullspace, darboux_chart,
+transversal_complement, chart_coords and subspace_gap are the
+one-matrix forms of the same code. numpy's
 stacked svd, inv, solve and matmul give the same bits as one call per
 matrix, and so does the one QR, _orthonormal, so a stack and a loop of
 single calls agree exactly. That QR calls numpy's own LAPACK gufuncs,
@@ -43,7 +50,7 @@ comparison.
 Numerical derivatives likewise share one central-difference rule, the
 helpers _central_difference and _mixed_difference below; callers
 choose only the step. The definite-sign verdict lives beside inertia:
-_definite_sign is the one rule that calls a form definite or not.
+_definite_signs is the one rule that calls a form definite or not.
 """
 
 from __future__ import annotations
@@ -196,16 +203,33 @@ def rank(mat: np.ndarray) -> int:
     return int(_kept(np.linalg.svd(_finite(mat), compute_uv=False)))
 
 
+def _spans(cols: np.ndarray):
+    """span's work on one matrix or a stack (..., m, k), in one
+    singular-value pass: the left singular vectors and how many of them
+    the rank rule keeps, for each matrix."""
+    u, sv, _ = np.linalg.svd(_finite(cols), full_matrices=False)
+    return u, _kept(sv)
+
+
 def span(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, possibly zero columns."""
-    u, sv, _ = np.linalg.svd(_finite(cols), full_matrices=False)
-    return u[:, :_kept(sv)]
+    u, kept = _spans(cols)
+    return u[:, :kept]
+
+
+def _nullspaces(mat: np.ndarray):
+    """nullspace's work on one matrix or a stack (..., m, k), in one
+    singular-value pass: the right singular vectors as columns, and how
+    many of them the rank rule keeps out of the nullspace, for each
+    matrix."""
+    _, sv, vt = np.linalg.svd(_finite(mat))
+    return vt.swapaxes(-1, -2), _kept(sv)
 
 
 def nullspace(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the right nullspace, possibly zero columns."""
-    _, sv, vt = np.linalg.svd(_finite(mat))
-    return vt[_kept(sv):].T
+    v, kept = _nullspaces(mat)
+    return v[:, kept:]
 
 
 def _central_difference(fun, x, h: float, directions=None) -> np.ndarray:
@@ -276,22 +300,39 @@ def _frames(space: SymplecticSpace, cols: np.ndarray):
     return q, dependent, np.sqrt(np.vecdot(flat, flat))
 
 
+def _checked(space: SymplecticSpace, cols: np.ndarray) -> np.ndarray:
+    """The stacked frame check: _frames of one frame or a stack (...,
+    2n, n) and its orthonormal columns. The first frame in stack order
+    that is dependent or not isotropic refuses the stack, with
+    make_frame's text; only a refused frame is checked for non-finite
+    entries."""
+    q, dependent, defect = _frames(space, cols)
+    refused = dependent | ~(defect <= ISOTROPY_TOL)
+    if np.count_nonzero(refused):
+        i = np.unravel_index(refused.argmax(), refused.shape)
+        if not np.isfinite(cols[i]).all():
+            raise ValueError("frame has non-finite entries")
+        if dependent[i]:
+            raise ValueError(_DEPENDENT)
+        raise ValueError(f"frame is not isotropic (defect {defect[i]:.3e})")
+    return q
+
+
+def _make_frames(space: SymplecticSpace, cols: np.ndarray) -> list:
+    """make_frame of each frame of a stack (b, 2n, n), in one _checked
+    pass, in stack order."""
+    return [LagrangianFrame(space=space, columns=q)
+            for q in _checked(space, np.asarray(cols, dtype=float))]
+
+
 def make_frame(space: SymplecticSpace,
                columns: np.ndarray) -> LagrangianFrame:
     """Orthonormalize columns and validate the Lagrangian invariants: the
-    one-frame form of _frames. Only a refused frame is checked for
-    non-finite entries."""
+    one-frame call of _checked."""
     cols = np.asarray(columns, dtype=float)
     if cols.shape != (space.dim, space.n):
         raise ValueError("frame must be 2n x n")
-    q, dependent, defect = _frames(space, cols)
-    if dependent or not defect <= ISOTROPY_TOL:
-        if not np.isfinite(cols).all():
-            raise ValueError("frame has non-finite entries")
-        if dependent:
-            raise ValueError(_DEPENDENT)
-        raise ValueError(f"frame is not isotropic (defect {defect:.3e})")
-    return LagrangianFrame(space=space, columns=q)
+    return LagrangianFrame(space=space, columns=_checked(space, cols))
 
 
 def subspace_gap(f0: LagrangianFrame, f1: LagrangianFrame) -> float:
@@ -456,30 +497,42 @@ def frame_from_chart(rep: ChartRep) -> LagrangianFrame:
     return make_frame(rep.chart.space, e + f @ rep.S)
 
 
+def _inertias(mats: np.ndarray):
+    """inertia's counts for one finite matrix or a stack (..., k, k),
+    k >= 1, symmetrized and read in one eigvalsh pass: neg, zero and pos,
+    each of shape (...)."""
+    eigs = np.linalg.eigvalsh(0.5 * (mats + mats.swapaxes(-1, -2)))
+    scale = np.abs(eigs).max(axis=-1, keepdims=True)
+    thr = RANK_TOL * scale
+    # below ~100 eps a matrix is indistinguishable from the zero matrix
+    live = scale[..., 0] > 2.5e-14
+    neg = (eigs < -thr).sum(axis=-1) * live
+    pos = (eigs > thr).sum(axis=-1) * live
+    return neg, mats.shape[-1] - neg - pos, pos
+
+
 def inertia(q) -> Inertia:
-    """Eigenvalue inertia with a relative zero threshold."""
+    """Eigenvalue inertia with a relative zero threshold: the one-matrix
+    call of _inertias."""
     m = q.matrix if isinstance(q, QuadraticForm) else _finite(q)
-    m = 0.5 * (m + m.T)
     if m.size == 0:
         return Inertia(0, 0, 0)
-    eigs = np.linalg.eigvalsh(m)
-    scale = np.abs(eigs).max()
-    # below ~100 eps the matrix is indistinguishable from the zero matrix
-    if scale <= 2.5e-14:
-        return Inertia(0, m.shape[0], 0)
-    thr = RANK_TOL * scale
-    neg = int(np.sum(eigs < -thr))
-    pos = int(np.sum(eigs > thr))
-    return Inertia(neg=neg, zero=m.shape[0] - neg - pos, pos=pos)
+    neg, zero, pos = _inertias(m)
+    return Inertia(neg=int(neg), zero=int(zero), pos=int(pos))
+
+
+def _definite_signs(neg, pos, dim):
+    """The definite-sign rule on inertia counts, for one form or a stack:
+    1 where every direction is positive, -1 where every one is negative,
+    else 0."""
+    return np.where(pos == dim, 1, np.where(neg == dim, -1, 0))
 
 
 def _definite_sign(form) -> int:
     """1 for a positive definite form, -1 for a negative definite one,
     else 0."""
     ine = inertia(form)
-    if ine.pos == ine.dim:
-        return 1
-    return -1 if ine.neg == ine.dim else 0
+    return int(_definite_signs(ine.neg, ine.pos, ine.dim))
 
 
 def _margin(columns: np.ndarray, others: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Curves of Lagrangian subspaces: velocity, curvature, transport.
 
 A curve is a frame-valued callable on a real interval plus bookkeeping
-(domain, finite-difference step). Differentiation runs
+(domain, finite-difference step). A FrameReader eval also reads many
+times in one stacked pass, and GrassmannCurve.read takes that pass when
+the curve's eval has one, so a stacked read goes wherever eval goes;
+cached puts one memo behind both. Differentiation runs
 through moving Darboux charts: the chart origin for a stencil centered
 at t is the curve point itself, so the local graph matrix vanishes at
 the center and the five stencil values form a symmetric-matrix family
@@ -20,11 +23,11 @@ infinitesimal cross-ratio of the derivative curve with the curve, which
 is the main internal consistency check of the module.
 
 Stencils are read in stacked blocks of _STENCIL_BLOCK times. The frames
-of a block are read by the curve's eval, time by time, once; everything
-after the read (the chart search's first candidate, the Darboux charts,
-the chart matrices, the differences, the regularity check, the inverse
-and the Schwarzian) runs once for the whole block on a leading time
-axis. Every one-time reader (velocity_form, curvature, curvature_form,
+of a block are read once, in one GrassmannCurve.read (one stacked pass
+when the curve's eval is a FrameReader); everything after the read
+(the chart search's first candidate, the Darboux charts, the chart
+matrices, the differences, the regularity check, the inverse and the
+Schwarzian) runs once for the whole block on a leading time axis. Every one-time reader (velocity_form, curvature, curvature_form,
 transport_generator, derivative_curve) reads a block of one, so a block
 and a loop of single stencils give the same bits. Each time keeps its
 own outcome, its geometry or the exception its stencil raises (a chart
@@ -69,13 +72,30 @@ _CENTER = _OFFSETS.index(0)
 _STENCIL_BLOCK = 32
 
 
+class FrameReader:
+    """A curve's eval that also reads many times at once: reader(t) is
+    one(t), and reader.many(ts) is many(ts), the list [one(t) for t in
+    ts] bit for bit, read in one stacked pass."""
+
+    __slots__ = ("one", "many")
+
+    def __init__(self, one: Callable[[float], core.LagrangianFrame],
+                 many: Callable[..., List[core.LagrangianFrame]]):
+        self.one, self.many = one, many
+
+    def __call__(self, t: float) -> core.LagrangianFrame:
+        return self.one(t)
+
+
 @dataclass
 class GrassmannCurve:
     """A curve of Lagrangian frames on a domain.
 
     fd_step is the step of every stencil read from the curve, by default
     FD_STEP_FRACTION of the domain length; to differentiate with another
-    step h, use the copy dataclasses.replace(curve, fd_step=h).
+    step h, use the copy dataclasses.replace(curve, fd_step=h). read(ts)
+    reads many times in one pass when eval is a FrameReader, and else
+    calls eval at each time, so the stacked read goes wherever eval goes.
     """
 
     space: core.SymplecticSpace
@@ -98,6 +118,33 @@ class GrassmannCurve:
     @property
     def length(self) -> float:
         return self.domain[1] - self.domain[0]
+
+    def read(self, ts) -> List[core.LagrangianFrame]:
+        """The frames at the times ts, equal to eval at each time."""
+        if isinstance(self.eval, FrameReader):
+            return self.eval.many(ts)
+        return [self.eval(t) for t in ts]
+
+
+def cached(curve: GrassmannCurve) -> GrassmannCurve:
+    """The curve with one memo of its frames behind both eval and read,
+    so no time is read twice; a many-time read reads the times it has
+    not seen in one read(), and a read that raises stores nothing."""
+    memo = {}
+    one, read = curve.eval, curve.read
+
+    def at(t):
+        if t not in memo:
+            memo[t] = one(t)
+        return memo[t]
+
+    def many(ts):
+        new = list(dict.fromkeys(t for t in ts if t not in memo))
+        if new:
+            memo.update(zip(new, read(new)))
+        return [memo[t] for t in ts]
+
+    return replace(curve, eval=FrameReader(at, many))
 
 
 def from_chart_family(n: int, matrix_func, domain) -> GrassmannCurve:
@@ -232,8 +279,8 @@ def _centered_charts(frames, center: int, ts, what: str):
     return charts, mats, errors
 
 
-def _stencil_frames(curve: GrassmannCurve, t: float) -> list:
-    return [curve.eval(t + k * curve.fd_step) for k in _OFFSETS]
+def _stencil_times(curve: GrassmannCurve, ts) -> list:
+    return [t + k * curve.fd_step for t in ts for k in _OFFSETS]
 
 
 def _regularity(sdot: np.ndarray, ts) -> list:
@@ -280,15 +327,17 @@ def _stencil_stack(frames, ts, h: float) -> list:
 
 
 def _stencil_block(curve: GrassmannCurve, ts) -> list:
-    """The stencils at the times ts: the frames are read by the curve's
-    eval in time order, the rest in one stacked pass. For each time a
-    _Stencil, or the exception the stencil raises there; a member refused
-    by the chart stage keeps its own exception, and the others read on.
-    Only a block whose reads or stacked pass raise, as for an eval that
-    fails at one time, is read again as blocks of one, so each time keeps
-    its own outcome."""
+    """The stencils at the times ts: the frames of all of them are read
+    in one curve.read, in time order, the rest in one stacked pass. For
+    each time a _Stencil, or the exception the stencil raises there; a
+    member refused by the chart stage keeps its own exception, and the
+    others read on. Only a block whose read or stacked pass raises, as
+    for an eval that fails at one time, is read again as blocks of one,
+    so each time keeps its own outcome."""
     try:
-        frames = [_stencil_frames(curve, t) for t in ts]
+        frames = curve.read(_stencil_times(curve, ts))
+        k = len(_OFFSETS)
+        frames = [frames[i:i + k] for i in range(0, len(frames), k)]
         return _stencil_stack(frames, ts, curve.fd_step)
     except Exception as exc:
         if len(ts) == 1:
@@ -354,8 +403,8 @@ def infinitesimal_cross_ratio(c0: GrassmannCurve, c1: GrassmannCurve,
     (S0 - S1)^-1 Sdot0 (S0 - S1)^-1 Sdot1; it requires the two curve
     points to be transversal at t.
     """
-    frames = [c.eval(t + k * c.fd_step)
-              for c in (c0, c1) for k in (-2, -1, 0, 1, 2)]
+    frames = [fr for c in (c0, c1)
+              for fr in c.read([t + k * c.fd_step for k in (-2, -1, 0, 1, 2)])]
     # c1(t) is the center: the third of c1's five frames
     (chart,), (mats,), (error,) = _centered_charts([frames], 7, [t], "pair")
     if error:

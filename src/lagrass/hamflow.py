@@ -24,7 +24,11 @@ constant metric.g configs) carries its constant Hessian M.  Its flow
 is linear, so one RK4 step is exactly the transfer matrix T(dt) =
 I + S, S = a + a^2/2 + a^3/6 + a^4/24 with a = dt (-J M), built once
 per distinct grid step; its orbits march by z -> z + S z with no
-callback, which is RK4 to round-off.  The module also carries the
+callback, which is RK4 to round-off.  DenseFlow.gammas reads Gamma at
+many times in one batch, grid times as rows of phis and the others by
+one batched RK4 step, and the Jacobi curves read their frames through
+it in one stacked frame check, bit for bit as one time at a time.  The
+module also carries the
 canonical-connection machinery: connection coefficients from the
 Hessian blocks, curvature operators of the field both by the exact
 natural-system shortcut and by a generic double-bracket evaluation,
@@ -42,7 +46,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import core
-from .curve import FD_STEP_FRACTION, REACH, GrassmannCurve, _rk4
+from .curve import (FD_STEP_FRACTION, REACH, FrameReader, GrassmannCurve,
+                    _rk4)
 from .errors import (BlowUp, DimensionDefect, NotRegular, ReductionRefused,
                      TangentFiber)
 
@@ -139,14 +144,16 @@ class HamiltonianSystem:
         """z' = field, the state alone."""
         return (self.field(state[0]),)
 
-    def _increment(self, dt: float) -> np.ndarray:
+    def _increment(self, dt) -> np.ndarray:
         """One RK4 step of the linear flow, z -> z + S z; constant Hessian only.
 
         RK4 on z' = a z / dt gives exactly S = a + a^2/2 + a^3/6 + a^4/24,
-        a = dt (-J M), summed here in Horner form.
+        a = dt (-J M), summed here in Horner form; for a 1-D array of dts,
+        one S for each, stacked, each equal to its own call bit for bit.
         """
-        a = dt * self._minus_j(self.constant_hessian)
-        eye = np.eye(len(a))
+        a = np.asarray(dt)[..., None, None] * self._minus_j(
+            self.constant_hessian)
+        eye = np.eye(a.shape[-1])
         t = eye + a / 4.0
         for k in (3.0, 2.0):
             t = eye + a @ t / k
@@ -399,22 +406,38 @@ def _padded_grid(t_lo: float, t_hi: float,
     return np.concatenate([-bwd_t[:0:-1], fwd_t]), len(bwd_t) - 1
 
 
-def _checkpoint(times: np.ndarray, t: float) -> Tuple[int, float]:
-    """Index of the checkpoint at or below t and the step left from it.
+def _checkpoints(times: np.ndarray, ts):
+    """Index of the checkpoint at or below each time of ts and the step
+    left from it, as two arrays, and the ValueError for the first time
+    outside the window, or None; that time and the ones after it are not
+    to be read.
 
     A time just outside the grid is clamped onto its end; a step under
     the round-off floor comes back as 0.0, the checkpoint itself.
     """
-    t, lo, hi = float(t), float(times[0]), float(times[-1])
+    ts = np.asarray(ts, dtype=float)
+    lo, hi = float(times[0]), float(times[-1])
     span = hi - lo
     pad = 1e-9 * (1.0 + span)
-    if t < lo - pad or t > hi + pad:
-        raise ValueError(f"time {t:g} outside the integrated window")
-    t = min(max(t, lo), hi)
-    k = int(np.searchsorted(times, t, side="right")) - 1
-    k = max(0, min(k, len(times) - 1))
-    dt = t - times[k]
-    return k, (0.0 if dt <= 1e-14 * (1.0 + span) else dt)
+    outside = (ts < lo - pad) | (ts > hi + pad)
+    error = None
+    if outside.any():
+        first = int(outside.argmax())
+        error = ValueError(f"time {ts[first]:g} outside the integrated window")
+        ts = ts[:first]
+    ts = np.minimum(np.maximum(ts, lo), hi)
+    ks = np.clip(np.searchsorted(times, ts, side="right") - 1, 0,
+                 len(times) - 1)
+    dts = ts - times[ks]
+    return ks, np.where(dts <= 1e-14 * (1.0 + span), 0.0, dts), error
+
+
+def _checkpoint(times: np.ndarray, t: float) -> Tuple[int, float]:
+    """_checkpoints of one time, refused outside the window."""
+    ks, dts, error = _checkpoints(times, [t])
+    if error is not None:
+        raise error
+    return int(ks[0]), float(dts[0])
 
 
 def _past_cap(part: np.ndarray, axis=None):
@@ -564,24 +587,50 @@ def _march(sys: HamiltonianSystem, outs: Sequence[np.ndarray],
             raise failure
 
 
-def _step(sys: HamiltonianSystem, t: float, parts: Sequence[np.ndarray],
-          dt: float) -> list:
-    """One RK4 step of z, or of z and Phi, from time t, with no cap check.
+def _steps(sys: HamiltonianSystem, ts: np.ndarray,
+           parts: Sequence[np.ndarray], dts: np.ndarray) -> list:
+    """One RK4 step of z, or of z and Phi, from each time of ts by its dt,
+    with no cap check, in one batch: parts holds the stacked starts, z
+    (b, 2n) and Phi (b, 2n, 2n), and each member equals its own step bit
+    for bit.
 
-    Phi takes the two phases of _pair_march for a single step.
+    A constant Hessian steps every member by its own S. Otherwise Phi
+    takes the two phases of _pair_march: each member's z runs its stages
+    through one _StageHessians buffer, then one _symmetrized and one
+    _stage_increments pass build every S. A failure is raised as the
+    first member in order meets it: an asymmetric stage Hessian of an
+    earlier member comes before a later member's callback error.
     """
     if sys.constant_hessian is not None:
-        inc = sys._increment(dt)
-        return [inc @ part + part for part in parts]
+        inc = sys._increment(dts)
+        return [(inc @ part[..., None])[..., 0] + part if part.ndim == 2
+                else inc @ part + part for part in parts]
     if len(parts) == 1:
-        return _rk4(sys._state_rhs, t, parts, dt)
-    stages = _StageHessians(sys, 1)
-    z = _rk4(stages, t, parts[:1], dt)[0]
+        return [np.array([_rk4(sys._state_rhs, t, (z,), dt)[0]
+                          for t, z, dt in zip(ts, parts[0], dts)])]
+    stages = _StageHessians(sys, len(dts))
+    zs = []
+    try:
+        for t, z, dt in zip(ts, parts[0], dts):
+            zs.append(_rk4(stages, t, (z,), dt)[0])
+    except Exception:
+        asymmetric = _symmetrized(stages.buf[:4 * len(zs)])[1]
+        if asymmetric is not None:
+            raise asymmetric from None
+        raise
     sym, asymmetric = _symmetrized(stages.buf)
     if asymmetric is not None:
         raise asymmetric
-    inc = _stage_increments(sys, sym, np.array([dt]))[0]
-    return [z, inc @ parts[1] + parts[1]]
+    inc = _stage_increments(sys, sym, dts)
+    return [np.array(zs), inc @ parts[1] + parts[1]]
+
+
+def _step(sys: HamiltonianSystem, t: float, parts: Sequence[np.ndarray],
+          dt: float) -> list:
+    """One RK4 step of z, or of z and Phi, from time t: _steps of one."""
+    return [part[0] for part in _steps(sys, np.array([t]),
+                                       [part[None] for part in parts],
+                                       np.array([dt]))]
 
 
 def _initial_state(sys: HamiltonianSystem, z0) -> np.ndarray:
@@ -642,9 +691,25 @@ class DenseFlow:
     def state(self, t: float) -> np.ndarray:
         return self._at(t)[0]
 
+    def gammas(self, ts) -> np.ndarray:
+        """Gamma at each time of ts, stacked (b, 2n, 2n), in one batch:
+        grid times read their rows of phis, and the others take _step's
+        single RK4 step from the checkpoint below, all in one _steps. A
+        time outside the window is refused after the times before it are
+        stepped, as a loop of gamma reads would meet it."""
+        ks, dts, outside = _checkpoints(self.times, ts)
+        phis = self.phis[ks]
+        off = np.flatnonzero(dts)
+        if len(off):
+            below = ks[off]
+            phis[off] = _steps(self.sys, self.times[below],
+                               (self.states[below], phis[off]), dts[off])[1]
+        if outside is not None:
+            raise outside
+        return -self._j @ phis.swapaxes(-1, -2) @ self._j
+
     def gamma(self, t: float) -> np.ndarray:
-        phi = self._at(t)[1]
-        return -self._j @ phi.T @ self._j
+        return self.gammas([t])[0]
 
     def window(self) -> Trajectory:
         """The orbit on [0, horizon], equal to flow()'s bit for bit.
@@ -665,15 +730,19 @@ def jacobi_curve(dense: DenseFlow) -> GrassmannCurve:
     """Curve traced by the fiber under backward transport along the orbit.
 
     Monotone decreasing whenever the xx Hessian block stays positive
-    definite along the orbit.
+    definite along the orbit. Its eval is a FrameReader: many times read
+    their Gammas in one DenseFlow.gammas and their frames in one stacked
+    frame check.
     """
     space = core.standard_space(dense.sys.n)
     vert = core.vertical_frame(space).columns
 
-    def ev(t):
-        return core.make_frame(space, dense.gamma(t) @ vert)
+    def many(ts):
+        return core._make_frames(space, dense.gammas(ts) @ vert)
 
-    return GrassmannCurve(space=space, eval=ev, domain=(0.0, dense.horizon))
+    return GrassmannCurve(space=space,
+                          eval=FrameReader(lambda t: many([t])[0], many),
+                          domain=(0.0, dense.horizon))
 
 
 # --------------------------------------------------------- level reduction
@@ -694,17 +763,59 @@ class LevelReduction:
     def level_kernel(self, frame: core.LagrangianFrame) -> np.ndarray:
         """K with frame.columns @ K spanning where sigma(u, .) vanishes on
         the frame; I when it is under RANK_TOL on all of the frame."""
-        r = np.atleast_2d(self.u @ frame.space.form @ frame.columns)
-        return (np.eye(r.shape[1]) if np.abs(r).max() <= core.RANK_TOL
-                else core.nullspace(r))
+        return self._level_kernels(frame.space, frame.columns[None])[0]
+
+    def _level_kernels(self, space: core.SymplecticSpace,
+                       cols: np.ndarray) -> np.ndarray:
+        """level_kernel for a stack of frames (b, 2n, n) of space, in one
+        pass; a stack whose kernels are not all of one size is refused
+        with ValueError."""
+        r = (self.u @ space.form @ cols)[:, None]
+        flat = np.abs(r).max(axis=(-2, -1)) <= core.RANK_TOL
+        if flat.all():
+            return np.broadcast_to(np.eye(r.shape[-1]), cols.shape[:1]
+                                   + (r.shape[-1],) * 2)
+        v, kept = core._nullspaces(r)
+        if flat.any() or (kept != kept[0]).any():
+            raise ValueError("level kernels of more than one size")
+        return v[..., kept[0]:]
 
     def reduce_frame(self,
                      frame: core.LagrangianFrame) -> core.LagrangianFrame:
-        cols = core.span(self._proj @ frame.columns @ self.level_kernel(frame))
-        if cols.shape[1] != self.space.n:
+        """The frame's image in the quotient: reduce_frames of one."""
+        return self.reduce_frames([frame])[0]
+
+    def reduce_frames(self, frames) -> list:
+        """The quotient images of the frames, in one stacked pass of
+        level_kernel, span and the frame check. A stack that refuses, or
+        whose level kernels are not all of one kind, is reduced frame by
+        frame, so the first frame in order that fails raises its own
+        error."""
+        try:
+            return self._reduced(frames)
+        except Exception:
+            if len(frames) == 1:
+                raise
+        return [self.reduce_frame(fr) for fr in frames]
+
+    def _reduced(self, frames) -> list:
+        cols = np.stack([fr.columns for fr in frames])
+        kernels = self._level_kernels(frames[0].space, cols)
+        u, dims = core._spans(self._proj @ cols @ kernels)
+        if (dims != self.space.n).any():
             raise DimensionDefect(f"quotient image has dimension "
-                                  f"{cols.shape[1]}, expected {self.space.n}")
-        return core.make_frame(self.space, cols)
+                                  f"{dims[dims != self.space.n][0]}, "
+                                  f"expected {self.space.n}")
+        return core._make_frames(self.space, u[..., :self.space.n])
+
+    def reduced(self, full: GrassmannCurve) -> GrassmannCurve:
+        """The curve full pushed to the quotient, on full's domain; its
+        eval is a FrameReader whose many-time read reduces full.read."""
+        return GrassmannCurve(
+            space=self.space,
+            eval=FrameReader(lambda t: self.reduce_frame(full.eval(t)),
+                             lambda ts: self.reduce_frames(full.read(ts))),
+            domain=full.domain)
 
 
 def level_reduction(sys: HamiltonianSystem, z0: np.ndarray) -> LevelReduction:
@@ -755,12 +866,7 @@ def level_reduction(sys: HamiltonianSystem, z0: np.ndarray) -> LevelReduction:
 def reduced_jacobi_curve(dense: DenseFlow) -> GrassmannCurve:
     """Jacobi curve pushed to the quotient along the energy level of z0."""
     red = level_reduction(dense.sys, dense.state(0.0))
-    full = jacobi_curve(dense)
-
-    def ev(t):
-        return red.reduce_frame(full.eval(t))
-
-    return GrassmannCurve(space=red.space, eval=ev, domain=full.domain)
+    return red.reduced(jacobi_curve(dense))
 
 
 # -------------------------------------------------- connection and curvature
@@ -913,11 +1019,14 @@ class MonotonicityReport:
 
 
 def monotonicity_test(traj: Trajectory) -> MonotonicityReport:
-    """Legendre scan: the definite sign (core._definite_sign) of the xx
-    Hessian block at up to 201 trajectory samples, their common sign, or
-    0 when they disagree or one is not definite."""
-    sys = traj.sys
-    signs = {core._definite_sign(sys.hessian(traj.states[k])[:sys.n, :sys.n])
-             for k in _subsample(len(traj.times), 201)}
+    """Legendre scan: the definite sign (core._definite_sign's rule) of
+    the xx Hessian block at up to 201 trajectory samples, read in one
+    stacked inertia pass, their common sign, or 0 when they disagree or
+    one is not definite."""
+    n = traj.sys.n
+    blocks = np.array([core._finite(traj.sys.hessian(traj.states[k])[:n, :n])
+                       for k in _subsample(len(traj.times), 201)])
+    neg, _, pos = core._inertias(blocks)
+    signs = set(core._definite_signs(neg, pos, n).tolist())
     sign = signs.pop() if len(signs) == 1 else 0
     return MonotonicityReport(uniform_definite=sign != 0, sign=sign)

@@ -236,10 +236,14 @@ class DualityCheck:
 def duality_check(data: LDerivData) -> DualityCheck:
     """Both sides of the degeneracy correspondence, computed separately.
 
-    Nondegeneracy of the kernel restriction and transversality of
-    L(A, Q) to the fiber are equivalent, and verdicts that disagree (a
-    rank rule misjudged the pair) raise ArithmeticError. Both booleans
-    are returned so tests confirm the equivalence, not assume it.
+    dim(L(A, Q) meet fiber) = dim ker(Q on ker A) - dim(ker A meet ker Q),
+    so nondegeneracy of the kernel restriction and transversality of
+    L(A, Q) to the fiber are equivalent when ker A and ker Q meet only in
+    0. Verdicts that disagree raise ArithmeticError: where ker A meets
+    ker Q (A = [[1, 0, 0]] with Q = diag(1, 0, 3)), its text states that
+    dimension; elsewhere a rank rule misjudged a badly scaled pair. Both
+    booleans are returned so tests confirm the equivalence, not assume
+    it.
     """
     kernel = core.inertia(_kernel_restriction(data))
     nondeg = kernel.zero == 0
@@ -247,9 +251,15 @@ def duality_check(data: LDerivData) -> DualityCheck:
     fiber = core.vertical_frame(core.standard_space(data.m))
     trans = core.intersection_dim(frame, fiber) == 0
     if nondeg != trans:
+        # a kernel shared by A and Q can only split the verdicts this way
+        shared = 0 if nondeg else core.nullspace(
+            np.vstack([data.A, data.Q])).shape[1]
         raise ArithmeticError(
             f"duality disagrees: hessian_nondegenerate={nondeg}, "
-            f"transversal_to_fiber={trans}")
+            f"transversal_to_fiber={trans}"
+            + (f"; dim(ker A meet ker Q) = {shared}, so L(A, Q) stays "
+               "transversal to the fiber while Q on ker A is singular"
+               if shared else ""))
     return DualityCheck(hessian_nondegenerate=nondeg,
                         transversal_to_fiber=trans, kernel=kernel,
                         frame=frame)
@@ -276,9 +286,12 @@ def family_index_delta(family: Callable[[float], LDerivData],
                 f"restricted Hessian singular at tau={tau:g}")
         ends.append(ine.neg)
     space = core.standard_space(pairs[0].m)
-    curve = GrassmannCurve(space=space,
-                           eval=lambda tau: l_derivative(family(tau)),
-                           domain=(tau0, tau1))
+    # the count reads the endpoint pairs built above, not new ones
+    known = dict(zip((tau0, tau1), pairs))
+    curve = GrassmannCurve(
+        space=space, domain=(tau0, tau1),
+        eval=lambda tau: l_derivative(known[tau] if tau in known
+                                      else family(tau)))
     report = maslov_index(curve, core.vertical_frame(space))
     direct = ends[0] - ends[1]
     if report.value != direct:

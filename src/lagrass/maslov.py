@@ -9,7 +9,11 @@ difference per piece, each piece chart from the margin-scored search
 core.transversal_complement), and conjugate-point lists with multiplicities
 for regular monotone curves (bisection on the chart-matrix inertia).
 The Morse index of a regular extremal is the multiplicity sum of its
-Jacobi curve against the initial subspace. Scans read each frame once.
+Jacobi curve against the initial subspace. Scans read each frame once,
+through one curve.cached memo, and read many times at once: a piece's
+samples, a scan's samples and the next _LOOKAHEAD levels of a
+bisection each come in one stacked read, scored by one chart-matrix
+pass and one inertia pass.
 
 Sign convention: a transversal crossing counts +dim when the velocity
 form is positive on the intersection, so monotone increasing curves
@@ -18,14 +22,13 @@ accumulate positive index and monotone decreasing curves negative.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
 from . import core
-from .curve import GrassmannCurve, _interior, _stencils
+from .curve import GrassmannCurve, _interior, _stencils, cached
 from .errors import (
     ChartFailure,
     DegenerateEndpoint,
@@ -42,6 +45,7 @@ _CERT_SAMPLES = 9
 _SCAN_SAMPLES = 33
 _TIME_TOL = 1e-10     # of the domain length, crossing localization
 _NUDGE = 1e-6         # of the piece length, off-train shifts
+_LOOKAHEAD = 4        # bisection levels read in one stacked pass
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,7 @@ def _pieces(train, at, a, b, seed, need_train, depth=0):
         raise SubdivisionFailure(
             f"subdivision depth {MAX_DEPTH} exceeded on [{a:g}, {b:g}]")
     ts = np.linspace(a, b, _CERT_SAMPLES)
-    frames = [at(t) for t in ts]
+    frames = at.many(ts)
     delta = None
     cols = np.stack([fr.columns for fr in frames])
     if (core._gaps(cols[:-1], cols[1:]) <= MAX_GAP).all():
@@ -160,12 +164,44 @@ def _pieces(train, at, a, b, seed, need_train, depth=0):
     return [(a, b, chart)]
 
 
-def _chart_index(at, chart, t):
-    """Negative inertia of the curve's chart matrix at t."""
+def _chart_indices(at, chart, ts) -> list:
+    """Negative inertia of the curve's chart matrix at each time of ts,
+    or the exception its read or chart raises there (ChartFailure where
+    the curve leaves the piece chart), in one stacked pass: one read,
+    one core._chart_matrices pass and one core._inertias pass. A stack
+    whose read or pass raises is scored again time by time, so each time
+    keeps its own outcome."""
     try:
-        return core.inertia(core.chart_coords(at(t), chart).S).neg
-    except NotInChart as exc:
-        raise ChartFailure(f"curve left the piece chart at t={t:g}") from exc
+        cols = np.stack([fr.columns for fr in at.many(ts)])
+        mats, meets, asym, bad = core._chart_matrices(chart.basis_inv, cols)
+        refused = meets | bad
+        neg = core._inertias(core._finite(
+            np.where(refused[:, None, None], 0.0, mats)))[0]
+    except Exception as exc:
+        if len(ts) == 1:
+            return [exc]
+        return [_chart_indices(at, chart, [t])[0] for t in ts]
+    return [_left_chart(core._refusal(meets[i:i + 1], asym[i:i + 1],
+                                      bad[i:i + 1]), t)
+            if refused[i] else int(neg[i]) for i, t in enumerate(ts)]
+
+
+def _left_chart(exc: Exception, t: float) -> Exception:
+    """The ChartFailure a NotInChart at t turns into; any other exception
+    stays as it is."""
+    if not isinstance(exc, NotInChart):
+        return exc
+    failure = ChartFailure(f"curve left the piece chart at t={t:g}")
+    failure.__cause__ = exc
+    return failure
+
+
+def _scored(indices) -> list:
+    """The indices, or the first exception among them."""
+    for ind in indices:
+        if isinstance(ind, Exception):
+            raise ind
+    return indices
 
 
 def _monotone_direction(curve: GrassmannCurve, strict: bool) -> int:
@@ -216,13 +252,14 @@ def maslov_index(curve: GrassmannCurve, train: core.LagrangianFrame,
     main invariance test of this module.
     """
     a, b = curve.domain
-    at = functools.cache(curve.eval)
+    at = cached(curve).eval
     _require_off_train(at, train, a, b)
     pieces = _pieces(train, at, a, b, seed, True)
     value = 0
     subdivision = [a]
     for pa, pb, chart in pieces:
-        value += _chart_index(at, chart, pa) - _chart_index(at, chart, pb)
+        ia, ib = _scored(_chart_indices(at, chart, [pa, pb]))
+        value += ia - ib
         subdivision.append(pb)
     return IndexReport(value=value, subdivision=subdivision,
                        charts_used=len(pieces))
@@ -240,7 +277,7 @@ def maslov_index_monotone(curve: GrassmannCurve,
     the train.
     """
     a, b = curve.domain
-    at = functools.cache(curve.eval)
+    at = cached(curve).eval
     _require_off_train(at, train, a, b)
     direction = _monotone_direction(curve, strict=False)
     pieces = _pieces(train, at, a, b, 0, False)
@@ -275,23 +312,48 @@ def _trim(at, train, end, other):
         f"curve sticks to the reference subspace near t={end:g}")
 
 
-def _locate(indf, tl, tr, il, ir, tol, depth=0):
+def _midpoints(tl, tr, tol) -> list:
+    """Every midpoint that the next _LOOKAHEAD levels of bisection from
+    [tl, tr] may read, by the expressions the walk itself uses."""
+    out, spans = [], [(tl, tr)]
+    for _ in range(_LOOKAHEAD):
+        deeper = []
+        for lo, hi in spans:
+            if hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                out.append(mid)
+                deeper += [(lo, mid), (mid, hi)]
+        spans = deeper
+    return out
+
+
+def _locate(indices, tl, tr, il, ir, tol, depth=0):
     """Bisect an inertia change down to tol, splitting on intermediate
-    levels so several nearby crossings come out separately."""
+    levels so several nearby crossings come out separately. indices reads
+    many times at once: each read takes the midpoints of the next
+    _LOOKAHEAD levels, and a midpoint's exception is raised only when the
+    walk reaches it."""
     if depth > 64:
         raise SubdivisionFailure("crossing localization did not stabilize")
     out = []
     while tr - tl > tol:
-        tm = 0.5 * (tl + tr)
-        im = indf(tm)
-        if im == il:
-            tl = tm
-        elif im == ir:
-            tr = tm
-        else:
-            out.extend(_locate(indf, tl, tm, il, im, tol, depth + 1))
-            out.extend(_locate(indf, tm, tr, im, ir, tol, depth + 1))
-            return out
+        ahead = _midpoints(tl, tr, tol)
+        got = dict(zip(ahead, indices(ahead)))
+        for _ in range(_LOOKAHEAD):
+            if not tr - tl > tol:
+                break
+            tm = 0.5 * (tl + tr)
+            im = got[tm]
+            if isinstance(im, Exception):
+                raise im
+            if im == il:
+                tl = tm
+            elif im == ir:
+                tr = tm
+            else:
+                out.extend(_locate(indices, tl, tm, il, im, tol, depth + 1))
+                out.extend(_locate(indices, tm, tr, im, ir, tol, depth + 1))
+                return out
     out.append((0.5 * (tl + tr), abs(il - ir)))
     return out
 
@@ -311,7 +373,7 @@ def conjugate_points(curve: GrassmannCurve, train: core.LagrangianFrame,
     """
     _monotone_direction(curve, strict=True)
     a, b = curve.domain
-    at = functools.cache(curve.eval)
+    at = cached(curve).eval
     lo = _trim(at, train, a, b)
     hi = _trim(at, train, b, a)
     pieces = _pieces(train, at, lo, hi, seed, True)
@@ -319,15 +381,17 @@ def conjugate_points(curve: GrassmannCurve, train: core.LagrangianFrame,
     # pieces, brackets and _locate's splits all run forward in time
     found: List[ConjugatePoint] = []
     for pa, pb, chart in pieces:
-        indf = functools.partial(_chart_index, at, chart)
+        def indices(ts, chart=chart):
+            return _chart_indices(at, chart, ts)
+
         # a fixed grid, not bisection from the piece ends: its samples see
         # the curve leave the piece chart (ChartFailure) and miscount none
         ts = np.linspace(pa, pb, _SCAN_SAMPLES)
-        inds = [indf(t) for t in ts]
+        inds = _scored(indices(ts))
         for i in range(len(ts) - 1):
             if inds[i] == inds[i + 1]:
                 continue
-            for t_star, jump in _locate(indf, ts[i], ts[i + 1],
+            for t_star, jump in _locate(indices, ts[i], ts[i + 1],
                                         inds[i], inds[i + 1], tol):
                 if found and t_star - found[-1].t <= 10.0 * tol:
                     prev = found.pop()
@@ -340,7 +404,7 @@ def _extremal_scan(jc: GrassmannCurve):
     """Frame-cached curve, train jc(t0) and conjugate points of a Jacobi
     curve: the one scan behind both Morse readers. A degenerate horizon,
     whose subspace still meets jc(t0), is refused."""
-    jc = replace(jc, eval=functools.cache(jc.eval))
+    jc = cached(jc)
     t0, t1 = jc.domain
     train = jc.eval(t0)
     if core.intersection_dim(jc.eval(t1), train) > 0:

@@ -375,13 +375,13 @@ def test_reduction_comparison_reads_each_frame_once(monkeypatch):
     # four stencil blocks share one frame cache; the half-step stencils
     # reuse five of their seven frames from the full-step ones
     reads = []
-    gamma = hamflow.DenseFlow.gamma
+    gammas = hamflow.DenseFlow.gammas
 
-    def counted(self, t):
-        reads.append(float(t))
-        return gamma(self, t)
+    def counted(self, ts):
+        reads.extend(map(float, ts))
+        return gammas(self, ts)
 
-    monkeypatch.setattr(hamflow.DenseFlow, "gamma", counted)
+    monkeypatch.setattr(hamflow.DenseFlow, "gammas", counted)
     dense = hamflow.DenseFlow(oscillator(2, np.diag([1.0, 2.3])),
                               np.array([0.7, -0.4, 1.1, 0.5]), horizon=6.0,
                               step=1e-3)
@@ -394,19 +394,69 @@ def test_morse_index_regular_extremal_reads_each_frame_once(monkeypatch):
     # the endpoint reads at t0 and t1 and the conjugate scan share one
     # frame cache
     reads = []
-    gamma = hamflow.DenseFlow.gamma
+    gammas = hamflow.DenseFlow.gammas
 
-    def counted(self, t):
-        reads.append(float(t))
-        return gamma(self, t)
+    def counted(self, ts):
+        reads.extend(map(float, ts))
+        return gammas(self, ts)
 
-    monkeypatch.setattr(hamflow.DenseFlow, "gamma", counted)
+    monkeypatch.setattr(hamflow.DenseFlow, "gammas", counted)
     dense = hamflow.DenseFlow(oscillator(2, np.diag([1.0, 2.3])),
                               np.array([0.7, -0.4, 1.1, 0.5]), horizon=6.0,
                               step=1e-3)
     jc = hamflow.jacobi_curve(dense)
     assert maslov.morse_index_regular_extremal(jc) == 3
     assert reads and len(reads) == len(set(reads))
+
+
+def test_conjugate_points_reads_its_frames_in_stacks(monkeypatch):
+    # the acceptance conjugate config: the scan samples, the pieces'
+    # samples, the stencils and each bisection's next levels come in
+    # stacked reads; one-time reads are left to the trims and piece splits
+    sizes = []
+    gammas = hamflow.DenseFlow.gammas
+
+    def counted(self, ts):
+        sizes.append(len(ts))
+        return gammas(self, ts)
+
+    monkeypatch.setattr(hamflow.DenseFlow, "gammas", counted)
+    dense = hamflow.DenseFlow(oscillator(1), np.array([0.8, -0.3]),
+                              horizon=4.0, step=1e-3)
+    jc = hamflow.jacobi_curve(dense)
+    pts = maslov.conjugate_points(jc, core.vertical_frame(jc.space))
+    assert [p.multiplicity for p in pts] == [1]
+    assert abs(pts[0].t - np.pi) <= 1e-8
+    assert sizes.count(1) <= 10
+
+
+@pytest.mark.parametrize("system, z0, horizon", [
+    (oscillator(2, np.diag([1.0, 2.3])), [0.7, -0.4, 1.1, 0.5], 6.0),
+    (hamflow.polynomial_system(2, [
+        (0.5, (2, 0, 0, 0)), (0.5, (0, 2, 0, 0)), (0.5, (0, 0, 2, 0)),
+        (1.0, (0, 0, 0, 2)), (0.1, (0, 0, 4, 0)), (0.05, (0, 0, 1, 2))]),
+     [0.4, 0.1, -0.3, 0.2], 5.0),
+], ids=["constant-hessian", "polynomial"])
+def test_scans_agree_on_a_plain_eval_and_its_frame_reader(system, z0,
+                                                          horizon):
+    # a plain function in place of the FrameReader is read one time at a
+    # time, and every scan returns the same values
+    dense = hamflow.DenseFlow(system, np.array(z0), horizon=horizon,
+                              step=1e-3)
+    jc = hamflow.jacobi_curve(dense)
+    plain = dataclasses.replace(jc, eval=lambda t: jc.eval(t))
+    train = jc.eval(0.0)
+    off = core.vertical_frame(jc.space)
+
+    def scans(c):
+        sub = dataclasses.replace(c, domain=(0.01 * horizon, horizon))
+        rep = maslov.maslov_index(sub, train)
+        return (maslov.conjugate_points(c, train),
+                maslov.conjugate_points(c, off),
+                (rep.value, rep.subdivision, rep.charts_used),
+                maslov.morse_index_regular_extremal(c))
+
+    assert scans(plain) == scans(jc)
 
 
 def test_reduction_comparison_refuses_grazing_direction():

@@ -783,16 +783,16 @@ def test_compare_writes_an_infinite_bound_as_text(tmp_path):
 def test_no_command_reads_a_jacobi_frame_twice(tmp_path, monkeypatch,
                                                potential):
     # the scans of one Jacobi curve share its frames: a repeated time of
-    # DenseFlow.gamma within one run is a frame read twice (hyperbolic
+    # DenseFlow.gammas within one run is a frame read twice (hyperbolic
     # with options.reduced builds a second reduced curve and is left out)
     reads = []
-    gamma = hamflow.DenseFlow.gamma
+    gammas = hamflow.DenseFlow.gammas
 
-    def counted(self, t):
-        reads.append(float(t))
-        return gamma(self, t)
+    def counted(self, ts):
+        reads.extend(map(float, ts))
+        return gammas(self, ts)
 
-    monkeypatch.setattr(hamflow.DenseFlow, "gamma", counted)
+    monkeypatch.setattr(hamflow.DenseFlow, "gammas", counted)
     cfg = well_config(horizon=3.0, step=1e-2)
     cfg["system"]["potential"] = potential
     path = write_config(tmp_path, cfg)

@@ -329,6 +329,55 @@ def _reference_search(frame, avoid, seed):
     return best if best_score >= core.MIN_MARGIN else None
 
 
+def _reference_inertia(m):
+    """inertia's threshold rule, one matrix at a time."""
+    eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
+    scale = np.abs(eigs).max()
+    if scale <= 2.5e-14:
+        return core.Inertia(0, len(m), 0)
+    neg = int(np.sum(eigs < -core.RANK_TOL * scale))
+    pos = int(np.sum(eigs > core.RANK_TOL * scale))
+    return core.Inertia(neg, len(m) - neg - pos, pos)
+
+
+@seed(20261021)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 5), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+def test_stacked_inertia_equals_inertia(k, count, draw):
+    # random members, members with planted kernels just above and below
+    # the relative threshold, near-zero and zero members, not symmetrized
+    rng = np.random.default_rng(draw)
+    mats = []
+    for i in range(count):
+        v = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        eigs = rng.standard_normal(k)
+        eigs[:i % k] *= [1e-12, 1e-8, 0.0][i % 3]
+        m = v @ np.diag(eigs) @ v.T * [1.0, 1e-15, 0.0, 1e3][i % 4]
+        mats.append(m + 1e-13 * rng.standard_normal((k, k)))
+    mats = np.array(mats)
+    neg, zero, pos = core._inertias(mats)
+    for m, counts in zip(mats, zip(neg, zero, pos)):
+        assert core.inertia(m) == _reference_inertia(m) == core.Inertia(
+            *map(int, counts))
+
+
+def test_stacked_frame_check_refuses_the_first_failing_member():
+    sp = core.standard_space(2)
+    rng = np.random.default_rng(3)
+    good = [core.random_lagrangian(sp, rng).columns for _ in range(3)]
+    skew = np.vstack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
+    flat = np.vstack([np.eye(2)[:, [0, 0]], np.zeros((2, 2))])
+    frames = core._make_frames(sp, np.stack(good))
+    assert [f.columns.tobytes() for f in frames] == [
+        core.make_frame(sp, c).columns.tobytes() for c in good]
+    for bad in (skew, flat, np.full((4, 2), np.nan)):
+        with pytest.raises(ValueError) as alone:
+            core.make_frame(sp, bad)
+        with pytest.raises(ValueError) as stacked:
+            core._make_frames(sp, np.stack([good[0], bad, skew, good[1]]))
+        assert str(stacked.value) == str(alone.value)
+
+
 @seed(20261019)
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.integers(1, 9),

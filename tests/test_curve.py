@@ -526,7 +526,7 @@ def test_block_members_below_good_margin_search_on_as_alone(monkeypatch):
     c = rotating_curve([1.1, 1.9], core.random_symplectic(
         sp, np.random.default_rng(5)))
     ts = curve._interior(c, 20)
-    stencils = [curve._stencil_frames(c, t) for t in ts]
+    stencils = [c.read(curve._stencil_times(c, [t])) for t in ts]
     first = [float(core._margin(
         core.make_frame(sp, sp.form @ frs[3].columns).columns,
         np.stack([fr.columns for fr in [frs[3]] + frs[:3] + frs[4:]])).min())
@@ -558,7 +558,7 @@ def test_block_refuses_exhausted_members_alone_and_reads_once(monkeypatch):
         sp, np.random.default_rng(5)))
     ts = curve._interior(c, 20)
     best = []
-    for frs in (curve._stencil_frames(c, t) for t in ts):
+    for frs in (c.read(curve._stencil_times(c, [t])) for t in ts):
         center, avoid = frs[3], frs[:3] + frs[4:]
         best.append(max(
             min(float(core._margin(core.make_frame(sp, cols).columns,

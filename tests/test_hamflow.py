@@ -310,6 +310,122 @@ def test_dense_flow_and_derivative_family_follow_the_stencil_reach():
     assert fam.fd_step == jc.fd_step
 
 
+# ------------------------------------------------------- stacked frame reads
+
+
+def _bytes(frames):
+    return [fr.columns.tobytes() for fr in frames]
+
+
+def _one_time_gamma(dense, t):
+    """Gamma at t by the one-time expressions of a scalar read: the
+    checkpoint's row of phis, or one RK4 step of Phi from it."""
+    sysn = dense.sys
+    k, dt = hamflow._checkpoint(dense.times, t)
+    phi = dense.phis[k]
+    if dt and sysn.constant_hessian is not None:
+        phi = sysn._increment(dt) @ phi + phi
+    elif dt:
+        stages = hamflow._StageHessians(sysn, 1)
+        curve._rk4(stages, dense.times[k], (dense.states[k],), dt)
+        sym, _ = hamflow._symmetrized(stages.buf)
+        phi = hamflow._stage_increments(sysn, sym, np.array([dt]))[0] @ phi \
+            + phi
+    j = core.standard_space(sysn.n).form
+    return -j @ phi.T @ j
+
+
+def _one_time_frame(dense, red, t):
+    """The Jacobi frame at t, reduced when red is given, by one-frame
+    calls: make_frame, level_kernel's rule, nullspace and span."""
+    space = core.standard_space(dense.sys.n)
+    frame = core.make_frame(
+        space, _one_time_gamma(dense, t) @ core.vertical_frame(space).columns)
+    if red is None:
+        return frame
+    r = np.atleast_2d(red.u @ space.form @ frame.columns)
+    kernel = (np.eye(r.shape[1]) if np.abs(r).max() <= core.RANK_TOL
+              else core.nullspace(r))
+    return core.make_frame(red.space,
+                           core.span(red._proj @ frame.columns @ kernel))
+
+
+@st.composite
+def read_cases(draw):
+    kind = draw(st.sampled_from(["constant", "polynomial", "reduced"]))
+    n = draw(st.sampled_from([1, 2, 3])) if kind == "constant" else 2
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "polynomial" or (kind == "reduced" and draw(st.booleans())):
+        sysn = cubic_poly_system()
+    else:
+        k = rng.standard_normal((n, n))
+        sysn = oscillator(n, k @ k.T + 0.5 * np.eye(n))
+    z0 = 0.5 * rng.standard_normal(2 * sysn.n)
+    horizon = draw(st.floats(0.05, 0.6))
+    step = draw(st.sampled_from([1e-2, 7e-3]))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+    grid = draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    return kind == "reduced", sysn, z0, horizon, step, fractions, grid
+
+
+@seed(20261021)
+@settings(max_examples=30, deadline=None, database=None)
+@given(read_cases())
+def test_stacked_reads_equal_one_time_reads_bit_for_bit(case):
+    # times anywhere in the integrated window, stencil margins included:
+    # off-grid times, grid times and repeats, in the order drawn, which
+    # runs forward and backward, then reversed
+    reduced, sysn, z0, horizon, step, fractions, grid = case
+    dense = hamflow.DenseFlow(sysn, z0, horizon, step)
+    red = hamflow.level_reduction(sysn, z0) if reduced else None
+    jc = (hamflow.reduced_jacobi_curve if reduced else hamflow.jacobi_curve)(
+        dense)
+    ts = [dense.t_lo + f * (dense.t_hi - dense.t_lo) for f in fractions]
+    ts += [float(dense.times[int(g * (len(dense.times) - 1))]) for g in grid]
+    ts += ts[:2]
+    stacked = jc.read(ts)
+    assert _bytes(stacked) == _bytes([jc.eval(t) for t in ts])
+    assert _bytes(stacked) == _bytes([_one_time_frame(dense, red, t)
+                                      for t in ts])
+    assert _bytes(jc.read(ts[::-1])) == _bytes(stacked[::-1])
+    gammas = dense.gammas(ts)
+    assert [g.tobytes() for g in gammas] == [
+        _one_time_gamma(dense, t).tobytes() for t in ts]
+
+
+def test_a_replaced_eval_takes_the_stacked_read_with_it():
+    # read follows eval: a plain function installed by replace is called
+    # once per time, and DenseFlow.gammas is never read in a stack
+    dense = hamflow.DenseFlow(oscillator(2, np.diag([1.0, 2.5])),
+                              np.array([0.3, -0.2, 0.5, 0.1]), 1.0)
+    jc = hamflow.jacobi_curve(dense)
+    seen = []
+
+    def ev(t):
+        seen.append(t)
+        return jc.eval(t)
+
+    plain = dataclasses.replace(jc, eval=ev)
+    ts = [0.1, 0.25, 0.7]
+    assert _bytes(plain.read(ts)) == _bytes(jc.read(ts))
+    assert seen == ts
+    cached = curve.cached(plain)
+    assert _bytes(cached.read(ts + ts)) == _bytes(jc.read(ts + ts))
+    assert cached.eval(0.25) is cached.read([0.25])[0]
+    assert seen == ts + ts
+
+
+def test_a_stacked_read_refuses_as_the_first_time_would():
+    dense = hamflow.DenseFlow(oscillator(1), np.array([0.5, 0.2]), 1.0)
+    jc = hamflow.jacobi_curve(dense)
+    with pytest.raises(ValueError) as alone:
+        jc.eval(5.0)
+    with pytest.raises(ValueError) as stacked:
+        jc.read([0.3, 5.0, 0.4, -7.0])
+    assert str(stacked.value) == str(alone.value) == \
+        "time 5 outside the integrated window"
+
+
 # ------------------------------------------------------ connection operators
 
 

@@ -387,6 +387,35 @@ def test_eigenvalue_crossing_family():
     assert lderiv.family_index_delta(family, 0.0, 1.9) == 1
 
 
+def test_family_index_delta_builds_each_endpoint_pair_once():
+    # the endpoint inertias and the count's endpoint frames read the
+    # same two pairs
+    a = np.array([[0.0, 1.0]])
+    taus = []
+
+    def family(tau):
+        taus.append(float(tau))
+        return lderiv.LDerivData(A=a, Q=np.array([[tau - 1.0, 1.0],
+                                                  [1.0, 1.0]]))
+
+    assert lderiv.family_index_delta(family, 0.0, 1.9) == 1
+    assert taus.count(0.0) == taus.count(1.9) == 1
+
+
+def test_duality_check_names_a_kernel_that_ker_q_shares():
+    # e1 spans ker A meet ker Q: Q on ker A = diag(0, 3) is singular, yet
+    # (0, e1) solves zeta A + v^T Q = 0 and maps to 0, so L(A, Q) misses
+    # the fiber; the refusal states that dimension
+    data = lderiv.LDerivData(A=np.array([[1.0, 0.0, 0.0]]),
+                             Q=np.diag([1.0, 0.0, 3.0]))
+    fiber = core.vertical_frame(core.standard_space(1))
+    assert core.intersection_dim(lderiv.l_derivative(data), fiber) == 0
+    with pytest.raises(ArithmeticError, match=(
+            r"^duality disagrees: hessian_nondegenerate=False, "
+            r"transversal_to_fiber=True; dim\(ker A meet ker Q\) = 1")):
+        lderiv.duality_check(data)
+
+
 def test_family_rejects_degenerate_endpoint():
     a = np.array([[0.0, 1.0]])
 

@@ -10,6 +10,8 @@ Hand-checked oracles, fixed before the implementation:
     half integer 1/2, i.e. a doubled value of exactly 1.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -318,6 +320,52 @@ def test_close_crossings_split_on_an_intermediate_level(monkeypatch):
     assert [p.multiplicity for p in pts] == [1, 1]
     assert abs(pts[0].t - np.pi / 1.003) <= 1e-8
     assert abs(pts[1].t - np.pi) <= 1e-8
+
+
+class OffChart(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failure", ["read raises", "not Lagrangian"])
+def test_a_speculative_midpoint_that_fails_refuses_no_scan(monkeypatch,
+                                                          failure):
+    # _locate reads the next levels of midpoints in one pass; those on
+    # the side the walk leaves are never reached, so a failure there (an
+    # eval that raises, or a frame whose chart matrix is asymmetric)
+    # refuses nothing, and the scan returns what it returns without it
+    family = curve.from_chart_family(
+        2, lambda t: np.diag([1.0 - t, 1.7 - t]), (0.0, 2.5))
+    brackets = []
+    locate = maslov._locate
+
+    def spy(indices, tl, tr, il, ir, tol, depth=0):
+        brackets.append((tl, tr))
+        return locate(indices, tl, tr, il, ir, tol, depth)
+
+    monkeypatch.setattr(maslov, "_locate", spy)
+    want = maslov.conjugate_points(family, vertical_train(2))
+    tl, tr = brackets[0]
+    mid = 0.5 * (tl + tr)
+    # the first crossing, at t = 1, sends the walk to one side of mid
+    lo, hi = (mid, tr) if 1.0 < mid else (tl, mid)
+    window = (lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo))
+    hit = []
+
+    def ev(t):
+        if not window[0] < t < window[1]:
+            return family.eval(t)
+        hit.append(t)
+        if failure == "read raises":
+            raise OffChart(f"no frame at t={t:g}")
+        s = np.diag([1.0 - t, 1.7 - t])
+        s[0, 1] += 0.3
+        return core.LagrangianFrame(family.space, np.linalg.qr(
+            np.vstack([np.eye(2), s]))[0])
+
+    got = maslov.conjugate_points(dataclasses.replace(family, eval=ev),
+                                  vertical_train(2))
+    assert hit and got == want
+    assert [p.multiplicity for p in got] == [1, 1]
 
 
 def split_tan_pair(delta, domain=(0.1, 3.3)):
