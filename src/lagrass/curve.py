@@ -4,11 +4,11 @@ A curve is a frame-valued callable on a real interval plus bookkeeping
 (domain, finite-difference step). A FrameReader eval also reads many
 times in one stacked pass, and GrassmannCurve.read takes that pass when
 the curve's eval has one, so a stacked read goes wherever eval goes;
-cached puts one memo behind both. Differentiation runs
-through moving Darboux charts: the chart origin for a stencil centered
-at t is the curve point itself, so the local graph matrix vanishes at
-the center and the five stencil values form a symmetric-matrix family
-that ordinary central differences apply to.
+cached puts one memo behind both. Differentiation runs through moving
+Darboux charts: the chart origin for a stencil centered at t is the
+curve point itself, so the local graph matrix vanishes at the center
+and the five stencil values form a symmetric-matrix family that
+ordinary central differences apply to.
 
 Operator conventions. All operators on a curve point v(t) are reported
 as matrices in the coordinates induced by a stated 2n x n basis whose
@@ -27,7 +27,8 @@ of a block are read once, in one GrassmannCurve.read (one stacked pass
 when the curve's eval is a FrameReader); everything after the read
 (the chart search's first candidate, the Darboux charts, the chart
 matrices, the differences, the regularity check, the inverse and the
-Schwarzian) runs once for the whole block on a leading time axis. Every one-time reader (velocity_form, curvature, curvature_form,
+Schwarzian) runs once for the whole block on a leading time axis.
+Every one-time reader (velocity_form, curvature, curvature_form,
 transport_generator, derivative_curve) reads a block of one, so a block
 and a loop of single stencils give the same bits. Each time keeps its
 own outcome, its geometry or the exception its stencil raises (a chart
@@ -121,7 +122,7 @@ class GrassmannCurve:
 
     def read(self, ts) -> List[core.LagrangianFrame]:
         """The frames at the times ts, equal to eval at each time."""
-        if isinstance(self.eval, FrameReader):
+        if isinstance(self.eval, FrameReader) and len(ts):
             return self.eval.many(ts)
         return [self.eval(t) for t in ts]
 

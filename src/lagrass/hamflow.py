@@ -27,13 +27,12 @@ per distinct grid step; its orbits march by z -> z + S z with no
 callback, which is RK4 to round-off.  DenseFlow.gammas reads Gamma at
 many times in one batch, grid times as rows of phis and the others by
 one batched RK4 step, and the Jacobi curves read their frames through
-it in one stacked frame check, bit for bit as one time at a time.  The
-module also carries the
-canonical-connection machinery: connection coefficients from the
-Hessian blocks, curvature operators of the field both by the exact
-natural-system shortcut and by a generic double-bracket evaluation,
-level-set reduction to a quotient symplectic space, and the
-Legendre-type monotonicity scan.
+it in one stacked frame check, bit for bit as one time at a time.
+The module also carries the canonical-connection machinery:
+connection coefficients from the Hessian blocks, curvature operators
+of the field both by the exact natural-system shortcut and by a
+generic double-bracket evaluation, level-set reduction to a quotient
+symplectic space, and the Legendre-type monotonicity scan.
 """
 
 from __future__ import annotations
@@ -416,7 +415,7 @@ def _checkpoints(times: np.ndarray, ts):
     the round-off floor comes back as 0.0, the checkpoint itself.
     """
     ts = np.asarray(ts, dtype=float)
-    lo, hi = float(times[0]), float(times[-1])
+    lo, hi = times[0], times[-1]
     span = hi - lo
     pad = 1e-9 * (1.0 + span)
     outside = (ts < lo - pad) | (ts > hi + pad)
@@ -425,11 +424,12 @@ def _checkpoints(times: np.ndarray, ts):
         first = int(outside.argmax())
         error = ValueError(f"time {ts[first]:g} outside the integrated window")
         ts = ts[:first]
+    # clamped onto [lo, hi], every time has a checkpoint at or below it
     ts = np.minimum(np.maximum(ts, lo), hi)
-    ks = np.clip(np.searchsorted(times, ts, side="right") - 1, 0,
-                 len(times) - 1)
+    ks = times.searchsorted(ts, side="right") - 1
     dts = ts - times[ks]
-    return ks, np.where(dts <= 1e-14 * (1.0 + span), 0.0, dts), error
+    dts[dts <= 1e-14 * (1.0 + span)] = 0.0
+    return ks, dts, error
 
 
 def _checkpoint(times: np.ndarray, t: float) -> Tuple[int, float]:

@@ -407,6 +407,7 @@ def test_a_replaced_eval_takes_the_stacked_read_with_it():
 
     plain = dataclasses.replace(jc, eval=ev)
     ts = [0.1, 0.25, 0.7]
+    assert jc.read([]) == plain.read([]) == []
     assert _bytes(plain.read(ts)) == _bytes(jc.read(ts))
     assert seen == ts
     cached = curve.cached(plain)

@@ -310,9 +310,9 @@ def test_close_crossings_split_on_an_intermediate_level(monkeypatch):
     levels = []
     locate = maslov._locate
 
-    def spy(indf, tl, tr, il, ir, tol, depth=0):
+    def spy(indices, tl, tr, il, ir, tol, depth=0):
         levels.append((depth, il, ir))
-        return locate(indf, tl, tr, il, ir, tol, depth)
+        return locate(indices, tl, tr, il, ir, tol, depth)
 
     monkeypatch.setattr(maslov, "_locate", spy)
     pts = maslov.conjugate_points(c, vertical_train(2))
